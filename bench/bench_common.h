@@ -17,12 +17,9 @@
 #include <memory>
 #include <string>
 
-#include "game/matrix_game.h"
-#include "la/matrix.h"
 #include "runtime/executor.h"
 #include "sim/experiment.h"
 #include "util/env.h"
-#include "util/rng.h"
 
 namespace pg::bench {
 
@@ -46,20 +43,6 @@ inline std::unique_ptr<runtime::Executor> bench_executor() {
   std::cout << "executor threads: " << exec->concurrency()
             << " (override with PG_BENCH_THREADS)\n";
   return exec;
-}
-
-/// Seeded random zero-sum game shared by the solver benches, so they all
-/// measure the same matrices (seed scheme: offset + size).
-inline game::MatrixGame random_game(std::size_t m, std::size_t n,
-                                    std::uint64_t seed) {
-  util::Rng rng(seed);
-  la::Matrix a(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = rng.uniform(-5.0, 5.0);
-    }
-  }
-  return game::MatrixGame(std::move(a));
 }
 
 inline void print_context(const sim::ExperimentContext& ctx) {

@@ -212,91 +212,6 @@ void BM_DiscretizeGrid(benchmark::State& state) {
 }
 BENCHMARK(BM_DiscretizeGrid)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-// --------------------------------------------- runtime: parallel solvers
-
-double& lp_serial_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-void BM_SolveLpParallel(benchmark::State& state) {
-  // 192x192 random game: enough pivots (and a wide enough tableau) for
-  // the per-pivot elimination chunks to carry real work. Seed scheme
-  // matches bench_solver_parallel's LP games (1000 + size), so the two
-  // benches measure the identical matrix.
-  static const game::MatrixGame mg = pg::bench::random_game(192, 192, 1192);
-  const auto exec = sim::make_executor(static_cast<std::size_t>(state.range(0)));
-  double total = 0.0;
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    util::Stopwatch watch;
-    benchmark::DoNotOptimize(game::solve_lp_equilibrium(mg, exec.get()));
-    total += watch.elapsed_seconds();
-    ++iters;
-  }
-  const double per_iter = total / static_cast<double>(iters);
-  if (state.range(0) == 1) lp_serial_secs() = per_iter;
-  if (lp_serial_secs() > 0.0) {
-    state.counters["speedup_vs_serial"] = lp_serial_secs() / per_iter;
-  }
-  state.counters["threads"] = static_cast<double>(exec->concurrency());
-}
-// Arg order matters: the 1-thread run records the serial baseline.
-BENCHMARK(BM_SolveLpParallel)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-double& fp_serial_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-void BM_FictitiousPlayParallel(benchmark::State& state) {
-  // 1024x1024: the strided column gather in the row scan is the
-  // per-iteration cost the chunked best-response pass splits. Seed scheme
-  // matches bench_solver_parallel's FP games (2000 + size).
-  static const game::MatrixGame mg = pg::bench::random_game(1024, 1024, 3024);
-  const auto exec = sim::make_executor(static_cast<std::size_t>(state.range(0)));
-  double total = 0.0;
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    util::Stopwatch watch;
-    benchmark::DoNotOptimize(
-        game::solve_fictitious_play(mg, {.iterations = 2000}, exec.get()));
-    total += watch.elapsed_seconds();
-    ++iters;
-  }
-  const double per_iter = total / static_cast<double>(iters);
-  if (state.range(0) == 1) fp_serial_secs() = per_iter;
-  if (fp_serial_secs() > 0.0) {
-    state.counters["speedup_vs_serial"] = fp_serial_secs() / per_iter;
-  }
-  state.counters["threads"] = static_cast<double>(exec->concurrency());
-}
-BENCHMARK(BM_FictitiousPlayParallel)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-void BM_FictitiousPlayNarrowBackend(benchmark::State& state) {
-  // The dispatch-overhead case PersistentTeam exists for: a NARROW game
-  // (64x64, O(m+n) per iteration) where the fork-join's per-iteration
-  // queue round-trips used to outweigh the step. Arg encodes the
-  // backend: 0 = serial, 1 = forced dispatch, 2 = forced team (both
-  // parallel variants on 4 workers). Results are bit-identical across
-  // all three; only the wall-clock moves.
-  static const game::MatrixGame mg = pg::bench::random_game(64, 64, 4064);
-  const int mode = static_cast<int>(state.range(0));
-  const auto exec = sim::make_executor(mode == 0 ? 1 : 4);
-  game::IterativeConfig cfg{.iterations = 4000};
-  cfg.backend = mode == 2 ? game::IterativeBackend::kTeam
-                          : game::IterativeBackend::kDispatch;
-  runtime::Executor* e = mode == 0 ? nullptr : exec.get();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(game::solve_fictitious_play(mg, cfg, e));
-  }
-  state.counters["backend"] = static_cast<double>(mode);
-}
-BENCHMARK(BM_FictitiousPlayNarrowBackend)->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
 // The headline workload of the runtime: the paper's attacker x defender
 // EMPIRICAL payoff grid, one sanitize-and-retrain pipeline run per cell
 // (the object every sweep, Table-1 evaluation, and ablation is built

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "runtime/parallel_reduce.h"
 #include "util/error.h"
 
 namespace pg::game {
@@ -57,56 +56,18 @@ double MatrixGame::expected_payoff(const MixedStrategy& row_strategy,
   return total;
 }
 
-std::vector<double> MatrixGame::row_payoffs(const MixedStrategy& col_strategy,
-                                            runtime::Executor* executor) const {
+std::vector<double> MatrixGame::row_payoffs(
+    const MixedStrategy& col_strategy) const {
   PG_CHECK(col_strategy.size() == num_cols(),
            "row_payoffs: strategy size mismatch");
-  std::vector<double> out(num_rows(), 0.0);
-  runtime::parallel_for(
-      executor, 0, num_rows(), runtime::grain_for_cells(num_cols()), [&](std::size_t i) {
-        for (std::size_t j = 0; j < num_cols(); ++j) {
-          out[i] += payoff_(i, j) * col_strategy[j];
-        }
-      });
-  return out;
+  return payoff_.matvec(col_strategy);
 }
 
-std::vector<double> MatrixGame::col_payoffs(const MixedStrategy& row_strategy,
-                                            runtime::Executor* executor) const {
+std::vector<double> MatrixGame::col_payoffs(
+    const MixedStrategy& row_strategy) const {
   PG_CHECK(row_strategy.size() == num_rows(),
            "col_payoffs: strategy size mismatch");
-  const std::size_t m = num_rows();
-  const std::size_t n = num_cols();
-  std::vector<double> out(n, 0.0);
-  // Column-blocked A^T p: each task owns a contiguous column slice and
-  // walks the payoff matrix row-major (the cache-friendly direction),
-  // instead of one stride-n column walk per task. Block count balances
-  // two pressures: slices no wider than 512 doubles (the output stays
-  // L1-resident across all rows) and enough slices to occupy every
-  // worker, with a 64-column floor so tiny slices do not shred
-  // locality. Every out[j] still accumulates in ascending row order, so
-  // the result is bit-identical to the per-column loop at any block
-  // size or thread count.
-  constexpr std::size_t kMaxBlockCols = 512;
-  constexpr std::size_t kMinBlockCols = 64;
-  const std::size_t workers =
-      executor != nullptr ? executor->concurrency() : 1;
-  const std::size_t for_cache = (n + kMaxBlockCols - 1) / kMaxBlockCols;
-  const std::size_t for_workers =
-      std::clamp<std::size_t>(n / kMinBlockCols, 1, workers);
-  const std::size_t blocks = std::max(for_cache, for_workers);
-  const std::size_t block = (n + blocks - 1) / blocks;
-  runtime::parallel_for(executor, 0, blocks, 1, [&](std::size_t b) {
-    const std::size_t j_lo = b * block;
-    const std::size_t j_hi = j_lo + block < n ? j_lo + block : n;
-    for (std::size_t i = 0; i < m; ++i) {
-      const double pi = row_strategy[i];
-      for (std::size_t j = j_lo; j < j_hi; ++j) {
-        out[j] += payoff_(i, j) * pi;
-      }
-    }
-  });
-  return out;
+  return payoff_.matvec_transposed(row_strategy);
 }
 
 double MatrixGame::maximin_value() const {

@@ -7,16 +7,15 @@
 //
 // Convention: entry (i, j) is the payoff to the ROW player (maximizer)
 // when row i and column j are played; the column player minimizes.
+//
+// row_payoffs / col_payoffs (Hedge's per-iteration O(m * n) step) are
+// la::Matrix::matvec / matvec_transposed.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "la/matrix.h"
-
-namespace pg::runtime {
-class Executor;
-}
 
 namespace pg::game {
 
@@ -50,18 +49,15 @@ class MatrixGame {
   [[nodiscard]] double expected_payoff(const MixedStrategy& row_strategy,
                                        const MixedStrategy& col_strategy) const;
 
-  /// Expected payoff of each pure row against the column mixture q.
-  /// `executor` (null -> serial) parallelizes the per-row dot products;
-  /// each entry accumulates in the same index order either way, so the
-  /// result is bit-identical at any thread count.
+  /// Expected payoff of each pure row against the column mixture q
+  /// (each entry sums j-ascending).
   [[nodiscard]] std::vector<double> row_payoffs(
-      const MixedStrategy& col_strategy,
-      runtime::Executor* executor = nullptr) const;
+      const MixedStrategy& col_strategy) const;
 
-  /// Expected payoff of each pure column against the row mixture p.
+  /// Expected payoff of each pure column against the row mixture p
+  /// (each entry sums i-ascending).
   [[nodiscard]] std::vector<double> col_payoffs(
-      const MixedStrategy& row_strategy,
-      runtime::Executor* executor = nullptr) const;
+      const MixedStrategy& row_strategy) const;
 
   /// max_i min_j and min_j max_i of the payoff matrix (pure security
   /// levels). A pure saddle point exists iff they are equal.

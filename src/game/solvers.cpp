@@ -1,19 +1,11 @@
 #include "game/solvers.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
-#include <memory>
-#include <optional>
-#include <string>
 
 #include "game/lp.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/parallel_reduce.h"
-#include "runtime/persistent_team.h"
 #include "util/error.h"
 
 namespace pg::game {
@@ -33,165 +25,16 @@ void ConvergenceTrace::push(std::size_t iteration, double gap) {
   }
 }
 
-namespace {
-
-/// How many chunks to cut one player's best-response scan into. The scan
-/// costs O(dim) per iteration, so the per-iteration fork-join only pays
-/// for itself on wide games; below the threshold everything collapses to
-/// one chunk per player (still overlapping the two players on two
-/// threads). Chunking affects scheduling only -- the deterministic fold
-/// makes the result identical at any value.
-std::size_t scan_chunks(std::size_t dim, runtime::Executor* executor) {
-  if (executor == nullptr) return 1;
-  const std::size_t workers = executor->concurrency();
-  if (workers <= 1) return 1;
-  constexpr std::size_t kMinChunk = 512;
-  const std::size_t by_size = dim / kMinChunk;
-  return std::clamp<std::size_t>(by_size, 1, workers);
-}
-
-// -------------------------------------------------- persistent-team path
-// An iterative solve issues the SAME O(m + n) or O(m * n) step thousands
-// of times. Routing each step through parallel_for pays a dispatch
-// (allocation + queue + wake-up) per chunk per iteration, which on narrow
-// games outweighs the step itself -- the fork-join "loses to dispatch
-// overhead" case called out in ROADMAP.md. When the solve is big enough
-// to amortize thread spawn and NOT already running inside a pool task
-// (where extra resident threads would oversubscribe), the solvers below
-// lease a resident team (runtime::TeamLease -- a parked PersistentTeam
-// is reused across solves instead of spawned per solve) and drive every
-// iteration over its spin barrier instead. Chunking can be much finer than the dispatch
-// path's -- a barrier crossing is ~two atomics -- and determinism is
-// untouched: chunk partials still fold in ascending order with exact
-// comparisons, so serial, dispatched, and team solves are bit-identical.
-
-/// Minimum iterations before a resident team amortizes its spawn cost.
-constexpr std::size_t kTeamMinIterations = 64;
-/// Minimum m + n: below this even a barrier outweighs the step.
-constexpr std::size_t kTeamMinDim = 8;
-/// Team-path chunk floor (cells per chunk) -- far finer than the
-/// dispatch path's 512 because the per-chunk overhead is a strided loop
-/// bound, not a queue round-trip.
-constexpr std::size_t kTeamMinChunk = 64;
-
-bool team_pays(std::size_t rows, std::size_t cols, std::size_t iterations,
-               std::size_t cells_per_iteration, runtime::Executor* executor,
-               IterativeBackend backend) {
-  // A team is only possible with spare workers and outside the pool
-  // (resident threads under a pool task would oversubscribe); within
-  // that, kAuto applies the amortization floors and kTeam/kDispatch
-  // force the choice (the solver_parallel bench measures them head to
-  // head).
-  if (executor == nullptr || executor->concurrency() <= 1 ||
-      runtime::on_pool_worker() || backend == IterativeBackend::kDispatch) {
-    return false;
-  }
-  if (backend == IterativeBackend::kTeam) return true;
-  return iterations >= kTeamMinIterations && rows + cols >= kTeamMinDim &&
-         iterations * cells_per_iteration >= team_dispatch_min_work();
-}
-
-std::size_t team_chunks(std::size_t dim, std::size_t workers) {
-  return std::clamp<std::size_t>(dim / kTeamMinChunk, 1, workers);
-}
-
-// ------------------------------------------------- kAuto work calibration
-
-/// Bounds on the calibrated cutoff. The floor keeps a freakishly fast
-/// probe (or a truncated timer) from standing up teams for trivial
-/// solves; the ceiling keeps a noisy first-call measurement (cold caches,
-/// a descheduled probe thread) from locking the team path out entirely.
-constexpr std::size_t kTeamMinWorkFloor = 64 * 1024;
-constexpr std::size_t kTeamMinWorkCeil = 4 * 1024 * 1024;
-/// Arithmetic a solve must carry before the resident team's spawn + join
-/// (~100us of thread management) is clearly amortized: ~5x that cost.
-constexpr double kTeamSpawnBudgetNs = 500'000.0;
-
-/// Time the representative per-cell step -- a fused score-update +
-/// best-response scan, the same shape both iterative solvers issue every
-/// iteration -- and return the best-of-passes per-cell nanoseconds.
-double probe_per_cell_ns() {
-  constexpr std::size_t kCells = 16 * 1024;
-  constexpr int kPasses = 5;
-  std::vector<double> scores(kCells, 0.0);
-  std::vector<double> column(kCells);
-  for (std::size_t i = 0; i < kCells; ++i) {
-    column[i] = static_cast<double>(i % 97) * 1e-3;
-  }
-  double best_ns = std::numeric_limits<double>::infinity();
-  double sink = 0.0;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    const auto start = std::chrono::steady_clock::now();
-    double best = -std::numeric_limits<double>::infinity();
-    std::size_t arg = 0;
-    for (std::size_t i = 0; i < kCells; ++i) {
-      scores[i] += column[i];
-      if (scores[i] > best) {
-        best = scores[i];
-        arg = i;
-      }
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    sink += best + static_cast<double>(arg);
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(stop - start)
-            .count());
-    best_ns = std::min(best_ns, ns);
-  }
-  // Keep `sink` live so the scan cannot be optimized away.
-  if (sink == std::numeric_limits<double>::quiet_NaN()) std::abort();
-  return std::max(best_ns, 1.0) / static_cast<double>(kCells);
-}
-
-}  // namespace
-
-std::size_t team_dispatch_min_work() {
-  static const std::size_t cutoff = [] {
-    std::size_t value = 0;
-    if (const char* env = std::getenv("PG_TEAM_MIN_WORK");
-        env != nullptr && *env != '\0') {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(env, &end, 10);
-      PG_CHECK(end != nullptr && *end == '\0',
-               "PG_TEAM_MIN_WORK: expected a cell count, got '" +
-                   std::string(env) + "'");
-      value = static_cast<std::size_t>(parsed);
-    } else {
-      value = static_cast<std::size_t>(kTeamSpawnBudgetNs /
-                                       probe_per_cell_ns());
-    }
-    return std::clamp(value, kTeamMinWorkFloor, kTeamMinWorkCeil);
-  }();
-  // Re-recorded (cheap CAS-max) on every call so the gauge survives the
-  // per-run metric resets the scenario engine performs.
-  obs::gauge("obs.solver.team_min_work").record(cutoff);
-  return cutoff;
-}
-
-Equilibrium solve_lp_equilibrium(const MatrixGame& game,
-                                 runtime::Executor* executor,
-                                 const LpConfig& lp) {
+Equilibrium solve_lp_equilibrium(const MatrixGame& game, const LpConfig& lp) {
   obs::Span span("lp_equilibrium", "solver");
   const std::size_t m = game.num_rows();
   const std::size_t n = game.num_cols();
 
   // Shift the payoff matrix strictly positive so the game value is > 0 and
-  // the classic normalization applies. Exact min is associative, so the
-  // chunked reduction is deterministic at any thread count.
+  // the classic normalization applies.
   const la::Matrix& payoff = game.payoff();
-  const std::size_t row_grain = runtime::grain_for_cells(n);
-  const double lo = runtime::chunked_reduce<double>(
-      executor, 0, m, row_grain,
-      [&](std::size_t row_lo, std::size_t row_hi) {
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t i = row_lo; i < row_hi; ++i) {
-          for (std::size_t j = 0; j < n; ++j) {
-            best = std::min(best, payoff(i, j));
-          }
-        }
-        return best;
-      },
-      [](double a, double b) { return std::min(a, b); });
+  const double lo =
+      *std::min_element(payoff.data().begin(), payoff.data().end());
   const double shift = (lo <= 0.0) ? (1.0 - lo) : 0.0;
 
   // Column player's LP: maximize sum(z) s.t. B z <= 1, z >= 0 where
@@ -199,15 +42,15 @@ Equilibrium solve_lp_equilibrium(const MatrixGame& game,
   // give the row strategy p = u * v'; game value = v' - shift.
   LpProblem problem;
   problem.a = la::Matrix(m, n);
-  runtime::parallel_for(executor, 0, m, row_grain, [&](std::size_t i) {
+  for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
       problem.a(i, j) = payoff(i, j) + shift;
     }
-  });
+  }
   problem.b.assign(m, 1.0);
   problem.c.assign(n, 1.0);
 
-  const LpSolution sol = solve_lp(problem, executor, lp);
+  const LpSolution sol = solve_lp(problem, lp);
   PG_ASSERT(sol.status == LpStatus::kOptimal,
             "shifted matrix game LP must be bounded");
   PG_ASSERT(sol.objective > 0.0, "shifted game value must be positive");
@@ -232,6 +75,7 @@ Equilibrium solve_lp_equilibrium(const MatrixGame& game,
 Equilibrium solve_fictitious_play(const MatrixGame& game,
                                   const IterativeConfig& config,
                                   runtime::Executor* executor) {
+  (void)executor;  // the solve is serial; see solvers.h
   obs::Span span("fictitious_play", "solver");
   PG_CHECK(config.iterations >= 1, "iterations must be >= 1");
   const std::size_t m = game.num_rows();
@@ -245,105 +89,46 @@ Equilibrium solve_fictitious_play(const MatrixGame& game,
   std::vector<double> row_scores(m, 0.0);
   std::vector<double> col_scores(n, 0.0);
 
-  // Pick the execution backend for the whole solve: a resident
-  // PersistentTeam when the per-iteration fork-join would lose to
-  // dispatch (narrow games, many iterations), the executor's fork-join
-  // otherwise, inline when serial. Chunking is fixed up front and the
-  // partials are preallocated so the per-iteration loop never touches
-  // the heap. Each chunk fuses the score update with its local
-  // best-response scan; the ascending-order fold below reproduces
-  // std::max_element / std::min_element exactly (strict comparisons at
-  // both levels keep the smallest-index tie-break), so the trajectory --
-  // and therefore the equilibrium -- is bit-identical to the serial
-  // solve on every backend at any thread count.
-  const bool use_team =
-      team_pays(m, n, config.iterations, m + n, executor, config.backend);
-  std::optional<runtime::TeamLease> team;
-  std::size_t row_chunks;
-  std::size_t col_chunks;
-  if (use_team) {
-    const std::size_t workers = executor->concurrency();
-    row_chunks = team_chunks(m, workers);
-    col_chunks = team_chunks(n, workers);
-    team.emplace(std::min(workers, row_chunks + col_chunks));
-  } else {
-    row_chunks = scan_chunks(m, executor);
-    col_chunks = scan_chunks(n, executor);
-  }
-  const std::size_t row_grain = (m + row_chunks - 1) / row_chunks;
-  const std::size_t col_grain = (n + col_chunks - 1) / col_chunks;
-  // Recompute the counts from the grain so every chunk is non-empty.
-  row_chunks = (m + row_grain - 1) / row_grain;
-  col_chunks = (n + col_grain - 1) / col_grain;
-  std::vector<runtime::ArgExtremum> row_partials(row_chunks);
-  std::vector<runtime::ArgExtremum> col_partials(col_chunks);
-
   std::size_t row_action = 0;
   std::size_t col_action = 0;
-
-  // One scan covers both players: chunks [0, row_chunks) update + scan
-  // the row player (maximizer), the rest the column player (minimizer).
-  const auto scan_chunk = [&](std::size_t c) {
-    if (c < row_chunks) {
-      const std::size_t lo = c * row_grain;
-      const std::size_t hi = std::min(m, lo + row_grain);
-      row_scores[lo] += payoff(lo, col_action);
-      runtime::ArgExtremum best{row_scores[lo], lo};
-      for (std::size_t i = lo + 1; i < hi; ++i) {
-        row_scores[i] += payoff(i, col_action);
-        if (row_scores[i] > best.value) best = {row_scores[i], i};
-      }
-      row_partials[c] = best;
-    } else {
-      const std::size_t lo = (c - row_chunks) * col_grain;
-      const std::size_t hi = std::min(n, lo + col_grain);
-      col_scores[lo] += payoff(row_action, lo);
-      runtime::ArgExtremum best{col_scores[lo], lo};
-      for (std::size_t j = lo + 1; j < hi; ++j) {
-        col_scores[j] += payoff(row_action, j);
-        if (col_scores[j] < best.value) best = {col_scores[j], j};
-      }
-      col_partials[c - row_chunks] = best;
-    }
-  };
-  const std::size_t total_chunks = row_chunks + col_chunks;
-  // Hoisted std::function shells so the per-iteration loop converts no
-  // lambdas (each conversion is a potential allocation).
-  const std::function<void(std::size_t)> team_job = [&](std::size_t rank) {
-    for (std::size_t c = rank; c < total_chunks; c += team->size()) {
-      scan_chunk(c);
-    }
-  };
-  const std::function<void(std::size_t)> dispatch_body = scan_chunk;
 
   for (std::size_t t = 0; t < config.iterations; ++t) {
     row_counts[row_action] += 1.0;
     col_counts[col_action] += 1.0;
 
-    if (use_team) {
-      team->run(team_job);
-    } else {
-      runtime::parallel_for(executor, 0, total_chunks, 1, dispatch_body);
+    // One fused pass per player: add the opponent's last action to every
+    // score and track the best response. Strict comparisons keep the
+    // smallest index on ties, like std::max_element / std::min_element.
+    row_scores[0] += payoff(0, col_action);
+    double row_best = row_scores[0];
+    std::size_t next_row = 0;
+    for (std::size_t i = 1; i < m; ++i) {
+      row_scores[i] += payoff(i, col_action);
+      if (row_scores[i] > row_best) {
+        row_best = row_scores[i];
+        next_row = i;
+      }
     }
+    col_scores[0] += payoff(row_action, 0);
+    double col_best = col_scores[0];
+    std::size_t next_col = 0;
+    for (std::size_t j = 1; j < n; ++j) {
+      col_scores[j] += payoff(row_action, j);
+      if (col_scores[j] < col_best) {
+        col_best = col_scores[j];
+        next_col = j;
+      }
+    }
+    row_action = next_row;
+    col_action = next_col;
 
-    runtime::ArgExtremum row_best = row_partials[0];
-    for (std::size_t c = 1; c < row_chunks; ++c) {
-      if (row_partials[c].value > row_best.value) row_best = row_partials[c];
-    }
-    runtime::ArgExtremum col_best = col_partials[0];
-    for (std::size_t c = 1; c < col_chunks; ++c) {
-      if (col_partials[c].value < col_best.value) col_best = col_partials[c];
-    }
-    row_action = row_best.index;
-    col_action = col_best.index;
-
-    // Duality-gap estimate, free: the extrema just folded ARE the
+    // Duality-gap estimate, free: the extrema just found ARE the
     // best-response cumulative payoffs against t+1 plays of history, so
     // their normalized difference brackets the game value from both
     // sides. Read-only on the trajectory.
     if (config.trace != nullptr && config.trace->wants(t)) {
       const double plays = static_cast<double>(t + 1);
-      config.trace->push(t, (row_best.value - col_best.value) / plays);
+      config.trace->push(t, (row_best - col_best) / plays);
     }
   }
 
@@ -358,6 +143,7 @@ Equilibrium solve_fictitious_play(const MatrixGame& game,
 Equilibrium solve_multiplicative_weights(const MatrixGame& game,
                                          const IterativeConfig& config,
                                          runtime::Executor* executor) {
+  (void)executor;  // the solve is serial; see solvers.h
   obs::Span span("multiplicative_weights", "solver");
   PG_CHECK(config.iterations >= 1, "iterations must be >= 1");
   const std::size_t m = game.num_rows();
@@ -369,8 +155,8 @@ Equilibrium solve_multiplicative_weights(const MatrixGame& game,
   double hi = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      lo = std::min(lo, game.payoff_at(i, j));
-      hi = std::max(hi, game.payoff_at(i, j));
+      lo = std::min(lo, payoff(i, j));
+      hi = std::max(hi, payoff(i, j));
     }
   }
   const double range = (hi > lo) ? (hi - lo) : 1.0;
@@ -403,46 +189,10 @@ Equilibrium solve_multiplicative_weights(const MatrixGame& game,
   };
 
   // The O(m*n) cost of every Hedge step is the pair of payoff matvecs.
-  // Per-entry accumulation order is index-fixed on every backend -- each
-  // row payoff sums j-ascending, each column payoff sums i-ascending --
-  // so dispatched, team, and serial iterations are all bit-identical.
-  // The team job computes both matvecs in one barrier: ranks own
-  // contiguous row and column slices, and the column slice walks the
-  // matrix row-major (the blocked matvec_transposed access pattern).
-  const bool use_team =
-      team_pays(m, n, config.iterations, m * n, executor, config.backend);
-  std::optional<runtime::TeamLease> team;
-  if (use_team) {
-    team.emplace(std::min(executor->concurrency(),
-                          team_chunks(m, executor->concurrency()) +
-                              team_chunks(n, executor->concurrency())));
-  }
-
   std::vector<double> p;
   std::vector<double> q;
-  std::vector<double> row_pay(m, 0.0);
-  std::vector<double> col_pay(n, 0.0);
-  const std::function<void(std::size_t)> team_job = [&](std::size_t rank) {
-    const std::size_t ranks = team->size();
-    const std::size_t row_lo = m * rank / ranks;
-    const std::size_t row_hi = m * (rank + 1) / ranks;
-    for (std::size_t i = row_lo; i < row_hi; ++i) {
-      double s = 0.0;
-      for (std::size_t j = 0; j < n; ++j) s += payoff(i, j) * q[j];
-      row_pay[i] = s;
-    }
-    const std::size_t col_lo = n * rank / ranks;
-    const std::size_t col_hi = n * (rank + 1) / ranks;
-    if (col_lo < col_hi) {
-      for (std::size_t j = col_lo; j < col_hi; ++j) col_pay[j] = 0.0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double pi = p[i];
-        for (std::size_t j = col_lo; j < col_hi; ++j) {
-          col_pay[j] += payoff(i, j) * pi;
-        }
-      }
-    }
-  };
+  std::vector<double> row_pay;
+  std::vector<double> col_pay;
 
   for (std::size_t t = 0; t < config.iterations; ++t) {
     p = softmax(row_logw);
@@ -450,12 +200,8 @@ Equilibrium solve_multiplicative_weights(const MatrixGame& game,
     for (std::size_t i = 0; i < m; ++i) row_avg[i] += p[i];
     for (std::size_t j = 0; j < n; ++j) col_avg[j] += q[j];
 
-    if (use_team) {
-      team->run(team_job);  // row wants high, col wants low
-    } else {
-      row_pay = game.row_payoffs(q, executor);
-      col_pay = game.col_payoffs(p, executor);
-    }
+    row_pay = game.row_payoffs(q);  // row wants high
+    col_pay = game.col_payoffs(p);  // col wants low
     for (std::size_t i = 0; i < m; ++i) {
       row_logw[i] += eta_row * (row_pay[i] - lo) / range;
     }

@@ -1,29 +1,19 @@
 // Equilibrium solvers for zero-sum matrix games.
 //
 // Three independent methods with different accuracy/cost trade-offs; the
-// solver-ablation bench compares them on the discretized poisoning game:
+// solver-ablation scenario compares them on the discretized poisoning game:
 //  * solve_lp_equilibrium      -- exact (simplex), the reference answer.
 //  * solve_fictitious_play     -- Brown/Robinson iterative play; averages
 //                                 converge to NE in zero-sum games.
 //  * solve_multiplicative_weights -- Hedge self-play; O(sqrt(log K / T))
 //                                 regret gives an approximate equilibrium.
 //
-// Every solver takes an optional runtime::Executor* (null = serial) and
-// parallelizes its per-iteration inner loops -- the fictitious-play
-// best-response scans over rows/columns, the simplex pricing scan and row
-// elimination, the Hedge payoff matvecs -- with a deterministic chunked
-// reduction (runtime/parallel_reduce.h), so the returned equilibrium is
-// BIT-IDENTICAL to the serial solve at any thread count. This is the same
-// contract tests/runtime_test.cpp asserts for payoff grids, extended to
-// the solvers that consume them.
-//
-// The two iterative solvers additionally keep a resident
-// runtime::PersistentTeam for the whole solve when the game is narrow
-// enough that per-iteration fork-join dispatch would outweigh the step
-// itself (and the solve is not already nested inside a pool task); the
-// team's spin barrier replaces thousands of dispatches while the
-// ascending-order exact folds keep the equilibrium bit-identical on
-// every backend (see solvers.cpp).
+// All three solvers are serial. An iteration of fictitious play or Hedge
+// is one O(m + n) or O(m * n) step, too short to split across threads:
+// on the games the scenarios solve (solver_grid = 128), per-iteration
+// fork-join and a resident thread team both measured slower than the
+// serial loop, and so did a parallel simplex. Parallelism lives one level
+// up, in the payoff grid (core::PoisoningGame::discretize) and the sweeps.
 #pragma once
 
 #include <cstddef>
@@ -41,30 +31,8 @@ namespace pg::game {
 /// Exact equilibrium via one simplex solve of the shifted game.
 /// See lp.h for the reduction; `lp` picks the pricing rule (Bland stays
 /// the default for the anti-cycling guarantee).
-[[nodiscard]] Equilibrium solve_lp_equilibrium(
-    const MatrixGame& game, runtime::Executor* executor = nullptr,
-    const LpConfig& lp = {});
-
-/// Parallel backend for the iterative solvers' per-iteration step.
-/// kAuto picks a resident PersistentTeam when the solve's shape amortizes
-/// it (narrow game, many iterations, not nested in a pool task) and the
-/// executor's fork-join otherwise; kDispatch/kTeam force one path -- the
-/// bench uses them to measure team-vs-dispatch head to head. Every
-/// backend returns bit-identical equilibria.
-enum class IterativeBackend { kAuto, kDispatch, kTeam };
-
-/// kAuto's total-work cutoff (iterations x per-iteration cells) for
-/// standing up a resident team, calibrated ONCE per process from a quick
-/// microprobe of the best-response scan kernel on this host (spawn-budget
-/// nanoseconds / measured per-cell nanoseconds), instead of a hard-coded
-/// size guess. Clamped to [64K, 4M] cells; the PG_TEAM_MIN_WORK env var
-/// (a cell count) overrides the probe entirely. The chosen value is
-/// exposed as the `obs.solver.team_min_work` gauge. Thread-safe; the
-/// probe runs on first call and the result is cached for the process
-/// lifetime. Calibration only moves the dispatch/team choice -- every
-/// backend returns bit-identical equilibria, so results never depend on
-/// what this returns.
-[[nodiscard]] std::size_t team_dispatch_min_work();
+[[nodiscard]] Equilibrium solve_lp_equilibrium(const MatrixGame& game,
+                                               const LpConfig& lp = {});
 
 /// One convergence measurement: the duality-gap estimate after
 /// `iteration` steps (best-response payoff vs. the running average for
@@ -99,23 +67,26 @@ struct IterativeConfig {
   /// Hedge learning rate; <= 0 means use the theory rate
   /// sqrt(8 ln K / T) per player.
   double learning_rate = 0.0;
-  IterativeBackend backend = IterativeBackend::kAuto;
   /// Optional convergence recorder (owned by the caller, may be null).
   /// Null skips all gap computation; the solve itself is identical
   /// either way.
   ConvergenceTrace* trace = nullptr;
 };
 
+// The trailing Executor* of the two iterative solvers is ignored. It is
+// kept so their signatures match the symbols perfbench/layer_trace.cpp
+// wraps; drop it when that file is re-pointed.
+
 /// Fictitious play: both players best-respond to the opponent's empirical
 /// action frequencies; returns the averaged strategies. Each iteration
-/// fuses the score update and the best-response scan into one chunked
-/// parallel pass per player.
+/// fuses the score update and the best-response scan into one pass per
+/// player.
 [[nodiscard]] Equilibrium solve_fictitious_play(
     const MatrixGame& game, const IterativeConfig& config = {},
     runtime::Executor* executor = nullptr);
 
 /// Multiplicative-weights (Hedge) self-play; returns averaged strategies.
-/// The per-iteration payoff matvecs (the O(m*n) cost) run on the executor.
+/// Each iteration's O(m * n) cost is the pair of payoff matvecs.
 [[nodiscard]] Equilibrium solve_multiplicative_weights(
     const MatrixGame& game, const IterativeConfig& config = {},
     runtime::Executor* executor = nullptr);

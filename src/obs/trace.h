@@ -4,9 +4,9 @@
 // tracer on for one scenario run; the file loads directly in
 // chrome://tracing or https://ui.perfetto.dev. Spans are recorded around
 // scenario phases, sweep-grid points, payoff-cell batches, solver
-// solves, and pool/team worker tasks, each tagged with the recording
-// thread and its nesting depth -- so work stealing and barrier idle time
-// show up as gaps and interleavings on the per-thread rows.
+// solves, and pool worker tasks, each tagged with the recording thread
+// and its nesting depth -- so work stealing and join idle time show up
+// as gaps and interleavings on the per-thread rows.
 //
 // Recording model:
 //  - `obs::Span s("name", "category");` at any scope. When the tracer is

@@ -71,8 +71,6 @@ void finish_chunk(const std::shared_ptr<LoopState>& state) {
 
 }  // namespace
 
-bool on_pool_worker() noexcept { return tls_depth > 0; }
-
 void ThreadPoolExecutor::dispatch(std::size_t begin, std::size_t end,
                                   std::size_t grain, std::size_t chunks,
                                   const std::function<void(std::size_t)>& fn) {
@@ -170,25 +168,6 @@ void ThreadPoolExecutor::parallel_for_nested(
   dispatched.add(1);
   dispatch(begin, end, grain, chunks, fn);
 }
-
-bool ThreadPoolExecutor::submit_for_group(std::function<void()> task) {
-  if (pool_.size() == 1) return false;  // inline is strictly cheaper
-  const std::size_t depth = tls_depth + 1;
-  pool_.submit(
-      [this, depth, task = std::move(task)] {
-        const ThreadPoolExecutor* prev = tls_running_on;
-        const std::size_t prev_depth = tls_depth;
-        tls_running_on = this;
-        tls_depth = depth;
-        task();  // TaskGroup's wrapper owns exception capture + completion
-        tls_running_on = prev;
-        tls_depth = prev_depth;
-      },
-      depth);
-  return true;
-}
-
-bool ThreadPoolExecutor::help_one() { return pool_.try_run_one(tls_depth + 1); }
 
 Executor& serial_executor() noexcept {
   static SerialExecutor instance;

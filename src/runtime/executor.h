@@ -23,8 +23,7 @@
 // to run on the joining thread) nor be diverted into an unbounded
 // outer-level task. Coarse inner loops -- payoff cells under a sweep
 // point, grid points under the scenario engine -- use it to share one
-// pool across nesting levels. TaskGroup (task_group.h) exposes the same
-// machinery for irregular task sets.
+// pool across nesting levels.
 #pragma once
 
 #include <cstddef>
@@ -60,20 +59,6 @@ class Executor {
                                    const std::function<void(std::size_t)>& fn) {
     parallel_for(begin, end, grain, fn);
   }
-
- protected:
-  friend class TaskGroup;
-
-  /// TaskGroup hooks. submit_for_group enqueues one eagerly-started task
-  /// (depth-tagged below the caller); returning false means "no async
-  /// backend, run it inline" (the serial executor's answer). help_one
-  /// runs one queued task no shallower than the caller's children while
-  /// a group waits; false when nothing eligible is queued.
-  virtual bool submit_for_group(std::function<void()> task) {
-    (void)task;
-    return false;
-  }
-  virtual bool help_one() { return false; }
 };
 
 /// Runs every index inline on the calling thread, in order.
@@ -106,23 +91,12 @@ class ThreadPoolExecutor final : public Executor {
       std::size_t begin, std::size_t end, std::size_t grain,
       const std::function<void(std::size_t)>& fn) override;
 
- protected:
-  bool submit_for_group(std::function<void()> task) override;
-  bool help_one() override;
-
  private:
   void dispatch(std::size_t begin, std::size_t end, std::size_t grain,
                 std::size_t chunks, const std::function<void(std::size_t)>& fn);
 
   ThreadPool pool_;
 };
-
-/// True when the calling thread is currently executing a task scheduled
-/// by some ThreadPoolExecutor (a sweep point, a payoff cell, a solver
-/// chunk). Long-lived helpers that spawn their own threads -- notably
-/// PersistentTeam -- consult this to avoid oversubscribing from inside an
-/// already-parallel region.
-[[nodiscard]] bool on_pool_worker() noexcept;
 
 /// Process-wide shared SerialExecutor (the null-executor fallback).
 [[nodiscard]] Executor& serial_executor() noexcept;

@@ -63,8 +63,19 @@ class JsonReader {
     const char c = peek();
     JsonValue v;
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Each nesting level is one recursion here (and one more when the
+        // value is destroyed), so unbounded input depth would overflow
+        // the stack instead of failing.
+        if (depth_ == kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        ++depth_;
+        v = c == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         v.kind = JsonValue::Kind::kString;
         v.text = parse_string();
@@ -189,8 +200,13 @@ class JsonReader {
     return v;
   }
 
+  /// Array/object nesting limit: far above the 6 levels the engine's own
+  /// artifacts use, far below what the stack can recurse.
+  static constexpr std::size_t kMaxDepth = 256;
+
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 // --------------------------------------------------------- diff machinery

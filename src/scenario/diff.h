@@ -51,7 +51,8 @@ struct JsonValue {
 };
 
 /// Strict parse of a full JSON document. Throws std::invalid_argument
-/// (with the byte offset) on malformed input or trailing garbage.
+/// (with the byte offset) on malformed input, trailing garbage, or
+/// arrays/objects nested more than 256 deep.
 [[nodiscard]] JsonValue parse_json(const std::string& text);
 
 struct DiffOptions {

@@ -94,24 +94,11 @@ ScenarioSpec make_defense_ablation() {
   return spec;
 }
 
-ScenarioSpec make_solver_parallel() {
-  ScenarioSpec spec = paper_base();
-  spec.name = "solver_parallel";
-  spec.kind = "solver_parallel";
-  spec.description = "Parallel solver engine: speedup_vs_serial";
-  spec.timing_reps = util::env_size("PG_BENCH_SOLVER_REPS", 3);
-  // Narrow games where fork-join dispatch used to lose: the fp_narrow
-  // table tracks the PersistentTeam speedup on them. (The committed
-  // golden .spec predates the key, so baselines stay byte-stable.)
-  spec.fp_narrow_sizes = "24,48,96";
-  return spec;
-}
-
 ScenarioSpec make_micro() {
   ScenarioSpec spec = paper_base();
   spec.name = "micro";
   spec.kind = "micro";
-  spec.description = "Micro kernels: payoff grid + solver speedup_vs_serial";
+  spec.description = "Micro kernel: payoff grid speedup_vs_serial";
   spec.timing_reps = util::env_size("PG_BENCH_SOLVER_REPS", 1);
   return spec;
 }
@@ -142,7 +129,6 @@ ScenarioRegistry::ScenarioRegistry() {
   add(&make_transfer);
   add(&make_solver_ablation);
   add(&make_defense_ablation);
-  add(&make_solver_parallel);
   add(&make_micro);
   add(&make_serve_metrics);
 }

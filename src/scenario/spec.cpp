@@ -110,9 +110,6 @@ const std::vector<Field>& field_table() {
       PG_SPEC_FIELD(solver_grid),
       PG_SPEC_FIELD(solver_iterations),
       PG_SPEC_FIELD(lp_pricing),
-      PG_SPEC_FIELD(lp_sizes),
-      PG_SPEC_FIELD(fp_sizes),
-      PG_SPEC_FIELD(fp_narrow_sizes),
       PG_SPEC_FIELD(timing_reps),
       PG_SPEC_FIELD(threads),
       PG_SPEC_FIELD(kernel),
@@ -268,14 +265,6 @@ std::vector<std::string> split_list(const std::string& csv) {
   while (std::getline(in, item, ',')) {
     item = trim(item);
     if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::vector<std::size_t> parse_size_list(const std::string& csv) {
-  std::vector<std::size_t> out;
-  for (const std::string& item : split_list(csv)) {
-    out.push_back(static_cast<std::size_t>(parse_u64("size list", item)));
   }
   return out;
 }

@@ -29,7 +29,7 @@ struct ScenarioSpec {
   std::string name = "custom";
   /// Engine dispatch key: pure_sweep | mixed_table | pure_ne |
   /// support_sweep | transfer | solver_ablation | defense_ablation |
-  /// solver_parallel | micro | serve_metrics.
+  /// micro | serve_metrics.
   std::string kind;
   std::string description;
 
@@ -76,14 +76,6 @@ struct ScenarioSpec {
   std::size_t solver_grid = 128;
   std::size_t solver_iterations = 20000;
   std::string lp_pricing = "bland";  // or "dantzig" (see game/lp.h)
-  std::string lp_sizes = "96,192,256,384";    // solver_parallel matrices
-  std::string fp_sizes = "256,512,1024,2048";
-  /// Narrow (small m + n) square sizes for solver_parallel's
-  /// persistent-team table (`fp_narrow`): games where per-iteration
-  /// fork-join dispatch used to lose to its own overhead and the
-  /// resident-team path is the win being measured. Empty disables the
-  /// table (the committed golden baselines predate it).
-  std::string fp_narrow_sizes;
   std::size_t timing_reps = 3;  // best-of repetitions for timed kernels
 
   // ---- execution -----------------------------------------------------
@@ -151,9 +143,5 @@ struct ScenarioSpec {
 
 /// Split "a,b,c" into trimmed non-empty items.
 [[nodiscard]] std::vector<std::string> split_list(const std::string& csv);
-
-/// Parse a comma list of sizes, e.g. "96,192". Throws on non-numeric
-/// items; empty input yields an empty list.
-[[nodiscard]] std::vector<std::size_t> parse_size_list(const std::string& csv);
 
 }  // namespace pg::scenario

@@ -1,6 +1,5 @@
 // Unit and property tests for pg::game -- matrix games, the simplex LP
-// solver, iterative equilibrium solvers, best responses and saddle points,
-// and the parallel solver engine's bit-identity contract.
+// solver, iterative equilibrium solvers, best responses and saddle points.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,8 +10,6 @@
 #include "game/matrix_game.h"
 #include "game/pure_ne.h"
 #include "game/solvers.h"
-#include "obs/metrics.h"
-#include "runtime/executor.h"
 #include "util/rng.h"
 
 namespace pg::game {
@@ -63,6 +60,32 @@ TEST(MatrixGameTest, RowAndColPayoffVectors) {
   const MatrixGame g = saddle_game();
   EXPECT_EQ(g.row_payoffs({1.0, 0.0}), (std::vector<double>{2.0, 1.0}));
   EXPECT_EQ(g.col_payoffs({0.0, 1.0}), (std::vector<double>{1.0, 4.0}));
+
+  // 7 x 600 covers matvec's 4-row remainder and two 512-column blocks of
+  // matvec_transposed; each entry must equal the naive index-ascending
+  // sum bit for bit.
+  constexpr std::size_t kRows = 7;
+  constexpr std::size_t kCols = 600;
+  util::Rng rng(5);
+  la::Matrix a(kRows, kCols);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t j = 0; j < kCols; ++j) a(i, j) = rng.uniform(-5.0, 5.0);
+  }
+  MixedStrategy p(kRows);
+  MixedStrategy q(kCols);
+  for (double& v : p) v = rng.uniform(0.0, 1.0);
+  for (double& v : q) v = rng.uniform(0.0, 1.0);
+  std::vector<double> naive_rows(kRows, 0.0);
+  std::vector<double> naive_cols(kCols, 0.0);
+  for (std::size_t i = 0; i < kRows; ++i) {
+    for (std::size_t j = 0; j < kCols; ++j) naive_rows[i] += a(i, j) * q[j];
+  }
+  for (std::size_t j = 0; j < kCols; ++j) {
+    for (std::size_t i = 0; i < kRows; ++i) naive_cols[j] += a(i, j) * p[i];
+  }
+  const MatrixGame wide(std::move(a));
+  EXPECT_EQ(wide.row_payoffs(q), naive_rows);
+  EXPECT_EQ(wide.col_payoffs(p), naive_cols);
 }
 
 TEST(MatrixGameTest, MaximinMinimax) {
@@ -285,184 +308,6 @@ TEST(SolversTest, IterativeConfigValidation) {
                std::invalid_argument);
 }
 
-// ------------------------------------------------- parallel solver engine
-
-MatrixGame random_game(std::size_t m, std::size_t n, std::uint64_t seed) {
-  util::Rng rng(seed);
-  la::Matrix a(m, n);
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      a(i, j) = rng.uniform(-5.0, 5.0);
-    }
-  }
-  return MatrixGame(std::move(a));
-}
-
-/// Thread counts the bit-identity contract is asserted at: one worker,
-/// a fixed small pool, and whatever this machine offers.
-std::vector<std::size_t> contract_thread_counts() {
-  return {1, 4, runtime::default_thread_count()};
-}
-
-TEST(ParallelSolverTest, LpEquilibriumBitIdenticalAcrossThreadCounts) {
-  // 96x80 keeps the tableau wide enough that the elimination actually
-  // chunks (grain = 4096 cells), so the parallel path is exercised.
-  const MatrixGame g = random_game(96, 80, 7);
-  const auto serial = solve_lp_equilibrium(g);
-  for (std::size_t threads : contract_thread_counts()) {
-    runtime::ThreadPoolExecutor exec(threads);
-    const auto parallel = solve_lp_equilibrium(g, &exec);
-    // EXPECT_EQ, not NEAR: the contract is bit-identity.
-    EXPECT_EQ(parallel.value, serial.value) << threads << " threads";
-    EXPECT_EQ(parallel.row_strategy, serial.row_strategy);
-    EXPECT_EQ(parallel.col_strategy, serial.col_strategy);
-  }
-}
-
-TEST(ParallelSolverTest, RawLpSolutionBitIdenticalIncludingIterations) {
-  LpProblem p;
-  p.a = la::Matrix(40, 60);
-  util::Rng rng(21);
-  for (std::size_t i = 0; i < 40; ++i) {
-    for (std::size_t j = 0; j < 60; ++j) {
-      p.a(i, j) = rng.uniform(0.1, 4.0);
-    }
-  }
-  p.b.assign(40, 1.0);
-  p.c.assign(60, 1.0);
-  const LpSolution serial = solve_lp(p);
-  ASSERT_EQ(serial.status, LpStatus::kOptimal);
-  for (std::size_t threads : contract_thread_counts()) {
-    runtime::ThreadPoolExecutor exec(threads);
-    const LpSolution parallel = solve_lp(p, &exec);
-    EXPECT_EQ(parallel.status, serial.status);
-    EXPECT_EQ(parallel.objective, serial.objective);
-    EXPECT_EQ(parallel.x, serial.x);
-    EXPECT_EQ(parallel.dual, serial.dual);
-    // Serial and parallel walk the same pivot sequence.
-    EXPECT_EQ(parallel.iterations, serial.iterations);
-  }
-}
-
-TEST(ParallelSolverTest, FictitiousPlayBitIdenticalAcrossThreadCounts) {
-  const MatrixGame g = random_game(64, 48, 9);
-  const auto serial = solve_fictitious_play(g, {.iterations = 5000});
-  for (std::size_t threads : contract_thread_counts()) {
-    runtime::ThreadPoolExecutor exec(threads);
-    const auto parallel = solve_fictitious_play(g, {.iterations = 5000}, &exec);
-    EXPECT_EQ(parallel.value, serial.value) << threads << " threads";
-    EXPECT_EQ(parallel.row_strategy, serial.row_strategy);
-    EXPECT_EQ(parallel.col_strategy, serial.col_strategy);
-  }
-}
-
-TEST(ParallelSolverTest, MultiplicativeWeightsBitIdenticalAcrossThreadCounts) {
-  const MatrixGame g = random_game(40, 56, 11);
-  const auto serial = solve_multiplicative_weights(g, {.iterations = 2000});
-  for (std::size_t threads : contract_thread_counts()) {
-    runtime::ThreadPoolExecutor exec(threads);
-    const auto parallel =
-        solve_multiplicative_weights(g, {.iterations = 2000}, &exec);
-    EXPECT_EQ(parallel.value, serial.value) << threads << " threads";
-    EXPECT_EQ(parallel.row_strategy, serial.row_strategy);
-    EXPECT_EQ(parallel.col_strategy, serial.col_strategy);
-  }
-}
-
-TEST(ParallelSolverTest, IterativeBackendsAllBitIdenticalOnNarrowGames) {
-  // The persistent-team path exists FOR narrow games; force each backend
-  // explicitly so the test cannot silently stop covering one if the
-  // kAuto heuristics move.
-  for (const std::size_t size : {std::size_t{8}, std::size_t{24},
-                                 std::size_t{96}}) {
-    const MatrixGame g = random_game(size, size, 100 + size);
-    IterativeConfig cfg{.iterations = 1500};
-    const auto serial = solve_fictitious_play(g, cfg);
-    for (std::size_t threads : contract_thread_counts()) {
-      runtime::ThreadPoolExecutor exec(threads);
-      for (const auto backend :
-           {IterativeBackend::kAuto, IterativeBackend::kDispatch,
-            IterativeBackend::kTeam}) {
-        cfg.backend = backend;
-        const auto parallel = solve_fictitious_play(g, cfg, &exec);
-        EXPECT_EQ(parallel.value, serial.value)
-            << size << "x" << size << ", " << threads << " threads, backend "
-            << static_cast<int>(backend);
-        EXPECT_EQ(parallel.row_strategy, serial.row_strategy);
-        EXPECT_EQ(parallel.col_strategy, serial.col_strategy);
-      }
-    }
-  }
-}
-
-TEST(ParallelSolverTest, MultiplicativeWeightsTeamBackendBitIdentical) {
-  const MatrixGame g = random_game(24, 16, 17);
-  IterativeConfig cfg{.iterations = 800};
-  const auto serial = solve_multiplicative_weights(g, cfg);
-  for (std::size_t threads : contract_thread_counts()) {
-    runtime::ThreadPoolExecutor exec(threads);
-    for (const auto backend :
-         {IterativeBackend::kDispatch, IterativeBackend::kTeam}) {
-      cfg.backend = backend;
-      const auto parallel = solve_multiplicative_weights(g, cfg, &exec);
-      EXPECT_EQ(parallel.value, serial.value)
-          << threads << " threads, backend " << static_cast<int>(backend);
-      EXPECT_EQ(parallel.row_strategy, serial.row_strategy);
-      EXPECT_EQ(parallel.col_strategy, serial.col_strategy);
-    }
-  }
-}
-
-TEST(ParallelSolverTest, BackToBackTeamSolvesReuseTheParkedTeam) {
-  // The team-backend solvers lease their PersistentTeam from a process-
-  // wide park instead of spawning one per solve. The park always keeps
-  // the most recently released team (evicting the oldest when full), so
-  // a repeat solve of the same shape MUST reuse -- and reuse must not
-  // perturb the answer.
-  const MatrixGame g = random_game(96, 96, 31);
-  IterativeConfig cfg{.iterations = 1500, .backend = IterativeBackend::kTeam};
-  const auto serial = solve_fictitious_play(g, {.iterations = 1500});
-  runtime::ThreadPoolExecutor exec(4);
-
-  const auto first = solve_fictitious_play(g, cfg, &exec);
-  const std::uint64_t reused_before = obs::counter("obs.team.reused").value();
-  const auto second = solve_fictitious_play(g, cfg, &exec);
-  const std::uint64_t reused_after = obs::counter("obs.team.reused").value();
-
-  EXPECT_EQ(first.value, serial.value);
-  EXPECT_EQ(second.value, serial.value);
-  EXPECT_EQ(second.row_strategy, serial.row_strategy);
-  EXPECT_EQ(second.col_strategy, serial.col_strategy);
-#ifndef PG_OBS_DISABLED
-  EXPECT_GT(reused_after, reused_before)
-      << "second solve of the same shape should lease the parked team";
-#else
-  (void)reused_before;
-  (void)reused_after;
-#endif
-}
-
-TEST(ParallelSolverTest, SolveInsidePoolTaskStaysIdenticalWithoutATeam) {
-  // A solve nested inside a pool task (a point-parallel sweep point, a
-  // solver-ablation cell) must not stand up a resident team -- and must
-  // still return the serial answer. kTeam demotes to the dispatch path
-  // there (on_pool_worker() gate), which itself runs inline when nested.
-  const MatrixGame g = random_game(32, 32, 23);
-  IterativeConfig cfg{.iterations = 1000, .learning_rate = 0.0,
-                      .backend = IterativeBackend::kTeam};
-  const auto serial = solve_fictitious_play(g, {.iterations = 1000});
-  runtime::ThreadPoolExecutor exec(4);
-  std::vector<Equilibrium> results(4);
-  exec.parallel_for_nested(0, results.size(), 1, [&](std::size_t i) {
-    results[i] = solve_fictitious_play(g, cfg, &exec);
-  });
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].value, serial.value) << "task " << i;
-    EXPECT_EQ(results[i].row_strategy, serial.row_strategy);
-    EXPECT_EQ(results[i].col_strategy, serial.col_strategy);
-  }
-}
-
 // ------------------------------------------- iterations + degenerate games
 
 TEST(LpTest, IterationsCountsPivots) {
@@ -655,28 +500,13 @@ TEST(LpPricingTest, DantzigReachesTheSameGameValue) {
   for (const std::uint64_t seed : {11u, 12u, 13u}) {
     const MatrixGame g = random_square_game(40, seed);
     const Equilibrium bland =
-        solve_lp_equilibrium(g, nullptr, {LpPricing::kBland});
+        solve_lp_equilibrium(g, {LpPricing::kBland});
     const Equilibrium dantzig =
-        solve_lp_equilibrium(g, nullptr, {LpPricing::kDantzig});
+        solve_lp_equilibrium(g, {LpPricing::kDantzig});
     EXPECT_NEAR(bland.value, dantzig.value, 1e-9);
     EXPECT_LT(exploitability(g, dantzig.row_strategy, dantzig.col_strategy),
               1e-8);
   }
-}
-
-TEST(LpPricingTest, DantzigIsBitIdenticalAcrossThreadCounts) {
-  // The Dantzig pricing scan is an exact parallel_argmin, so the parallel
-  // pivot sequence -- and the returned equilibrium -- must equal the
-  // serial one bit for bit, the same contract the Bland path honors.
-  const MatrixGame g = random_square_game(48, 99);
-  const Equilibrium serial =
-      solve_lp_equilibrium(g, nullptr, {LpPricing::kDantzig});
-  runtime::ThreadPoolExecutor four(4);
-  const Equilibrium parallel =
-      solve_lp_equilibrium(g, &four, {LpPricing::kDantzig});
-  EXPECT_EQ(serial.value, parallel.value);
-  EXPECT_EQ(serial.row_strategy, parallel.row_strategy);
-  EXPECT_EQ(serial.col_strategy, parallel.col_strategy);
 }
 
 TEST(LpPricingTest, DantzigUsuallyPivotsLess) {
@@ -703,9 +533,9 @@ TEST(LpPricingTest, DantzigUsuallyPivotsLess) {
     }
     problem.b.assign(g.num_rows(), 1.0);
     problem.c.assign(g.num_cols(), 1.0);
-    bland_pivots += solve_lp(problem, nullptr, {LpPricing::kBland}).iterations;
+    bland_pivots += solve_lp(problem, {LpPricing::kBland}).iterations;
     dantzig_pivots +=
-        solve_lp(problem, nullptr, {LpPricing::kDantzig}).iterations;
+        solve_lp(problem, {LpPricing::kDantzig}).iterations;
   }
   EXPECT_LE(dantzig_pivots, bland_pivots);
 }

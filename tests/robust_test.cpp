@@ -403,6 +403,17 @@ TEST(MergeChaosTest, MissingShardsAreMachineReadableWithExitFour) {
   EXPECT_EQ(scenario::run_cli(merge, out2, err2), 1);
   EXPECT_NE(err2.str().find("truncated or torn write"), std::string::npos)
       << err2.str();
+
+  // So does a partial nested too deep to parse (it used to overflow the
+  // stack).
+  std::string deep;
+  for (int i = 0; i < 500'000; ++i) deep += "{\"a\":";
+  write_file(paths[0], deep);
+  std::ostringstream out3;
+  std::ostringstream err3;
+  EXPECT_EQ(scenario::run_cli(merge, out3, err3), 1);
+  EXPECT_NE(err3.str().find("nesting deeper than"), std::string::npos)
+      << err3.str();
   std::filesystem::remove_all(dir);
 }
 

@@ -98,13 +98,6 @@ TEST(SpecTest, KeysCoverEveryFieldBothWays) {
   }
 }
 
-TEST(SpecTest, SizeListParsing) {
-  EXPECT_EQ(parse_size_list("96, 192,256"),
-            (std::vector<std::size_t>{96, 192, 256}));
-  EXPECT_TRUE(parse_size_list("").empty());
-  EXPECT_THROW(parse_size_list("96,banana"), std::invalid_argument);
-}
-
 // -------------------------------------------------------------- registry
 
 TEST(RegistryTest, ListsEveryLegacyScenario) {
@@ -112,7 +105,7 @@ TEST(RegistryTest, ListsEveryLegacyScenario) {
   EXPECT_GE(registry.entries().size(), 8u);
   for (const char* name :
        {"fig1", "table1", "prop1", "nsweep", "transfer", "solver_ablation",
-        "defense_ablation", "solver_parallel", "micro"}) {
+        "defense_ablation", "micro"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const ScenarioSpec spec = registry.make(name);
     EXPECT_EQ(spec.name, name);
@@ -805,43 +798,6 @@ TEST(EngineTest, AggregateValidationFailsLoudly) {
   EXPECT_THROW((void)run_scenario(no_grid), std::invalid_argument);
 }
 
-TEST(EngineTest, SolverParallelNarrowTableComparesBackends) {
-  ScenarioSpec spec = tiny_spec("solver_parallel");
-  spec.kind = "solver_parallel";
-  spec.lp_sizes = "16";
-  spec.fp_sizes = "24";
-  spec.fp_narrow_sizes = "12,20";
-  spec.timing_reps = 1;
-  spec.threads = 2;
-  const ScenarioResult result = run_scenario(spec);
-  const ResultTable* narrow = nullptr;
-  for (const ResultTable& t : result.tables) {
-    if (t.name == "fp_narrow") narrow = &t;
-  }
-  ASSERT_NE(narrow, nullptr) << "fp_narrow_sizes must add the table";
-  EXPECT_EQ(narrow->columns,
-            (std::vector<std::string>{"solver", "rows", "cols", "serial_ms",
-                                      "dispatch_ms", "team_ms",
-                                      "speedup_vs_serial",
-                                      "speedup_team_vs_dispatch"}));
-  ASSERT_EQ(narrow->rows.size(), 2u);
-  for (const auto& row : narrow->rows) {
-    // Timings are machine-dependent; what the schema guarantees is that
-    // every backend ran (positive times) and the ratios are recorded.
-    EXPECT_GT(row[3].number(), 0.0);
-    EXPECT_GT(row[4].number(), 0.0);
-    EXPECT_GT(row[5].number(), 0.0);
-    EXPECT_GT(row[6].number(), 0.0);
-    EXPECT_GT(row[7].number(), 0.0);
-  }
-  // Default-off: no table without the spec key (golden baselines).
-  spec.fp_narrow_sizes = "";
-  const ScenarioResult bare = run_scenario(spec);
-  for (const ResultTable& t : bare.tables) {
-    EXPECT_NE(t.name, "fp_narrow");
-  }
-}
-
 // ------------------------------------------------------------------ diff
 
 namespace {
@@ -878,10 +834,28 @@ TEST(DiffTest, ParsesJsonAndRejectsGarbage) {
   EXPECT_NE(v.find("b")->find("c"), nullptr);
   EXPECT_EQ(v.find("nope"), nullptr);
 
-  for (const char* bad :
-       {"", "{", "[1,]", "{\"a\" 1}", "{\"a\": 1} trailing", "nul",
-        "\"open"}) {
-    EXPECT_THROW((void)parse_json(bad), std::invalid_argument) << bad;
+  // Nesting is capped at 256 levels: `[` x 2M and `{"a":` x 500k used to
+  // overflow the parser's stack instead of failing.
+  std::string deep_objects;
+  for (int i = 0; i < 500'000; ++i) deep_objects += "{\"a\":";
+  for (const std::string& bad :
+       {std::string(""), std::string("{"), std::string("[1,]"),
+        std::string("{\"a\" 1}"), std::string("{\"a\": 1} trailing"),
+        std::string("nul"), std::string("\"open"),
+        std::string(257, '[') + std::string(257, ']'),
+        std::string(2'000'000, '['), deep_objects}) {
+    EXPECT_THROW((void)parse_json(bad), std::invalid_argument)
+        << bad.substr(0, 32);
+  }
+  EXPECT_NO_THROW(
+      (void)parse_json(std::string(256, '[') + std::string(256, ']')));
+  try {
+    (void)parse_json(deep_objects);
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "JSON: nesting deeper than 256 levels at byte 1280"),
+              std::string::npos)
+        << e.what();
   }
 }
 
@@ -1048,6 +1022,10 @@ TEST_F(CompareCliTest, CompareExitsZeroOnMatchOneOnDrift) {
             1);
   const std::string junk = write("junk.json", "not json at all");
   EXPECT_EQ(run_cli(parse_cli({"--compare", a, junk}), out3, err3), 1);
+  const std::string deep = write("deep.json", std::string(2'000'000, '['));
+  EXPECT_EQ(run_cli(parse_cli({"--compare", a, deep}), out3, err3), 1);
+  EXPECT_NE(err3.str().find("nesting deeper than"), std::string::npos)
+      << err3.str();
 }
 
 TEST_F(CompareCliTest, UpdateBaselineAcceptsTheCandidate) {

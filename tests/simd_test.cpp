@@ -34,7 +34,6 @@
 #include "scenario/spec.h"
 #include "sim/experiment.h"
 #include "sim/pure_sweep.h"
-#include "game/solvers.h"
 #include "util/rng.h"
 
 #ifndef PG_GOLDEN_DIR
@@ -481,18 +480,6 @@ TEST(SimdEngineTest, RejectsBadKernelSpecs) {
   spec.kernel = "reference";
   spec.simd = "avx2";  // tier override without kernel=simd
   EXPECT_THROW((void)scenario::run_scenario(spec), std::invalid_argument);
-}
-
-// ------------------------------------------------- kAuto calibration
-
-TEST(TeamCalibrationTest, CutoffIsBoundedAndStable) {
-  const std::size_t a = game::team_dispatch_min_work();
-  EXPECT_GE(a, 64u * 1024u);
-  EXPECT_LE(a, 4u * 1024u * 1024u);
-  EXPECT_EQ(game::team_dispatch_min_work(), a);  // probe runs once
-#ifndef PG_OBS_DISABLED
-  EXPECT_EQ(obs::gauge("obs.solver.team_min_work").max(), a);
-#endif
 }
 
 }  // namespace
