@@ -84,10 +84,11 @@ struct DefenseSolution {
     const PoisoningGame& game, std::size_t n, double damage_floor = 1e-6);
 
 /// Algorithm 1. Requires support_size >= 1 (1 degenerates to the best pure
-/// strategy, used as the benchmark). `executor` (null -> serial)
-/// parallelizes the per-iteration finite-difference gradient: each support
-/// point's two objective probes are a pure function of the support, so the
-/// parallel descent trajectory is bit-identical to the serial one.
+/// strategy, used as the benchmark). The descent is serial: a support has
+/// at most a handful of points, so each iteration's finite-difference
+/// probes cost less than a fork-join. `executor` is ignored; it is kept so
+/// the signature matches the symbol perfbench/layer_trace.cpp wraps (drop
+/// it when that file is re-pointed, with the solvers.h ones).
 [[nodiscard]] DefenseSolution compute_optimal_defense(
     const PoisoningGame& game, const Algorithm1Config& config = {},
     runtime::Executor* executor = nullptr);

@@ -5,8 +5,9 @@
 // (key, payoff) pair is valid in any later process that derives the same
 // key -- a re-run, or a tweaked sweep whose grids overlap the old one.
 // This class persists one cache file per SHARD (the shard id is the
-// context fingerprint, so every experiment context gets its own file and
-// unrelated corpora never share buckets) under a cache directory:
+// context key, sim::context_key: a content hash of the context known
+// before anything trains, so every experiment context gets its own file
+// and unrelated corpora never share buckets) under a cache directory:
 //
 //     <dir>/payoff-<shard hex>.pgpc
 //

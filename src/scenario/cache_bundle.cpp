@@ -5,15 +5,15 @@ namespace pg::scenario {
 ShardStore::ShardStore(bool memo, std::string dir, std::uint64_t max_bytes)
     : memo_(memo), disk_(memo ? std::move(dir) : std::string(), max_bytes) {}
 
-runtime::PayoffCache* ShardStore::shard(std::uint64_t fingerprint) {
+runtime::PayoffCache* ShardStore::shard(std::uint64_t context_key) {
   if (!memo_) return nullptr;
   std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [fp, cache] : shards_) {
-    if (fp == fingerprint) return &cache;
+  for (auto& [key, cache] : shards_) {
+    if (key == context_key) return &cache;
   }
   shards_.emplace_back();
-  shards_.back().first = fingerprint;
-  loaded_ += disk_.load(fingerprint, shards_.back().second);
+  shards_.back().first = context_key;
+  loaded_ += disk_.load(context_key, shards_.back().second);
   return &shards_.back().second;
 }
 
@@ -30,8 +30,8 @@ std::size_t ShardStore::entries_loaded() const {
 ShardStore::SpillStats ShardStore::spill() {
   std::lock_guard<std::mutex> lock(mutex_);
   SpillStats stats;
-  for (auto& [fp, cache] : shards_) {
-    stats.entries_saved += disk_.save(fp, cache);
+  for (auto& [key, cache] : shards_) {
+    stats.entries_saved += disk_.save(key, cache);
   }
   stats.shards_evicted = disk_.enforce_max_bytes();
   return stats;

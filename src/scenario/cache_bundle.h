@@ -1,12 +1,12 @@
 // The engine's cache layers, split so a resident server can share them
 // across requests.
 //
-// ShardStore is the LONG-LIVED half: per-context PayoffCache shards
-// (created and disk-preloaded on first use), the DiskPayoffCache they
-// spill back to, and nothing else. One store lives for a whole pg_serve
-// process -- every request's run_scenario sees the same warm shards -- or
-// for exactly one run under the standalone engine, which is the
-// pre-refactor behavior.
+// ShardStore is the LONG-LIVED half: one PayoffCache shard per context
+// key (sim::context_key; created and disk-preloaded on first use), the
+// DiskPayoffCache they spill back to, and nothing else. One store lives
+// for a whole pg_serve process -- every request's run_scenario sees the
+// same warm shards -- or for exactly one run under the standalone
+// engine, which is the pre-refactor behavior.
 //
 // CacheBundle is the PER-RUN view the runners are handed: it delegates
 // shard lookup to the store and keeps this run's traffic counters (sweep
@@ -47,10 +47,11 @@ class ShardStore {
   ShardStore(const ShardStore&) = delete;
   ShardStore& operator=(const ShardStore&) = delete;
 
-  /// The shard for one experiment context (created and disk-preloaded on
-  /// first use). Returns nullptr when memoization is off -- callers pass
-  /// the pointer straight through to the sim/ entry points.
-  [[nodiscard]] runtime::PayoffCache* shard(std::uint64_t fingerprint);
+  /// The shard for one experiment context, by its context key (created
+  /// and disk-preloaded on first use). Returns nullptr when memoization
+  /// is off -- callers pass the pointer straight through to the sim/
+  /// entry points.
+  [[nodiscard]] runtime::PayoffCache* shard(std::uint64_t context_key);
 
   [[nodiscard]] bool memo() const noexcept { return memo_; }
   [[nodiscard]] bool disk_enabled() const { return disk_.enabled(); }
@@ -87,8 +88,8 @@ class CacheBundle {
   explicit CacheBundle(ShardStore& store)
       : store_(store), loaded_at_start_(store.entries_loaded()) {}
 
-  [[nodiscard]] runtime::PayoffCache* shard(std::uint64_t fingerprint) {
-    return store_.shard(fingerprint);
+  [[nodiscard]] runtime::PayoffCache* shard(std::uint64_t context_key) {
+    return store_.shard(context_key);
   }
   [[nodiscard]] bool memo() const noexcept { return store_.memo(); }
 
@@ -96,7 +97,8 @@ class CacheBundle {
   void add_sweep_stats(const sim::PureSweepStats& stats);
   /// Fold one engine-built evaluator's counters into the totals.
   void absorb(const runtime::PayoffEvaluator& evaluator);
-  /// Manually-cached cells (the defense-ablation runner).
+  /// Manually-cached cells (clean baselines, the defense-ablation
+  /// runner).
   void add_cells(std::size_t retrained, std::size_t hits);
 
   /// Fill this run's cache report. Single-threaded: called once after

@@ -103,6 +103,17 @@ void add_context_metrics(const sim::ExperimentContext& ctx,
   result.add_metric("clean_accuracy", ctx.clean_accuracy);
 }
 
+/// prepare_experiment with the clean baseline memoized in the context's
+/// shard and counted in this run's cache report like any other cell.
+sim::ExperimentContext prepare_context(const sim::ExperimentConfig& cfg,
+                                       CacheBundle& bundle) {
+  sim::BaselineMemo memo{
+      [&bundle](std::uint64_t key) { return bundle.shard(key); }};
+  sim::ExperimentContext ctx = sim::prepare_experiment(cfg, &memo);
+  bundle.add_cells(memo.retrained, memo.hits);
+  return ctx;
+}
+
 ResultTable sweep_table(const sim::PureSweepResult& sweep) {
   ResultTable table{"pure_sweep",
                     {"removal_fraction", "accuracy_no_attack",
@@ -120,7 +131,7 @@ ResultTable sweep_table(const sim::PureSweepResult& sweep) {
 void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                              CacheBundle& bundle, ScenarioResult& result) {
   const sim::ExperimentContext ctx =
-      sim::prepare_experiment(experiment_config(spec));
+      prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
 
   const auto kernel = resolve_retrain_kernel(spec);
@@ -128,7 +139,7 @@ void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
   const auto sweep = sim::run_pure_sweep(
       ctx, grid, spec.replications, exec,
-      bundle.shard(sim::context_fingerprint(ctx)), &sweep_stats,
+      bundle.shard(sim::context_key(ctx)), &sweep_stats,
       kernel ? &*kernel : nullptr);
   bundle.add_sweep_stats(sweep_stats);
   result.tables.push_back(sweep_table(sweep));
@@ -159,10 +170,10 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   PG_CHECK(spec.support_min >= 1 && spec.support_min <= spec.support_max,
            "mixed_table requires 1 <= support_min <= support_max");
   const sim::ExperimentContext ctx =
-      sim::prepare_experiment(experiment_config(spec));
+      prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
 
-  runtime::PayoffCache* cache = bundle.shard(sim::context_fingerprint(ctx));
+  runtime::PayoffCache* cache = bundle.shard(sim::context_key(ctx));
   const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                            cache);
 
@@ -264,13 +275,13 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   };
 
   const sim::ExperimentContext ctx =
-      sim::prepare_experiment(experiment_config(spec));
+      prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
   const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, exec, bundle.shard(sim::context_fingerprint(ctx)),
+      spec.replications, exec, bundle.shard(sim::context_key(ctx)),
       &sweep_stats, kernel ? &*kernel : nullptr);
   bundle.add_sweep_stats(sweep_stats);
   report("measured (Spambase-like sweep)",
@@ -304,10 +315,10 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
                                 runtime::Executor* exec, CacheBundle& bundle,
                                 ScenarioResult& result) {
   const sim::ExperimentContext ctx =
-      sim::prepare_experiment(experiment_config(spec));
+      prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
 
-  runtime::PayoffCache* cache = bundle.shard(sim::context_fingerprint(ctx));
+  runtime::PayoffCache* cache = bundle.shard(sim::context_key(ctx));
   const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                            cache);
 
@@ -356,7 +367,7 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
 void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                            CacheBundle& bundle, ScenarioResult& result) {
   const sim::ExperimentConfig base = experiment_config(spec);
-  const auto source = sim::prepare_experiment(base);
+  const auto source = prepare_context(base, bundle);
   add_context_metrics(source, result);
 
   struct Target {
@@ -391,16 +402,16 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   tcfg.eval.kernel = tcfg.kernel;
 
   runtime::PayoffCache* source_cache =
-      bundle.shard(sim::context_fingerprint(source));
+      bundle.shard(sim::context_key(source));
   sim::PureSweepStats sweep_stats;
   ResultTable table{"targets",
                     {"target", "transferred_accuracy", "native_accuracy",
                      "transfer_gap"},
                     {}};
   for (const auto& target : targets) {
-    const auto ctx = sim::prepare_experiment(target.cfg);
+    const auto ctx = prepare_context(target.cfg, bundle);
     runtime::PayoffCache* target_cache =
-        bundle.shard(sim::context_fingerprint(ctx));
+        bundle.shard(sim::context_key(ctx));
     const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                              target_cache);
     const auto res = sim::run_transfer_experiment(
@@ -494,13 +505,13 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
              core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100));
 
   const sim::ExperimentContext ctx =
-      sim::prepare_experiment(experiment_config(spec));
+      prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
   const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, exec, bundle.shard(sim::context_fingerprint(ctx)),
+      spec.replications, exec, bundle.shard(sim::context_key(ctx)),
       &sweep_stats, kernel ? &*kernel : nullptr);
   bundle.add_sweep_stats(sweep_stats);
   ablate("measured_curves",
@@ -517,7 +528,7 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
                                    CacheBundle& bundle,
                                    ScenarioResult& result) {
   const sim::ExperimentConfig cfg = experiment_config(spec);
-  const sim::ExperimentContext ctx = sim::prepare_experiment(cfg);
+  const sim::ExperimentContext ctx = prepare_context(cfg, bundle);
   add_context_metrics(ctx, result);
 
   // ---- (1) centroid estimator drift under a 20% boundary attack -------
@@ -585,7 +596,7 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
   // the RNG salt; like every payoff cell, a hit replays exactly what the
   // run would recompute.
   const std::uint64_t fingerprint = sim::context_fingerprint(ctx);
-  runtime::PayoffCache* cache = bundle.shard(fingerprint);
+  runtime::PayoffCache* cache = bundle.shard(sim::context_key(ctx));
   std::atomic<std::size_t> retrained{0};
   std::atomic<std::size_t> hits{0};
   const defense::Pipeline pipeline({cfg.svm});

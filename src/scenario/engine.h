@@ -13,9 +13,10 @@
 // inherited from the runtime's determinism contract.
 //
 // Caching: when `spec.use_cache` is on, every experiment context gets a
-// PayoffCache shard keyed by its context fingerprint; retrain-priced
-// cells (sweep cells, mixed-eval cells, ablation pipeline runs) memoize
-// into the shard, and when a cache directory is configured (spec field or
+// PayoffCache shard keyed by its context key (sim::context_key, known
+// before anything trains); retrain-priced cells (the clean baseline,
+// sweep cells, mixed-eval cells, ablation pipeline runs) memoize into
+// the shard, and when a cache directory is configured (spec field or
 // $PG_CACHE_DIR) each shard is preloaded from and spilled back to disk,
 // so a re-run -- or a tweaked sweep overlapping the old grid -- reuses
 // prior retrains across processes. The resulting traffic is reported in

@@ -7,7 +7,9 @@
 // explicitly.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -17,6 +19,10 @@
 #include "ml/svm.h"
 #include "runtime/executor.h"
 #include "util/rng.h"
+
+namespace pg::runtime {
+class PayoffCache;
+}  // namespace pg::runtime
 
 namespace pg::sim {
 
@@ -43,20 +49,39 @@ struct ExperimentContext {
   double clean_accuracy = 0.0;    // no attack, no filter baseline
 };
 
-/// Load/synthesize the corpus, split, standardize, fix the poison budget,
-/// and measure the clean baseline accuracy.
-[[nodiscard]] ExperimentContext prepare_experiment(const ExperimentConfig& config);
+/// Where prepare_experiment memoizes the clean baseline. `shard` maps a
+/// context_key() to that context's PayoffCache (an empty function or a
+/// null shard trains the baseline without memoizing); `retrained` and
+/// `hits` count what the call did, for the caller's cache report.
+struct BaselineMemo {
+  std::function<runtime::PayoffCache*(std::uint64_t)> shard;
+  std::size_t retrained = 0;
+  std::size_t hits = 0;
+};
+
+/// Load/synthesize the corpus, split, fix the poison budget, and measure
+/// the clean baseline accuracy. With a `memo`, the baseline is a
+/// single-flight payoff cell in the shard of context_key(): a hit skips
+/// the training run, the owner trains and publishes (and abandons its
+/// claim if training throws). The context is bit-identical either way.
+[[nodiscard]] ExperimentContext prepare_experiment(
+    const ExperimentConfig& config, BaselineMemo* memo = nullptr);
 
 /// A small/fast configuration used by integration tests: a reduced corpus
 /// and a cheap SVM, preserving all structural properties of the full run.
 [[nodiscard]] ExperimentConfig fast_config(std::uint64_t seed = 42);
 
-/// Content hash of everything a pipeline cell's payoff depends on through
-/// the context: seed, corpus generator knobs, split sizes, poison budget,
-/// and the SVM/centroid configuration. Combined with the per-cell knobs
-/// (filter strength, attack placement, replication) it forms the
-/// runtime::PayoffCache key, so a cache entry can never be reused across
-/// contexts that could produce different payoffs.
+/// Content key of everything a context's payoffs depend on, computable
+/// before any training: seed, corpus generator knobs, split sizes, poison
+/// budget, the SVM/centroid configuration, the corpus source and -- for a
+/// corpus loaded from a file -- its features and labels. It names the
+/// context's PayoffCache shard (on disk too) and keys the memoized clean
+/// baseline; it never includes the measured clean accuracy.
+[[nodiscard]] std::uint64_t context_key(const ExperimentContext& ctx);
+
+/// The context word every cell key and cell RNG stream mixes. Combined
+/// with the per-cell knobs (filter strength, attack placement,
+/// replication) it forms the runtime::PayoffCache key of a pipeline cell.
 [[nodiscard]] std::uint64_t context_fingerprint(const ExperimentContext& ctx);
 
 /// Executor factory for harnesses (benches, examples) driven by a thread

@@ -16,6 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "runtime/executor.h"
+#include "scenario/cache_bundle.h"
 #include "scenario/cli.h"
 #include "scenario/diff.h"
 #include "scenario/engine.h"
@@ -296,6 +298,36 @@ TEST(EngineTest, CachingDoesNotChangeResults) {
   spec.use_cache = true;
   const auto cached = comparable_cells(run_scenario(spec));
   EXPECT_EQ(uncached, cached);
+}
+
+TEST(EngineTest, SecondRunOnOneShardStoreServesTheBaseline) {
+  const ScenarioSpec spec = tiny_spec("mixed_table");
+  runtime::SerialExecutor exec;
+  ShardStore store(/*memo=*/true, /*dir=*/"", /*max_bytes=*/0);
+  EngineContext context{&exec, &store};
+
+  const ScenarioResult cold = run_scenario(spec, context);
+  EXPECT_EQ(cold.cache.cells_retrained, cold.cache.cells_total);
+  const ScenarioResult warm = run_scenario(spec, context);
+  EXPECT_EQ(warm.cache.cells_retrained, 0u);
+  EXPECT_EQ(warm.cache.cells_total, cold.cache.cells_total);
+  EXPECT_EQ(warm.cache.cache_hits, warm.cache.cells_total);
+  EXPECT_EQ(comparable_cells(cold), comparable_cells(warm));
+
+  // The baseline is one of those cells: preparing the same context
+  // against the store is a hit in the shard named by its context key.
+  sim::ExperimentConfig cfg;
+  cfg.seed = spec.seed;
+  cfg.corpus.n_instances = spec.instances;
+  cfg.svm.epochs = spec.epochs;
+  cfg.try_real_corpus = false;
+  sim::BaselineMemo memo{[&store](std::uint64_t key) {
+    return store.shard(key);
+  }};
+  (void)sim::prepare_experiment(cfg, &memo);
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(memo.retrained, 0u);
+  EXPECT_EQ(store.shard_count(), 1u);
 }
 
 class DiskCacheScenarioTest : public ::testing::Test {

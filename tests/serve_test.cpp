@@ -248,9 +248,9 @@ TEST_F(ServeTest, ConcurrentClientsCoalesceSharedCells) {
       obs::counter("obs.cache.retrains").value();
 
   // Two clients request the SAME cold scenario at once. The shrunk fig1
-  // sweep has 3 cells x 3 sub-keys; single-flight claims must compute
-  // (and store) each exactly once no matter how the two requests
-  // interleave.
+  // run has one clean-baseline cell plus 3 sweep cells x 3 sub-keys;
+  // single-flight claims must compute (and store) each exactly once no
+  // matter how the two requests interleave.
   std::atomic<std::size_t> failures{0};
   std::vector<std::size_t> retrained(2, 0);
   std::vector<std::thread> threads;
@@ -274,11 +274,13 @@ TEST_F(ServeTest, ConcurrentClientsCoalesceSharedCells) {
       obs::counter("obs.cache.stores").value() - stores_before;
   const std::uint64_t retrains =
       obs::counter("obs.cache.retrains").value() - retrains_before;
-  // 3 sweep cells, 3 sub-keys each: every value stored exactly once.
-  EXPECT_EQ(stores, 9u);
-  // retrains counts evaluator-driven cells only (sweep cells count via
-  // their own stats); per-run reports must sum to one cold run's worth.
-  EXPECT_EQ(retrained[0] + retrained[1], 3u);
+  // The baseline plus 3 sweep cells with 3 sub-keys each: every value
+  // stored exactly once.
+  EXPECT_EQ(stores, 10u);
+  // retrains counts evaluator-driven cells only (sweep cells and the
+  // baseline count via the run's own stats); per-run reports must sum to
+  // one cold run's worth: the baseline and the 3 sweep cells.
+  EXPECT_EQ(retrained[0] + retrained[1], 4u);
   EXPECT_EQ(retrains, 0u);
 }
 

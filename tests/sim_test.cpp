@@ -3,7 +3,13 @@
 // all on reduced corpora so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <stdexcept>
+
 #include "core/equilibrium.h"
+#include "data/loader.h"
+#include "runtime/payoff_evaluator.h"
 #include "sim/curve_fit.h"
 #include "sim/experiment.h"
 #include "sim/mixed_eval.h"
@@ -41,15 +47,103 @@ TEST(ExperimentTest, PreparesPaperProtocol) {
   EXPECT_GT(ctx.clean_accuracy, majority + 0.1);
 }
 
-TEST(ExperimentTest, DeterministicInSeed) {
+ExperimentConfig tiny_config() {
   ExperimentConfig cfg = fast_config(7);
   cfg.corpus.n_instances = 200;
   cfg.svm.epochs = 10;
+  return cfg;
+}
+
+TEST(ExperimentTest, DeterministicInSeed) {
+  const ExperimentConfig cfg = tiny_config();
   const auto a = prepare_experiment(cfg);
   const auto b = prepare_experiment(cfg);
   EXPECT_EQ(a.clean_accuracy, b.clean_accuracy);
   EXPECT_EQ(a.train.size(), b.train.size());
   EXPECT_EQ(a.train.instance(0), b.train.instance(0));
+}
+
+TEST(ExperimentTest, FingerprintIsPinned) {
+  // Every cell key and mixed-eval RNG stream mixes this word, so a change
+  // to it moves committed results; it is pinned to the value it has
+  // always had for this context.
+  EXPECT_EQ(context_fingerprint(prepare_experiment(tiny_config())),
+            0x53C7E50458E78A3BULL);
+}
+
+TEST(ExperimentTest, CleanBaselineIsMemoizedUnderTheContextKey) {
+  const ExperimentConfig cfg = tiny_config();
+  runtime::PayoffCache cache;
+  std::uint64_t shard_id = 0;
+  BaselineMemo memo{[&](std::uint64_t key) {
+    shard_id = key;
+    return &cache;
+  }};
+  const ExperimentContext cold = prepare_experiment(cfg, &memo);
+  EXPECT_EQ(memo.retrained, 1u);
+  EXPECT_EQ(memo.hits, 0u);
+  EXPECT_EQ(shard_id, context_key(cold));
+  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+  EXPECT_EQ(memo.retrained, 1u);
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  const ExperimentContext plain = prepare_experiment(cfg);
+  for (const ExperimentContext* ctx : {&warm, &plain}) {
+    EXPECT_EQ(ctx->clean_accuracy, cold.clean_accuracy);
+    EXPECT_EQ(context_key(*ctx), context_key(cold));
+    EXPECT_EQ(context_fingerprint(*ctx), context_fingerprint(cold));
+  }
+
+  // The key is known before training: the measured accuracy moves the
+  // fingerprint but never the key.
+  ExperimentContext other = cold;
+  other.clean_accuracy += 0.125;
+  EXPECT_EQ(context_key(other), context_key(cold));
+  EXPECT_NE(context_fingerprint(other), context_fingerprint(cold));
+}
+
+TEST(ExperimentTest, FailedBaselineAbandonsItsClaim) {
+  ExperimentConfig cfg = tiny_config();
+  cfg.svm.epochs = 0;  // SvmTrainer rejects it
+  runtime::PayoffCache cache;
+  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
+  EXPECT_THROW((void)prepare_experiment(cfg, &memo), std::invalid_argument);
+  // A claim left behind would block this call forever.
+  EXPECT_THROW((void)prepare_experiment(cfg, &memo), std::invalid_argument);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(memo.retrained + memo.hits, 0u);
+}
+
+TEST(ExperimentTest, ContextKeyHashesLoadedCorpusContent) {
+  const std::string path = ::testing::TempDir() + "/spambase_key.data";
+  const auto key_after_writing = [&path](double feature_value) {
+    {
+      std::ofstream f(path);
+      for (int i = 0; i < 40; ++i) {
+        for (int c = 0; c < 57; ++c) {
+          f << (i == 3 && c == 5 ? feature_value : (i + c) % 7 * 0.25) << ",";
+        }
+        f << (i % 2) << "\n";
+      }
+    }
+    ExperimentContext ctx;
+    ctx.config = tiny_config();
+    ctx.corpus_source = path;
+    util::Rng rng(ctx.config.seed);
+    auto split = data::split_train_test(data::load_spambase(path),
+                                        ctx.config.train_fraction, rng);
+    ctx.train = std::move(split.train);
+    ctx.test = std::move(split.test);
+    return context_key(ctx);
+  };
+  const std::uint64_t original = key_after_writing(0.5);
+  EXPECT_EQ(key_after_writing(0.5), original);
+  EXPECT_NE(key_after_writing(0.75), original);
+  std::remove(path.c_str());
 }
 
 TEST(ExperimentTest, BothClassesInBothSplits) {
