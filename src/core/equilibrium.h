@@ -86,9 +86,15 @@ struct DefenseSolution {
 /// Algorithm 1. Requires support_size >= 1 (1 degenerates to the best pure
 /// strategy, used as the benchmark). The descent is serial: a support has
 /// at most a handful of points, so each iteration's finite-difference
-/// probes cost less than a fork-join. `executor` is ignored; it is kept so
-/// the signature matches the symbol perfbench/layer_trace.cpp wraps (drop
-/// it when that file is re-pointed, with the solvers.h ones).
+/// probes cost less than a fork-join. It caches E and Gamma at every
+/// support point, so a probe re-interpolates only the point it moves and
+/// allocates nothing; each probe makes find_percentages' checks on the
+/// moved point (a probe crossing its neighbour throws
+/// std::invalid_argument). Every value is bit-identical to evaluating
+/// defender_objective on a copy of each probe support. `executor` is
+/// ignored; it is kept so the signature matches the symbol
+/// perfbench/layer_trace.cpp wraps (drop it when that file is re-pointed,
+/// with the solvers.h ones).
 [[nodiscard]] DefenseSolution compute_optimal_defense(
     const PoisoningGame& game, const Algorithm1Config& config = {},
     runtime::Executor* executor = nullptr);

@@ -363,7 +363,8 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
 
 // ---------------------------------------------------------------- transfer
 // Legacy bench_transfer: source-solved strategy transplanted onto three
-// perturbed target corpora vs the natively-solved strategy.
+// perturbed target corpora vs the natively-solved strategy. The source is
+// solved once, before the targets.
 void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                            CacheBundle& bundle, ScenarioResult& result) {
   const sim::ExperimentConfig base = experiment_config(spec);
@@ -401,9 +402,10 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   tcfg.kernel = kernel ? &*kernel : nullptr;
   tcfg.eval.kernel = tcfg.kernel;
 
-  runtime::PayoffCache* source_cache =
-      bundle.shard(sim::context_key(source));
   sim::PureSweepStats sweep_stats;
+  const auto source_strategy = sim::solve_transfer_strategy(
+      source, tcfg, exec, bundle.shard(sim::context_key(source)),
+      &sweep_stats);
   ResultTable table{"targets",
                     {"target", "transferred_accuracy", "native_accuracy",
                      "transfer_gap"},
@@ -415,7 +417,7 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
     const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                              target_cache);
     const auto res = sim::run_transfer_experiment(
-        source, ctx, tcfg, exec, &evaluator, source_cache, target_cache,
+        source_strategy, ctx, tcfg, exec, &evaluator, target_cache,
         &sweep_stats);
     table.add_row(
         {target.name, res.transferred_accuracy, res.native_accuracy,

@@ -6,13 +6,11 @@
 
 namespace pg::sim {
 
-namespace {
-
-defense::MixedDefenseStrategy solve_on(const ExperimentContext& ctx,
-                                       const TransferConfig& config,
-                                       runtime::Executor* executor,
-                                       runtime::PayoffCache* sweep_cache,
-                                       PureSweepStats* sweep_stats) {
+defense::MixedDefenseStrategy solve_transfer_strategy(
+    const ExperimentContext& ctx, const TransferConfig& config,
+    runtime::Executor* executor, runtime::PayoffCache* sweep_cache,
+    PureSweepStats* sweep_stats) {
+  PG_CHECK(!ctx.train.empty(), "transfer requires a prepared context");
   const auto sweep =
       run_pure_sweep(ctx, config.sweep_fractions, config.sweep_replications,
                      executor, sweep_cache, sweep_stats, config.kernel);
@@ -23,22 +21,16 @@ defense::MixedDefenseStrategy solve_on(const ExperimentContext& ctx,
   return core::compute_optimal_defense(game, acfg, executor).strategy;
 }
 
-}  // namespace
-
-TransferResult run_transfer_experiment(const ExperimentContext& source,
-                                       const ExperimentContext& target,
-                                       const TransferConfig& config,
-                                       runtime::Executor* executor,
-                                       const runtime::PayoffEvaluator* target_evaluator,
-                                       runtime::PayoffCache* source_sweep_cache,
-                                       runtime::PayoffCache* target_sweep_cache,
-                                       PureSweepStats* sweep_stats) {
-  PG_CHECK(!source.train.empty() && !target.train.empty(),
-           "transfer requires prepared contexts");
-
+TransferResult run_transfer_experiment(
+    const defense::MixedDefenseStrategy& source_strategy,
+    const ExperimentContext& target, const TransferConfig& config,
+    runtime::Executor* executor,
+    const runtime::PayoffEvaluator* target_evaluator,
+    runtime::PayoffCache* target_sweep_cache, PureSweepStats* sweep_stats) {
   TransferResult result{
-      solve_on(source, config, executor, source_sweep_cache, sweep_stats),
-      solve_on(target, config, executor, target_sweep_cache, sweep_stats),
+      source_strategy,
+      solve_transfer_strategy(target, config, executor, target_sweep_cache,
+                              sweep_stats),
       0.0, 0.0, 0.0};
   util::log_info() << "source strategy " << result.source_strategy.describe()
                    << " | native strategy "

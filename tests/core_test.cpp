@@ -3,7 +3,11 @@
 // paper's theoretical claims on analytic curves where exact answers exist.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/equilibrium.h"
 #include "core/game_model.h"
@@ -362,13 +366,176 @@ TEST_P(Algorithm1Property, SolutionIsEquilibriumLike) {
   EXPECT_LE(sol.defender_loss, best_pure + 1e-9);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    CurveFamilies, Algorithm1Property,
-    ::testing::Values(CurveFamily{0.002, 5.0, 0.06, 1.4},
-                      CurveFamily{0.001, 3.0, 0.02, 1.0},
-                      CurveFamily{0.005, 8.0, 0.10, 2.0},
-                      CurveFamily{0.0005, 2.0, 0.01, 1.2},
-                      CurveFamily{0.003, 6.0, 0.20, 3.0}));
+const CurveFamily kCurveFamilies[] = {
+    {0.002, 5.0, 0.06, 1.4}, {0.001, 3.0, 0.02, 1.0},
+    {0.005, 8.0, 0.10, 2.0}, {0.0005, 2.0, 0.01, 1.2},
+    {0.003, 6.0, 0.20, 3.0}};
+
+INSTANTIATE_TEST_SUITE_P(CurveFamilies, Algorithm1Property,
+                         ::testing::ValuesIn(kCurveFamilies));
+
+// ------------------------------------------------------ Algorithm 1 oracle
+// A reference descent in which every finite-difference probe copies the
+// support and evaluates the public defender_objective on the whole copy.
+// compute_optimal_defense caches E/Gamma per support point instead; the
+// two must agree bit for bit.
+
+// f(S) written out from the curves, in defender_objective's order of
+// operations. The oracle counts every support where the two differ.
+double written_out_objective(const PoisoningGame& game,
+                             const std::vector<double>& s, double floor) {
+  const PayoffCurves& c = game.curves();
+  const std::size_t n = s.size();
+  const double e_last = std::max(c.damage(s[n - 1]), floor);
+  std::vector<double> q(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    q[i] = std::min(1.0, e_last / std::max(c.damage(s[i]), floor));
+    if (i > 0) q[i] = std::max(q[i], q[i - 1]);
+  }
+  q[n - 1] = 1.0;
+  double f = static_cast<double>(game.poison_budget()) * e_last;
+  for (std::size_t i = 0; i < n; ++i) {
+    f += (i == 0 ? q[0] : q[i] - q[i - 1]) * c.cost(s[i]);
+  }
+  return f;
+}
+
+void oracle_project(std::vector<double>& s, double lo, double hi,
+                    double min_gap) {
+  std::sort(s.begin(), s.end());
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const double floor_i = lo + static_cast<double>(i) * min_gap;
+    const double ceil_i =
+        hi - static_cast<double>(s.size() - 1 - i) * min_gap;
+    s[i] = std::clamp(s[i], floor_i, ceil_i);
+    if (i > 0 && s[i] < s[i - 1] + min_gap) s[i] = s[i - 1] + min_gap;
+  }
+}
+
+DefenseSolution oracle_algorithm1(const PoisoningGame& game,
+                                  const Algorithm1Config& config,
+                                  std::size_t& objective_mismatches) {
+  const double hi = game.curves().damage_support_limit(config.damage_floor);
+  const double lo = std::max(config.support_floor, config.min_gap);
+  std::vector<double> support =
+      choose_initial_support(game, config.support_size, config.damage_floor);
+  oracle_project(support, lo, hi, config.min_gap);
+
+  auto objective = [&](const std::vector<double>& s) {
+    const double f = defender_objective(game, s, config.damage_floor);
+    if (f != written_out_objective(game, s, config.damage_floor)) {
+      ++objective_mismatches;
+    }
+    return f;
+  };
+
+  DefenseSolution sol{defense::MixedDefenseStrategy::pure(0.0), 0.0, {}, 0,
+                      false};
+  double f_prev = objective(support);
+  sol.trace.push_back(f_prev);
+  for (std::size_t it = 0; it < config.max_iterations; ++it) {
+    std::vector<double> grad(support.size(), 0.0);
+    for (std::size_t i = 0; i < support.size(); ++i) {
+      std::vector<double> plus = support;
+      std::vector<double> minus = support;
+      plus[i] = std::min(plus[i] + config.fd_step, hi);
+      minus[i] = std::max(minus[i] - config.fd_step, config.min_gap * 0.5);
+      const double denom = plus[i] - minus[i];
+      if (denom <= 0.0) continue;
+      const double f_plus = objective(plus);
+      grad[i] = (f_plus - objective(minus)) / denom;
+    }
+    for (std::size_t i = 0; i < support.size(); ++i) {
+      support[i] -= config.learning_rate * grad[i];
+    }
+    oracle_project(support, lo, hi, config.min_gap);
+    const double f = objective(support);
+    sol.trace.push_back(f);
+    sol.iterations = it + 1;
+    if (std::abs(f_prev - f) < config.epsilon) {
+      sol.converged = true;
+      f_prev = f;
+      break;
+    }
+    f_prev = f;
+  }
+  sol.strategy = defense::MixedDefenseStrategy(
+      support, find_percentages(game.curves(), support, config.damage_floor));
+  sol.defender_loss = f_prev;
+  return sol;
+}
+
+void expect_same_solution(const PoisoningGame& game, std::size_t n,
+                          const std::string& label) {
+  SCOPED_TRACE(label + ", n=" + std::to_string(n));
+  Algorithm1Config cfg;
+  cfg.support_size = n;
+  std::size_t mismatches = 0;
+  const auto want = oracle_algorithm1(game, cfg, mismatches);
+  const auto got = compute_optimal_defense(game, cfg);
+  EXPECT_EQ(mismatches, 0u);
+  ASSERT_EQ(got.trace.size(), want.trace.size());
+  for (std::size_t t = 0; t < want.trace.size(); ++t) {
+    EXPECT_EQ(got.trace[t], want.trace[t]) << "trace[" << t << "]";
+  }
+  EXPECT_EQ(got.strategy.removal_fractions(),
+            want.strategy.removal_fractions());
+  EXPECT_EQ(got.strategy.probabilities(), want.strategy.probabilities());
+  EXPECT_EQ(got.defender_loss, want.defender_loss);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+}
+
+TEST(Algorithm1OracleTest, AnalyticFamiliesMatchBitForBit) {
+  for (const auto& f : kCurveFamilies) {
+    const PoisoningGame game(PayoffCurves::analytic(f.e0, f.epow, f.g0, f.gpow),
+                             100);
+    for (std::size_t n = 1; n <= 5; ++n) {
+      expect_same_solution(game, n, "e0=" + std::to_string(f.e0));
+    }
+  }
+}
+
+TEST(Algorithm1OracleTest, FittedSweepShapeMatchesBitForBit) {
+  // Nine knots over [0, 0.4] like sim::fit_payoff_curves returns: isotonic
+  // fits with flat runs, E reaching zero at the last knot, Gamma(0) = 0.
+  const std::vector<double> xs{0.0,  0.05, 0.10, 0.15, 0.20,
+                               0.25, 0.30, 0.35, 0.40};
+  const std::vector<double> e{0.0042, 0.0042, 0.0035, 0.0024, 0.0024,
+                              0.0013, 0.0006, 0.0002, 0.0};
+  const std::vector<double> g{0.0,   0.006, 0.006, 0.014, 0.021,
+                              0.021, 0.037, 0.052, 0.070};
+  const PoisoningGame game(
+      PayoffCurves(util::PiecewiseLinear(xs, e), util::PiecewiseLinear(xs, g)),
+      42);
+  for (std::size_t n = 1; n <= 5; ++n) expect_same_solution(game, n, "fitted");
+}
+
+TEST(Algorithm1OracleTest, ProbeCrossingItsNeighbourThrowsLikeTheOracle) {
+  // With fd_step = 0.02 and five points on the standard curves, a probe
+  // steps past its neighbour: find_percentages' check fires on both sides.
+  const auto game = standard_game();
+  Algorithm1Config cfg;
+  cfg.support_size = 5;
+  cfg.fd_step = 0.02;
+  std::size_t mismatches = 0;
+  for (const bool oracle : {true, false}) {
+    SCOPED_TRACE(oracle ? "oracle" : "compute_optimal_defense");
+    try {
+      if (oracle) {
+        (void)oracle_algorithm1(game, cfg, mismatches);
+      } else {
+        (void)compute_optimal_defense(game, cfg);
+      }
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("strictly increasing"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
 
 }  // namespace
 }  // namespace pg::core

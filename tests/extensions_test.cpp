@@ -114,7 +114,8 @@ TEST(TransferTest, CurvesGeneralizeAcrossSeeds) {
   const auto target = sim::prepare_experiment(b);
   sim::TransferConfig cfg;
   cfg.eval.draws = 1;
-  const auto result = sim::run_transfer_experiment(source, target, cfg);
+  const auto result = sim::run_transfer_experiment(
+      sim::solve_transfer_strategy(source, cfg), target, cfg);
 
   EXPECT_GT(result.transferred_accuracy, 0.45);
   EXPECT_GT(result.native_accuracy, 0.45);
@@ -133,7 +134,8 @@ TEST(TransferTest, StrategiesAreValidMixtures) {
   sim::TransferConfig cfg;
   cfg.eval.draws = 1;
   cfg.support_size = 2;
-  const auto result = sim::run_transfer_experiment(source, target, cfg);
+  const auto result = sim::run_transfer_experiment(
+      sim::solve_transfer_strategy(source, cfg), target, cfg);
   EXPECT_EQ(result.source_strategy.support_size(), 2u);
   EXPECT_EQ(result.native_strategy.support_size(), 2u);
   EXPECT_TRUE(result.source_strategy.is_properly_mixed());

@@ -8,12 +8,14 @@
 // reproducible without a running daemon); point --socket at a live
 // server to measure that instead. One warmup request is issued first so
 // the measured window is cache-warm -- the steady state a resident
-// service exists to provide.
+// service exists to provide. A self-hosted server's cache dir is removed
+// on exit.
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -21,6 +23,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "serve/client.h"
@@ -99,6 +102,29 @@ Options parse_args(const std::vector<std::string>& args) {
   return options;
 }
 
+/// Removes the self-hosted server's cache dir when it goes out of scope,
+/// on the error path too. Declared before the server, so the server has
+/// stopped (and spilled its shards) by the time the dir is removed.
+class RemoveDirOnExit {
+ public:
+  RemoveDirOnExit() = default;
+  RemoveDirOnExit(const RemoveDirOnExit&) = delete;
+  RemoveDirOnExit& operator=(const RemoveDirOnExit&) = delete;
+  ~RemoveDirOnExit() {
+    if (path_.empty()) return;
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+    if (ec) {
+      std::cerr << "warning: cannot remove " << path_ << ": " << ec.message()
+                << "\n";
+    }
+  }
+  void set(std::string path) { path_ = std::move(path); }
+
+ private:
+  std::string path_;
+};
+
 double percentile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto rank = static_cast<std::size_t>(
@@ -123,6 +149,7 @@ int main(int argc, char** argv) {
     }
 
     // Self-host unless pointed at a live daemon.
+    RemoveDirOnExit cache_dir_cleanup;
     std::unique_ptr<pg::serve::ScenarioServer> server;
     std::string socket_path = options.socket_path;
     if (socket_path.empty()) {
@@ -130,6 +157,7 @@ int main(int argc, char** argv) {
       pg::serve::ServeOptions serve;
       serve.socket_path = "/tmp/pg_bench_serve_" + tag + ".sock";
       serve.cache_dir = "/tmp/pg_bench_serve_cache_" + tag;
+      cache_dir_cleanup.set(serve.cache_dir);
       serve.threads = options.threads;
       serve.request_workers = std::max<std::size_t>(2, options.clients);
       server = std::make_unique<pg::serve::ScenarioServer>(serve);
