@@ -47,8 +47,8 @@ inline std::unique_ptr<runtime::Executor> bench_executor() {
 
 inline void print_context(const sim::ExperimentContext& ctx) {
   std::cout << "corpus: " << ctx.corpus_source
-            << " | instances: " << (ctx.train.size() + ctx.test.size())
-            << " | train/test: " << ctx.train.size() << "/" << ctx.test.size()
+            << " | instances: " << (ctx.train_size() + ctx.test_size())
+            << " | train/test: " << ctx.train_size() << "/" << ctx.test_size()
             << " | poison budget N: " << ctx.poison_budget
             << " | clean accuracy: " << ctx.clean_accuracy << "\n\n";
 }

@@ -257,7 +257,7 @@ void BM_EmpiricalPayoffGrid(benchmark::State& state) {
     const attack::BoundaryAttack attack(acfg);
     util::Rng rng = streams.stream(flat);
     return pipeline
-        .run(ctx.train, ctx.test, &attack, ctx.poison_budget,
+        .run(ctx.train(), ctx.test(), &attack, ctx.poison_budget,
              fraction > 0.0 ? &filter : nullptr, rng)
         .test_accuracy;
   };

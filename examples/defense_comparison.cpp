@@ -60,13 +60,13 @@ int main(int argc, char** argv) {
     util::TextTable t({"defense", "accuracy", "det. precision", "det. recall"});
     {
       util::Rng r = rng.fork(1);
-      const auto res = pipeline.run(ctx.train, ctx.test, atk.get(),
+      const auto res = pipeline.run(ctx.train(), ctx.test(), atk.get(),
                                     ctx.poison_budget, nullptr, r);
       t.add_row({"(none)", util::format_percent(res.test_accuracy), "-", "-"});
     }
     for (const auto& f : filters) {
       util::Rng r = rng.fork(2 + std::hash<std::string>{}(f->name()) % 1000);
-      const auto res = pipeline.run(ctx.train, ctx.test, atk.get(),
+      const auto res = pipeline.run(ctx.train(), ctx.test(), atk.get(),
                                     ctx.poison_budget, f.get(), r);
       t.add_row({f->name(), util::format_percent(res.test_accuracy),
                  util::format_percent(res.detection.precision),

@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   cfg.svm.epochs = 120;
   const sim::ExperimentContext ctx = sim::prepare_experiment(cfg);
   std::cout << "corpus: " << ctx.corpus_source << ", train "
-            << ctx.train.size() << " / test " << ctx.test.size()
+            << ctx.train_size() << " / test " << ctx.test_size()
             << ", poison budget N = " << ctx.poison_budget << "\n\n";
 
   const defense::Pipeline pipeline({cfg.svm});
@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
   // 2. Clean baseline (no attack, no filter).
   util::Rng r0 = rng.fork(0);
   const double clean =
-      pipeline.run(ctx.train, ctx.test, nullptr, 0, nullptr, r0).test_accuracy;
+      pipeline.run(ctx.train(), ctx.test(), nullptr, 0, nullptr, r0)
+          .test_accuracy;
 
   // 3. Optimal boundary attack, undefended.
   attack::BoundaryAttackConfig acfg;
@@ -46,7 +47,8 @@ int main(int argc, char** argv) {
   const attack::BoundaryAttack attack(acfg);
   util::Rng r1 = rng.fork(1);
   const double attacked =
-      pipeline.run(ctx.train, ctx.test, &attack, ctx.poison_budget, nullptr, r1)
+      pipeline
+          .run(ctx.train(), ctx.test(), &attack, ctx.poison_budget, nullptr, r1)
           .test_accuracy;
 
   // 4. Pure distance filter at 10% removal; the attacker knows it and
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
   util::Rng r2 = rng.fork(2);
   const double pure_defended =
       pipeline
-          .run(ctx.train, ctx.test, &inside_attack, ctx.poison_budget,
+          .run(ctx.train(), ctx.test(), &inside_attack, ctx.poison_budget,
                &pure_filter, r2)
           .test_accuracy;
 
@@ -76,7 +78,7 @@ int main(int argc, char** argv) {
   for (int d = 0; d < kDraws; ++d) {
     util::Rng rd = rng.fork(100 + d);
     mixed_defended += pipeline
-                          .run(ctx.train, ctx.test, &mix_attack,
+                          .run(ctx.train(), ctx.test(), &mix_attack,
                                ctx.poison_budget, &mixed_filter, rd)
                           .test_accuracy;
   }

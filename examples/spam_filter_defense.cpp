@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   cfg.corpus.n_instances = n_instances;
   cfg.svm.epochs = 120;
   const sim::ExperimentContext ctx = sim::prepare_experiment(cfg);
-  std::cout << "corpus=" << ctx.corpus_source << " train=" << ctx.train.size()
-            << " test=" << ctx.test.size() << " N=" << ctx.poison_budget
+  std::cout << "corpus=" << ctx.corpus_source << " train=" << ctx.train_size()
+            << " test=" << ctx.test_size() << " N=" << ctx.poison_budget
             << " clean accuracy=" << util::format_percent(ctx.clean_accuracy)
             << "\n\n";
 

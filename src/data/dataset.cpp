@@ -122,17 +122,21 @@ std::vector<double> Dataset::distances_to(const la::Vector& center) const {
   return out;
 }
 
-TrainTestSplit split_train_test(const Dataset& all, double train_fraction,
-                                util::Rng& rng) {
+std::size_t train_split_size(std::size_t n, double train_fraction) {
   PG_CHECK(train_fraction > 0.0 && train_fraction < 1.0,
            "train_fraction must be in (0, 1)");
-  PG_CHECK(all.size() >= 2, "split requires at least two instances");
+  PG_CHECK(n >= 2, "split requires at least two instances");
+  const auto n_train =
+      static_cast<std::size_t>(train_fraction * static_cast<double>(n));
+  return std::max<std::size_t>(1, std::min(n_train, n - 1));
+}
+
+TrainTestSplit split_train_test(const Dataset& all, double train_fraction,
+                                util::Rng& rng) {
+  const std::size_t n_train = train_split_size(all.size(), train_fraction);
   std::vector<std::size_t> idx(all.size());
   for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = i;
   rng.shuffle(idx);
-  auto n_train = static_cast<std::size_t>(
-      train_fraction * static_cast<double>(all.size()));
-  n_train = std::max<std::size_t>(1, std::min(n_train, all.size() - 1));
   const std::vector<std::size_t> train_idx(idx.begin(),
                                            idx.begin() + static_cast<std::ptrdiff_t>(n_train));
   const std::vector<std::size_t> test_idx(idx.begin() + static_cast<std::ptrdiff_t>(n_train),

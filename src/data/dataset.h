@@ -93,6 +93,12 @@ struct TrainTestSplit {
                                               double train_fraction,
                                               util::Rng& rng);
 
+/// Rows split_train_test puts on the train side of an n-row dataset:
+/// clamp(floor(train_fraction * n), 1, n - 1). Known before any data
+/// exists. Throws on train_fraction outside (0, 1) or n < 2.
+[[nodiscard]] std::size_t train_split_size(std::size_t n,
+                                           double train_fraction);
+
 /// Concatenate two datasets (e.g. clean training data + poison points).
 [[nodiscard]] Dataset concatenate(const Dataset& a, const Dataset& b);
 

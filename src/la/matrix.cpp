@@ -68,20 +68,13 @@ void Matrix::append_row(const Vector& v) {
 // Kernel policy (see also vector_ops.cpp): each output element keeps its
 // serial left-to-right accumulation order -- the bit-stability contract
 // every payoff grid and golden baseline rides on -- so the speed comes
-// from restructuring AROUND the chains, never from reassociating them:
-// matvec processes four rows per pass (four independent accumulator
-// chains hide the FP add latency; each row's own order is untouched),
-// and matvec_transposed walks the matrix in column blocks sized to keep
-// the output slice resident in L1 across all rows (per-column order is
-// still row-ascending, so the blocked result is bit-identical to the
-// naive loop). PG_NO_VECTORIZE swaps back the reference loops.
-namespace {
-/// Column-block width for matvec_transposed: 512 doubles = 4 KiB of
-/// output accumulators, comfortably L1-resident alongside the row being
-/// streamed.
-constexpr std::size_t kColBlock = 512;
-}  // namespace
-
+// from restructuring AROUND the chains, never from reassociating them.
+// Both kernels process four rows per pass: matvec keeps four independent
+// accumulator chains (hiding the FP add latency; each row's own order is
+// untouched), and matvec_transposed adds four rows into each output
+// element per load/store of it (still row-ascending, so the result is
+// bit-identical to the naive loop). PG_NO_VECTORIZE swaps back the
+// reference loops.
 Vector Matrix::matvec(const Vector& x) const {
   PG_CHECK(x.size() == cols_, "matvec: size mismatch");
   Vector out(rows_, 0.0);
@@ -135,14 +128,28 @@ Vector Matrix::matvec_transposed(const Vector& x) const {
   }
 #else
   const double* base = data_.data();
+  const double* px = x.data();
   double* po = out.data();
-  for (std::size_t c0 = 0; c0 < cols_; c0 += kColBlock) {
-    const std::size_t c1 = c0 + kColBlock < cols_ ? c0 + kColBlock : cols_;
-    for (std::size_t r = 0; r < rows_; ++r) {
-      const double* row_ptr = base + r * cols_;
-      const double xr = x[r];
-      for (std::size_t c = c0; c < c1; ++c) po[c] += row_ptr[c] * xr;
+  std::size_t r = 0;
+  for (; r + 4 <= rows_; r += 4) {
+    const double* r0 = base + r * cols_;
+    const double* r1 = r0 + cols_;
+    const double* r2 = r1 + cols_;
+    const double* r3 = r2 + cols_;
+    const double x0 = px[r], x1 = px[r + 1], x2 = px[r + 2], x3 = px[r + 3];
+    for (std::size_t c = 0; c < cols_; ++c) {
+      double v = po[c];
+      v += r0[c] * x0;
+      v += r1[c] * x1;
+      v += r2[c] * x2;
+      v += r3[c] * x3;
+      po[c] = v;
     }
+  }
+  for (; r < rows_; ++r) {
+    const double* row_ptr = base + r * cols_;
+    const double xr = px[r];
+    for (std::size_t c = 0; c < cols_; ++c) po[c] += row_ptr[c] * xr;
   }
 #endif
   return out;

@@ -5,10 +5,10 @@
 // element access, row views, matvec, transpose, and the reductions the
 // library needs.
 //
-// The hot kernels (matvec, matvec_transposed) are cache-blocked and
-// ILP-restructured in matrix.cpp WITHOUT reordering any output element's
-// floating-point accumulation -- results are bit-identical to the naive
-// loops (compile with -DPG_NO_VECTORIZE to get those instead).
+// The hot kernels (matvec, matvec_transposed) process four rows per pass
+// in matrix.cpp WITHOUT reordering any output element's floating-point
+// accumulation -- results are bit-identical to the naive loops (compile
+// with -DPG_NO_VECTORIZE to get those instead).
 #pragma once
 
 #include <cstddef>

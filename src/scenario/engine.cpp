@@ -96,9 +96,9 @@ std::optional<sim::RetrainKernel> resolve_retrain_kernel(
 void add_context_metrics(const sim::ExperimentContext& ctx,
                          ScenarioResult& result) {
   result.add_metric("corpus_source", ctx.corpus_source);
-  result.add_metric("instances", ctx.train.size() + ctx.test.size());
-  result.add_metric("train_size", ctx.train.size());
-  result.add_metric("test_size", ctx.test.size());
+  result.add_metric("instances", ctx.train_size() + ctx.test_size());
+  result.add_metric("train_size", ctx.train_size());
+  result.add_metric("test_size", ctx.test_size());
   result.add_metric("poison_budget", ctx.poison_budget);
   result.add_metric("clean_accuracy", ctx.clean_accuracy);
 }
@@ -145,8 +145,8 @@ void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   result.tables.push_back(sweep_table(sweep));
 
   const auto best = sim::best_pure_defense(sweep);
-  const double majority = std::max(ctx.test.positive_fraction(),
-                                   1.0 - ctx.test.positive_fraction());
+  const double majority = std::max(ctx.test_positive_fraction,
+                                   1.0 - ctx.test_positive_fraction);
   result.add_metric("majority_floor", majority);
   result.add_metric("attacked_accuracy_no_filter",
                     sweep.points.front().accuracy_attacked);
@@ -538,8 +538,9 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
   acfg.placement_fraction = 0.05;
   const attack::BoundaryAttack drift_attack(acfg);
   util::Rng arng(cfg.seed);
-  const auto poison = drift_attack.generate(ctx.train, ctx.poison_budget, arng);
-  const auto poisoned = data::concatenate(ctx.train, poison);
+  const auto poison =
+      drift_attack.generate(ctx.train(), ctx.poison_budget, arng);
+  const auto poisoned = data::concatenate(ctx.train(), poison);
 
   ResultTable drift{"centroid_drift",
                     {"estimator", "drift_class_pos", "drift_class_neg"},
@@ -551,7 +552,7 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
     cc.method = method;
     std::vector<Value> row{defense::centroid_method_name(method)};
     for (int label : {1, -1}) {
-      const auto clean_c = defense::compute_centroid(ctx.train, label, cc);
+      const auto clean_c = defense::compute_centroid(ctx.train(), label, cc);
       const auto pois_c = defense::compute_centroid(poisoned, label, cc);
       row.emplace_back(la::distance(clean_c, pois_c));
     }
@@ -641,7 +642,7 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
     std::array<double, 3> computed{};
     try {
       util::Rng r = rng.fork(salt);
-      const auto res = pipeline.run(ctx.train, ctx.test, atk,
+      const auto res = pipeline.run(ctx.train(), ctx.test(), atk,
                                     ctx.poison_budget, filter, r);
       computed = {res.test_accuracy, res.detection.precision,
                   res.detection.recall};

@@ -1,9 +1,17 @@
 #include "sim/experiment.h"
 
+#include <algorithm>
+#include <atomic>
+#include <mutex>
+#include <utility>
+
 #include "attack/attack.h"
 #include "defense/pipeline.h"
 #include "ml/metrics.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "runtime/payoff_evaluator.h"
+#include "util/csv.h"
 #include "util/error.h"
 
 namespace pg::sim {
@@ -14,6 +22,8 @@ namespace {
 /// word sequence as each other or as any other key family.
 constexpr std::uint64_t kContextKeyTag = 0x43545854'4B455931ULL;   // "CTXTKEY1"
 constexpr std::uint64_t kBaselineKeyTag = 0x434C4541'4E424153ULL;  // "CLEANBAS"
+constexpr std::uint64_t kPositiveFractionTag =
+    0x54455354'504F5346ULL;  // "TESTPOSF"
 
 /// The config, size and budget words both context_key() and
 /// context_fingerprint() cover, in the fingerprint's historical order.
@@ -40,8 +50,8 @@ void mix_context_words(runtime::ContentKey& key, const ExperimentContext& ctx) {
       .mix(static_cast<std::uint64_t>(cfg.svm.average))
       .mix(static_cast<std::uint64_t>(cfg.centroid.method))
       .mix(cfg.centroid.trim_fraction)
-      .mix(static_cast<std::uint64_t>(ctx.train.size()))
-      .mix(static_cast<std::uint64_t>(ctx.test.size()))
+      .mix(static_cast<std::uint64_t>(ctx.train_size()))
+      .mix(static_cast<std::uint64_t>(ctx.test_size()))
       .mix(static_cast<std::uint64_t>(ctx.poison_budget));
 }
 
@@ -51,57 +61,152 @@ void mix_text(runtime::ContentKey& key, const std::string& text) {
   }
 }
 
-}  // namespace
-
-ExperimentContext prepare_experiment(const ExperimentConfig& config,
-                                     BaselineMemo* memo) {
+/// Draw the corpus of `config` and split it: Rng(seed) draws the corpus,
+/// its fork(1) shuffles the split. Every build, eager or lazy, makes
+/// these calls in this order, so when it runs changes no value.
+data::TrainTestSplit build_split(const ExperimentConfig& config,
+                                 std::string& source) {
+  static obs::Timer& timer = obs::timer("obs.stage.corpus");
+  const obs::ScopedTimer timed(timer);
+  const obs::Span span("corpus", "data");
   util::Rng rng(config.seed);
-
   data::CorpusInfo corpus =
       config.try_real_corpus
           ? data::load_or_generate_spambase(data::default_spambase_paths(),
                                             config.corpus, rng)
           : data::CorpusInfo{data::make_spambase_like(config.corpus, rng),
                              true, "synthetic"};
-
+  source = std::move(corpus.source);
   util::Rng split_rng = rng.fork(1);
-  auto split =
-      data::split_train_test(corpus.data, config.train_fraction, split_rng);
+  return data::split_train_test(corpus.data, config.train_fraction,
+                                split_rng);
+}
 
+}  // namespace
+
+struct ExperimentContext::Split {
+  std::mutex mutex;
+  std::atomic<bool> built{false};
+  data::TrainTestSplit data;
+};
+
+const data::Dataset& ExperimentContext::train() const {
+  return split().data.train;
+}
+
+const data::Dataset& ExperimentContext::test() const {
+  return split().data.test;
+}
+
+const ExperimentContext::Split& ExperimentContext::split() const {
+  PG_CHECK(split_ != nullptr,
+           "ExperimentContext has no split: use prepare_experiment");
+  Split& state = *split_;
+  if (state.built.load(std::memory_order_acquire)) return state;
+  const std::lock_guard<std::mutex> lock(state.mutex);
+  if (!state.built.load(std::memory_order_relaxed)) {
+    std::string source;
+    data::TrainTestSplit built = build_split(config, source);
+    // Planned as synthetic: a spambase.data that appeared since must not
+    // be served under the synthetic key.
+    PG_CHECK(source == "synthetic",
+             "corpus file " + source +
+                 " appeared after its context was keyed as synthetic");
+    PG_CHECK(built.train.size() == train_size_ &&
+                 built.test.size() == test_size_,
+             "built split " + std::to_string(built.train.size()) + "/" +
+                 std::to_string(built.test.size()) +
+                 " differs from the planned " + std::to_string(train_size_) +
+                 "/" + std::to_string(test_size_) +
+                 " (config changed after prepare_experiment?)");
+    state.data = std::move(built);
+    state.built.store(true, std::memory_order_release);
+  }
+  return state;
+}
+
+void ExperimentContext::set_split(data::Dataset train, data::Dataset test) {
+  auto split = std::make_shared<Split>();
+  split->data = {std::move(train), std::move(test)};
+  split->built.store(true, std::memory_order_relaxed);
+  train_size_ = split->data.train.size();
+  test_size_ = split->data.test.size();
+  split_ = std::move(split);
+}
+
+ExperimentContext prepare_experiment(const ExperimentConfig& config,
+                                     BaselineMemo* memo) {
   ExperimentContext ctx;
   ctx.config = config;
-  ctx.corpus_source = corpus.source;
-  ctx.train = std::move(split.train);
-  ctx.test = std::move(split.test);
-  ctx.poison_budget =
-      attack::poison_budget(ctx.train.size(), config.poison_fraction);
+  const std::vector<std::string> paths = data::default_spambase_paths();
+  const bool loaded =
+      config.try_real_corpus &&
+      std::any_of(paths.begin(), paths.end(), util::file_exists);
+  if (loaded) {
+    // A file's rows are not a function of the config: load them now so
+    // context_key() can hash them.
+    data::TrainTestSplit split = build_split(config, ctx.corpus_source);
+    ctx.set_split(std::move(split.train), std::move(split.test));
+  } else {
+    ctx.corpus_source = "synthetic";
+    ctx.split_ = std::make_shared<ExperimentContext::Split>();
+  }
+  try {
+    if (!loaded) {
+      // make_spambase_like returns exactly n_instances rows.
+      const std::size_t n = config.corpus.n_instances;
+      ctx.train_size_ = data::train_split_size(n, config.train_fraction);
+      ctx.test_size_ = n - ctx.train_size_;
+    }
+    ctx.poison_budget =
+        attack::poison_budget(ctx.train_size(), config.poison_fraction);
+  } catch (...) {
+    // An invalid config fails as the eager protocol did: a corpus or
+    // split error comes before a poison-budget error.
+    (void)ctx.train();
+    throw;
+  }
 
   // The clean baseline is an ordinary single-flight payoff cell in the
-  // context's shard, so a warm context trains nothing here.
+  // context's shard, so a warm context trains nothing here and builds no
+  // split. The test positive fraction rides along as a sibling entry,
+  // stored before the baseline is published.
   runtime::PayoffCache* cache = nullptr;
   std::uint64_t baseline_key = 0;
+  std::uint64_t fraction_key = 0;
   if (memo != nullptr && memo->shard) {
     const std::uint64_t key = context_key(ctx);
     cache = memo->shard(key);
     baseline_key =
         runtime::ContentKey().mix(kBaselineKeyTag).mix(key).digest();
+    fraction_key =
+        runtime::ContentKey().mix(kPositiveFractionTag).mix(key).digest();
   }
   if (cache != nullptr && cache->claim(baseline_key, ctx.clean_accuracy) !=
                               runtime::PayoffCache::Claim::kOwner) {
     ++memo->hits;
+    if (!cache->lookup(fraction_key, ctx.test_positive_fraction)) {
+      // A shard written before the sibling existed gains it here.
+      ctx.test_positive_fraction = ctx.test().positive_fraction();
+      cache->store(fraction_key, ctx.test_positive_fraction);
+    }
     return ctx;
   }
   try {
-    util::Rng train_rng = rng.fork(2);
+    ctx.test_positive_fraction = ctx.test().positive_fraction();
+    util::Rng train_rng = util::Rng(config.seed).fork(2);
     const defense::Pipeline pipeline({config.svm});
     ctx.clean_accuracy =
-        pipeline.run(ctx.train, ctx.test, nullptr, 0, nullptr, train_rng)
+        pipeline.run(ctx.train(), ctx.test(), nullptr, 0, nullptr, train_rng)
             .test_accuracy;
   } catch (...) {
     if (cache != nullptr) cache->abandon(baseline_key);
     throw;
   }
-  if (cache != nullptr) cache->publish(baseline_key, ctx.clean_accuracy);
+  if (cache != nullptr) {
+    cache->store(fraction_key, ctx.test_positive_fraction);
+    cache->publish(baseline_key, ctx.clean_accuracy);
+  }
   if (memo != nullptr) ++memo->retrained;
   return ctx;
 }
@@ -122,7 +227,7 @@ std::uint64_t context_key(const ExperimentContext& ctx) {
   mix_text(key, ctx.corpus_source);
   if (ctx.corpus_source != "synthetic") {
     // A file's rows are not a function of the config: hash its content.
-    for (const data::Dataset* part : {&ctx.train, &ctx.test}) {
+    for (const data::Dataset* part : {&ctx.train(), &ctx.test()}) {
       for (const double x : part->features().data()) key.mix(x);
       for (const int y : part->labels()) key.mix(static_cast<std::uint64_t>(y));
     }

@@ -37,18 +37,6 @@ struct ExperimentConfig {
   bool try_real_corpus = true;
 };
 
-struct ExperimentContext {
-  ExperimentConfig config;
-  /// RAW (unstandardized) splits: the attack and the filter operate in raw
-  /// feature space, exactly like the paper; the Pipeline standardizes
-  /// after filtering, fitted on whatever survived.
-  data::Dataset train;
-  data::Dataset test;
-  std::size_t poison_budget = 0;  // paper's N
-  std::string corpus_source;      // "synthetic" or a file path
-  double clean_accuracy = 0.0;    // no attack, no filter baseline
-};
-
 /// Where prepare_experiment memoizes the clean baseline. `shard` maps a
 /// context_key() to that context's PayoffCache (an empty function or a
 /// null shard trains the baseline without memoizing); `retrained` and
@@ -59,11 +47,59 @@ struct BaselineMemo {
   std::size_t hits = 0;
 };
 
-/// Load/synthesize the corpus, split, fix the poison budget, and measure
-/// the clean baseline accuracy. With a `memo`, the baseline is a
+/// One experiment context: the config, its RAW (unstandardized) train/test
+/// split and the numbers measured on it. The attack and the filter operate
+/// in raw feature space, exactly like the paper; the Pipeline standardizes
+/// after filtering, fitted on whatever survived.
+///
+/// A synthetic split is built on first use: the first train()/test() call
+/// on any copy synthesizes and splits the corpus of `config` (once,
+/// thread-safe), and every copy shares the result. Its planned sizes are
+/// known before that, so a context whose cells all hit the cache never
+/// builds one. A build that throws leaves the context retryable.
+class ExperimentContext {
+ public:
+  ExperimentConfig config;
+  std::size_t poison_budget = 0;        // paper's N
+  std::string corpus_source;            // "synthetic" or a file path
+  double clean_accuracy = 0.0;          // no attack, no filter baseline
+  double test_positive_fraction = 0.0;  // share of +1 rows in test()
+
+  /// The split, built on the first call. A synthetic build checks its
+  /// sizes against the plan: the seed, corpus, train_fraction and
+  /// try_real_corpus of `config` must not change after planning.
+  [[nodiscard]] const data::Dataset& train() const;
+  [[nodiscard]] const data::Dataset& test() const;
+  /// Planned split sizes, known without building the split.
+  [[nodiscard]] std::size_t train_size() const noexcept { return train_size_; }
+  [[nodiscard]] std::size_t test_size() const noexcept { return test_size_; }
+
+  /// Install an already-built split (a corpus loaded from a file); the
+  /// planned sizes become its sizes.
+  void set_split(data::Dataset train, data::Dataset test);
+
+ private:
+  struct Split;
+  friend ExperimentContext prepare_experiment(const ExperimentConfig&,
+                                              BaselineMemo*);
+  [[nodiscard]] const Split& split() const;
+
+  std::size_t train_size_ = 0;
+  std::size_t test_size_ = 0;
+  std::shared_ptr<Split> split_;
+};
+
+/// Plan the split, fix the poison budget, and measure the clean baseline
+/// accuracy. A corpus file (try_real_corpus, a candidate path exists) is
+/// loaded and split here, so context_key() can hash its content; a
+/// synthetic split is only planned. With a `memo`, the baseline is a
 /// single-flight payoff cell in the shard of context_key(): a hit skips
-/// the training run, the owner trains and publishes (and abandons its
-/// claim if training throws). The context is bit-identical either way.
+/// the training run and the corpus with it (the test positive fraction
+/// comes from a sibling entry stored next to the baseline); the owner
+/// builds the split, trains, stores the sibling and publishes (and
+/// abandons its claim if anything throws). Without a memo the split is
+/// built and the baseline trained at once. The context is bit-identical
+/// either way.
 [[nodiscard]] ExperimentContext prepare_experiment(
     const ExperimentConfig& config, BaselineMemo* memo = nullptr);
 
@@ -72,11 +108,12 @@ struct BaselineMemo {
 [[nodiscard]] ExperimentConfig fast_config(std::uint64_t seed = 42);
 
 /// Content key of everything a context's payoffs depend on, computable
-/// before any training: seed, corpus generator knobs, split sizes, poison
-/// budget, the SVM/centroid configuration, the corpus source and -- for a
-/// corpus loaded from a file -- its features and labels. It names the
-/// context's PayoffCache shard (on disk too) and keys the memoized clean
-/// baseline; it never includes the measured clean accuracy.
+/// before any training or synthesis: seed, corpus generator knobs, the
+/// planned split sizes, poison budget, the SVM/centroid configuration, the
+/// corpus source and -- for a corpus loaded from a file -- its features
+/// and labels. It names the context's PayoffCache shard (on disk too) and
+/// keys the memoized clean baseline; it never includes the measured clean
+/// accuracy.
 [[nodiscard]] std::uint64_t context_key(const ExperimentContext& ctx);
 
 /// The context word every cell key and cell RNG stream mixes. Combined

@@ -50,7 +50,8 @@ double run_cell(const ExperimentContext& ctx, const defense::Pipeline& pipeline,
   util::Rng rng = streams.stream(key);
 
   if (cell.placement < 0.0) {
-    return pipeline.run(ctx.train, ctx.test, nullptr, 0, filter_ptr, rng)
+    return pipeline
+        .run(ctx.train(), ctx.test(), nullptr, 0, filter_ptr, rng)
         .test_accuracy;
   }
 
@@ -64,7 +65,8 @@ double run_cell(const ExperimentContext& ctx, const defense::Pipeline& pipeline,
   acfg.depth_offsets.clear();
   const attack::BoundaryAttack attack(acfg);
   return pipeline
-      .run(ctx.train, ctx.test, &attack, ctx.poison_budget, filter_ptr, rng)
+      .run(ctx.train(), ctx.test(), &attack, ctx.poison_budget, filter_ptr,
+           rng)
       .test_accuracy;
 }
 
@@ -85,14 +87,15 @@ defense::Pipeline::Prepared prepare_cell(const ExperimentContext& ctx,
   util::Rng rng = streams.stream(key);
 
   if (cell.placement < 0.0) {
-    return pipeline.prepare(ctx.train, ctx.test, nullptr, 0, filter_ptr, rng);
+    return pipeline.prepare(ctx.train(), ctx.test(), nullptr, 0, filter_ptr,
+                            rng);
   }
 
   attack::BoundaryAttackConfig acfg;
   acfg.placement_fraction = cell.placement;
   acfg.depth_offsets.clear();
   const attack::BoundaryAttack attack(acfg);
-  return pipeline.prepare(ctx.train, ctx.test, &attack, ctx.poison_budget,
+  return pipeline.prepare(ctx.train(), ctx.test(), &attack, ctx.poison_budget,
                           filter_ptr, rng);
 }
 

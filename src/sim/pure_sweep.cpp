@@ -132,14 +132,14 @@ void prepare_cell(const ExperimentContext& ctx,
   const defense::Filter* filter_ptr = (p > 0.0) ? &filter : nullptr;
 
   util::Rng rng_clean = rng.fork(1);
-  arms.clean.prep =
-      pipeline.prepare(ctx.train, ctx.test, nullptr, 0, filter_ptr, rng_clean);
+  arms.clean.prep = pipeline.prepare(ctx.train(), ctx.test(), nullptr, 0,
+                                     filter_ptr, rng_clean);
 
   attack::BoundaryAttackConfig acfg;
   acfg.placement_fraction = p;
   const attack::BoundaryAttack attack(acfg);
   util::Rng rng_attack = rng.fork(2);
-  arms.attacked.prep = pipeline.prepare(ctx.train, ctx.test, &attack,
+  arms.attacked.prep = pipeline.prepare(ctx.train(), ctx.test(), &attack,
                                         ctx.poison_budget, filter_ptr,
                                         rng_attack);
 }
@@ -418,7 +418,8 @@ PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
     // No-attack arm: Gamma measurement.
     util::Rng rng_clean = rng.fork(1);
     out[c].accuracy_no_attack =
-        pipeline.run(ctx.train, ctx.test, nullptr, 0, filter_ptr, rng_clean)
+        pipeline
+            .run(ctx.train(), ctx.test(), nullptr, 0, filter_ptr, rng_clean)
             .test_accuracy;
 
     // Attacked arm: the optimal pure attack against a known filter p.
@@ -426,7 +427,7 @@ PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
     acfg.placement_fraction = p;
     const attack::BoundaryAttack attack(acfg);
     util::Rng rng_attack = rng.fork(2);
-    const auto res = pipeline.run(ctx.train, ctx.test, &attack,
+    const auto res = pipeline.run(ctx.train(), ctx.test(), &attack,
                                   ctx.poison_budget, filter_ptr, rng_attack);
     out[c].accuracy_attacked = res.test_accuracy;
     out[c].poison_survived = 1.0 - res.detection.recall;

@@ -10,7 +10,7 @@ defense::MixedDefenseStrategy solve_transfer_strategy(
     const ExperimentContext& ctx, const TransferConfig& config,
     runtime::Executor* executor, runtime::PayoffCache* sweep_cache,
     PureSweepStats* sweep_stats) {
-  PG_CHECK(!ctx.train.empty(), "transfer requires a prepared context");
+  PG_CHECK(ctx.train_size() > 0, "transfer requires a prepared context");
   const auto sweep =
       run_pure_sweep(ctx, config.sweep_fractions, config.sweep_replications,
                      executor, sweep_cache, sweep_stats, config.kernel);

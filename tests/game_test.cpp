@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <utility>
 
 #include "game/best_response.h"
 #include "game/lp.h"
@@ -61,31 +62,33 @@ TEST(MatrixGameTest, RowAndColPayoffVectors) {
   EXPECT_EQ(g.row_payoffs({1.0, 0.0}), (std::vector<double>{2.0, 1.0}));
   EXPECT_EQ(g.col_payoffs({0.0, 1.0}), (std::vector<double>{1.0, 4.0}));
 
-  // 7 x 600 covers matvec's 4-row remainder and two 512-column blocks of
-  // matvec_transposed; each entry must equal the naive index-ascending
-  // sum bit for bit.
-  constexpr std::size_t kRows = 7;
-  constexpr std::size_t kCols = 600;
+  // Each entry must equal the naive index-ascending sum bit for bit.
+  // Both kernels take four rows per pass: 7 x 600 leaves a 3-row
+  // remainder, 8 x 129 is an exact multiple of four, and 3 x 5 has fewer
+  // than four rows.
   util::Rng rng(5);
-  la::Matrix a(kRows, kCols);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    for (std::size_t j = 0; j < kCols; ++j) a(i, j) = rng.uniform(-5.0, 5.0);
+  for (const auto [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{7, 600}, {8, 129}, {3, 5}}) {
+    la::Matrix a(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) a(i, j) = rng.uniform(-5.0, 5.0);
+    }
+    MixedStrategy p(rows);
+    MixedStrategy q(cols);
+    for (double& v : p) v = rng.uniform(0.0, 1.0);
+    for (double& v : q) v = rng.uniform(0.0, 1.0);
+    std::vector<double> naive_rows(rows, 0.0);
+    std::vector<double> naive_cols(cols, 0.0);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) naive_rows[i] += a(i, j) * q[j];
+    }
+    for (std::size_t j = 0; j < cols; ++j) {
+      for (std::size_t i = 0; i < rows; ++i) naive_cols[j] += a(i, j) * p[i];
+    }
+    const MatrixGame wide(std::move(a));
+    EXPECT_EQ(wide.row_payoffs(q), naive_rows) << rows << "x" << cols;
+    EXPECT_EQ(wide.col_payoffs(p), naive_cols) << rows << "x" << cols;
   }
-  MixedStrategy p(kRows);
-  MixedStrategy q(kCols);
-  for (double& v : p) v = rng.uniform(0.0, 1.0);
-  for (double& v : q) v = rng.uniform(0.0, 1.0);
-  std::vector<double> naive_rows(kRows, 0.0);
-  std::vector<double> naive_cols(kCols, 0.0);
-  for (std::size_t i = 0; i < kRows; ++i) {
-    for (std::size_t j = 0; j < kCols; ++j) naive_rows[i] += a(i, j) * q[j];
-  }
-  for (std::size_t j = 0; j < kCols; ++j) {
-    for (std::size_t i = 0; i < kRows; ++i) naive_cols[j] += a(i, j) * p[i];
-  }
-  const MatrixGame wide(std::move(a));
-  EXPECT_EQ(wide.row_payoffs(q), naive_rows);
-  EXPECT_EQ(wide.col_payoffs(p), naive_cols);
 }
 
 TEST(MatrixGameTest, MaximinMinimax) {

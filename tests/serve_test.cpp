@@ -274,9 +274,9 @@ TEST_F(ServeTest, ConcurrentClientsCoalesceSharedCells) {
       obs::counter("obs.cache.stores").value() - stores_before;
   const std::uint64_t retrains =
       obs::counter("obs.cache.retrains").value() - retrains_before;
-  // The baseline plus 3 sweep cells with 3 sub-keys each: every value
-  // stored exactly once.
-  EXPECT_EQ(stores, 10u);
+  // The baseline, its test-positive-fraction sibling and 3 sweep cells
+  // with 3 sub-keys each: every value stored exactly once.
+  EXPECT_EQ(stores, 11u);
   // retrains counts evaluator-driven cells only (sweep cells and the
   // baseline count via the run's own stats); per-run reports must sum to
   // one cold run's worth: the baseline and the 3 sweep cells.

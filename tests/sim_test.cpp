@@ -6,9 +6,13 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/equilibrium.h"
 #include "data/loader.h"
+#include "obs/metrics.h"
 #include "runtime/payoff_evaluator.h"
 #include "sim/curve_fit.h"
 #include "sim/experiment.h"
@@ -36,14 +40,14 @@ TEST(ExperimentTest, PreparesPaperProtocol) {
   EXPECT_EQ(ctx.corpus_source, "synthetic");
   // 70/30 split.
   const double total =
-      static_cast<double>(ctx.train.size() + ctx.test.size());
-  EXPECT_NEAR(ctx.train.size() / total, 0.7, 0.01);
+      static_cast<double>(ctx.train().size() + ctx.test().size());
+  EXPECT_NEAR(ctx.train().size() / total, 0.7, 0.01);
   // 20% poison budget.
   EXPECT_EQ(ctx.poison_budget,
-            static_cast<std::size_t>(0.2 * ctx.train.size()));
+            static_cast<std::size_t>(0.2 * ctx.train().size()));
   // The corpus must be learnable: clean accuracy far above majority vote.
-  const double majority =
-      std::max(ctx.test.positive_fraction(), 1.0 - ctx.test.positive_fraction());
+  const double majority = std::max(ctx.test().positive_fraction(),
+                                   1.0 - ctx.test().positive_fraction());
   EXPECT_GT(ctx.clean_accuracy, majority + 0.1);
 }
 
@@ -59,8 +63,8 @@ TEST(ExperimentTest, DeterministicInSeed) {
   const auto a = prepare_experiment(cfg);
   const auto b = prepare_experiment(cfg);
   EXPECT_EQ(a.clean_accuracy, b.clean_accuracy);
-  EXPECT_EQ(a.train.size(), b.train.size());
-  EXPECT_EQ(a.train.instance(0), b.train.instance(0));
+  EXPECT_EQ(a.train().size(), b.train().size());
+  EXPECT_EQ(a.train().instance(0), b.train().instance(0));
 }
 
 TEST(ExperimentTest, FingerprintIsPinned) {
@@ -86,9 +90,11 @@ TEST(ExperimentTest, CleanBaselineIsMemoizedUnderTheContextKey) {
   const ExperimentContext warm = prepare_experiment(cfg, &memo);
   EXPECT_EQ(memo.retrained, 1u);
   EXPECT_EQ(memo.hits, 1u);
+  // The warm call reads the baseline and its sibling, the test positive
+  // fraction: two hits, two entries.
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.size(), 2u);
 
   const ExperimentContext plain = prepare_experiment(cfg);
   for (const ExperimentContext* ctx : {&warm, &plain}) {
@@ -136,8 +142,7 @@ TEST(ExperimentTest, ContextKeyHashesLoadedCorpusContent) {
     util::Rng rng(ctx.config.seed);
     auto split = data::split_train_test(data::load_spambase(path),
                                         ctx.config.train_fraction, rng);
-    ctx.train = std::move(split.train);
-    ctx.test = std::move(split.test);
+    ctx.set_split(std::move(split.train), std::move(split.test));
     return context_key(ctx);
   };
   const std::uint64_t original = key_after_writing(0.5);
@@ -146,12 +151,124 @@ TEST(ExperimentTest, ContextKeyHashesLoadedCorpusContent) {
   std::remove(path.c_str());
 }
 
+#ifdef PG_OBS_DISABLED
+constexpr bool kObs = false;
+#else
+constexpr bool kObs = true;
+#endif
+
+/// Corpora built so far in this process (always 0 with obs compiled out).
+std::uint64_t corpus_builds() {
+  return obs::timer("obs.stage.corpus").stats().count;
+}
+
+TEST(ExperimentTest, WarmHitBuildsNoCorpusUntilFirstUse) {
+  const ExperimentConfig cfg = tiny_config();
+  runtime::PayoffCache cache;
+  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
+  const std::uint64_t before_cold = corpus_builds();
+  const ExperimentContext cold = prepare_experiment(cfg, &memo);
+  if (kObs) EXPECT_EQ(corpus_builds() - before_cold, 1u);
+
+  const std::uint64_t before = corpus_builds();
+  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+  const ExperimentContext copy = warm;
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(context_key(warm), context_key(cold));
+  EXPECT_EQ(context_fingerprint(warm), context_fingerprint(cold));
+  EXPECT_EQ(warm.train_size(), cold.train_size());
+  EXPECT_EQ(warm.test_size(), cold.test_size());
+  EXPECT_EQ(warm.poison_budget, cold.poison_budget);
+  EXPECT_EQ(warm.clean_accuracy, cold.clean_accuracy);
+  EXPECT_EQ(warm.test_positive_fraction, cold.test_positive_fraction);
+  EXPECT_EQ(cold.test_positive_fraction, cold.test().positive_fraction());
+  if (kObs) EXPECT_EQ(corpus_builds(), before);
+
+  // First use builds the split once; the copy shares it.
+  EXPECT_EQ(warm.train().features().data(), cold.train().features().data());
+  EXPECT_EQ(warm.train().labels(), cold.train().labels());
+  EXPECT_EQ(warm.test().features().data(), cold.test().features().data());
+  EXPECT_EQ(warm.test().labels(), cold.test().labels());
+  EXPECT_EQ(&copy.train(), &warm.train());
+  if (kObs) EXPECT_EQ(corpus_builds() - before, 1u);
+}
+
+TEST(ExperimentTest, ConcurrentFirstUseBuildsOnce) {
+  const ExperimentConfig cfg = tiny_config();
+  runtime::PayoffCache cache;
+  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
+  (void)prepare_experiment(cfg, &memo);
+  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+
+  const std::uint64_t before = corpus_builds();
+  std::vector<const data::Dataset*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&warm, &seen, i] { seen[i] = &warm.train(); });
+  }
+  for (std::thread& t : threads) t.join();
+  for (const data::Dataset* d : seen) EXPECT_EQ(d, seen.front());
+  EXPECT_EQ(seen.front()->size(), warm.train_size());
+  if (kObs) EXPECT_EQ(corpus_builds() - before, 1u);
+}
+
+TEST(ExperimentTest, ShardWithoutThePositiveFractionGainsIt) {
+  const ExperimentConfig cfg = tiny_config();
+  runtime::PayoffCache current;
+  BaselineMemo cold_memo{[&current](std::uint64_t) { return &current; }};
+  const ExperimentContext cold = prepare_experiment(cfg, &cold_memo);
+  ASSERT_NE(cold.clean_accuracy, cold.test_positive_fraction);
+
+  // A shard as written before the sibling entry existed: the baseline
+  // alone.
+  runtime::PayoffCache old_shard;
+  for (const auto& [key, value] : current.snapshot()) {
+    if (value == cold.clean_accuracy) old_shard.preload({{key, value}});
+  }
+  ASSERT_EQ(old_shard.size(), 1u);
+  BaselineMemo memo{[&old_shard](std::uint64_t) { return &old_shard; }};
+  const std::uint64_t before = corpus_builds();
+  const ExperimentContext healed = prepare_experiment(cfg, &memo);
+  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(memo.retrained, 0u);
+  EXPECT_EQ(healed.clean_accuracy, cold.clean_accuracy);
+  EXPECT_EQ(healed.test_positive_fraction, cold.test_positive_fraction);
+  EXPECT_EQ(old_shard.snapshot(), current.snapshot());
+  if (kObs) EXPECT_EQ(corpus_builds() - before, 1u);
+
+  // Healed: the next warm call builds nothing.
+  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+  EXPECT_EQ(warm.test_positive_fraction, cold.test_positive_fraction);
+  if (kObs) EXPECT_EQ(corpus_builds() - before, 1u);
+}
+
+TEST(ExperimentTest, BuiltSplitMustMatchItsPlan) {
+  const ExperimentConfig cfg = tiny_config();
+  runtime::PayoffCache cache;
+  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
+  (void)prepare_experiment(cfg, &memo);
+  ExperimentContext warm = prepare_experiment(cfg, &memo);
+  warm.config.corpus.n_instances += 10;
+  try {
+    (void)warm.train();
+    ADD_FAILURE() << "a split larger than its plan was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("differs from the planned"), std::string::npos)
+        << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+  // The failed build left the context retryable.
+  warm.config = cfg;
+  EXPECT_EQ(warm.train().size(), warm.train_size());
+}
+
 TEST(ExperimentTest, BothClassesInBothSplits) {
   const auto& ctx = shared_ctx();
-  EXPECT_GT(ctx.train.count_label(1), 0u);
-  EXPECT_GT(ctx.train.count_label(-1), 0u);
-  EXPECT_GT(ctx.test.count_label(1), 0u);
-  EXPECT_GT(ctx.test.count_label(-1), 0u);
+  EXPECT_GT(ctx.train().count_label(1), 0u);
+  EXPECT_GT(ctx.train().count_label(-1), 0u);
+  EXPECT_GT(ctx.test().count_label(1), 0u);
+  EXPECT_GT(ctx.test().count_label(-1), 0u);
 }
 
 // -------------------------------------------------------------- pure_sweep
