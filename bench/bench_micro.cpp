@@ -22,8 +22,6 @@
 #include "defense/pipeline.h"
 #include "game/solvers.h"
 #include "la/matrix.h"
-#include "la/simd.h"
-#include "ml/batch_trainer.h"
 #include "ml/svm.h"
 #include "runtime/executor.h"
 #include "runtime/payoff_evaluator.h"
@@ -283,87 +281,5 @@ void BM_EmpiricalPayoffGrid(benchmark::State& state) {
 // later runs report their speedup against.
 BENCHMARK(BM_EmpiricalPayoffGrid)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()->UseRealTime();
-
-// ------------------------------------------------ SoA batched retraining
-
-double& batched_retrain_ref_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-double& batched_retrain_scalar_secs() {
-  static double secs = 0.0;
-  return secs;
-}
-
-void BM_BatchedRetrain(benchmark::State& state) {
-  // K=8 independent SVM solves -- the shape of one lockstep batch in a
-  // kernel=simd sweep. Arg encodes the path: 0 = sequential reference
-  // trainer (the baseline), 1 = BatchedLinearTrainer on the host's best
-  // tier, 2 = batched forced to the scalar tier (isolates the SoA layout
-  // gain from the vector-ISA gain). All paths produce bit-identical
-  // models (tests/simd_test.cpp asserts it); only the wall-clock moves.
-  constexpr std::size_t kLanes = 8;
-  static const std::vector<data::Dataset> cells_data = [] {
-    std::vector<data::Dataset> out;
-    for (std::size_t k = 0; k < kLanes; ++k) {
-      data::SpambaseLikeConfig cfg;
-      // Slightly ragged, like a real batch: plan_batches sorts cells by
-      // size descending precisely so that lockstep groups hold near-equal
-      // sizes, so a wild spread here would charge the batched path for
-      // padding work no planned batch actually does.
-      cfg.n_instances = 904 + 8 * k;
-      util::Rng rng(100 + k);
-      out.push_back(data::make_spambase_like(cfg, rng));
-    }
-    return out;
-  }();
-  ml::SvmConfig cfg;
-  cfg.epochs = 30;
-  const int mode = static_cast<int>(state.range(0));
-
-  double total = 0.0;
-  std::size_t iters = 0;
-  for (auto _ : state) {
-    util::Stopwatch watch;
-    if (mode == 0) {
-      const ml::SvmTrainer trainer(cfg);
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        util::Rng rng(1000 + 17 * k);
-        benchmark::DoNotOptimize(trainer.train(cells_data[k], rng));
-      }
-    } else {
-      const ml::BatchedLinearTrainer trainer(
-          mode == 1 ? la::simd::detect_tier() : la::simd::Tier::kScalar);
-      std::vector<ml::BatchCell> cells;
-      for (std::size_t k = 0; k < kLanes; ++k) {
-        cells.push_back({&cells_data[k], util::Rng(1000 + 17 * k)});
-      }
-      benchmark::DoNotOptimize(trainer.train_svm(cfg, cells));
-    }
-    total += watch.elapsed_seconds();
-    ++iters;
-  }
-  const double per_iter = total / static_cast<double>(iters);
-  if (mode == 0) batched_retrain_ref_secs() = per_iter;
-  if (mode == 2) batched_retrain_scalar_secs() = per_iter;
-  if (batched_retrain_ref_secs() > 0.0) {
-    state.counters["speedup_vs_reference"] =
-        batched_retrain_ref_secs() / per_iter;
-  }
-  // How much the vector ISA buys over the same SoA code path at width 1
-  // (only meaningful once the Arg(2) scalar-tier run has recorded itself).
-  if (mode == 1 && batched_retrain_scalar_secs() > 0.0) {
-    state.counters["speedup_vs_scalar_tier"] =
-        batched_retrain_scalar_secs() / per_iter;
-  }
-  state.counters["tier"] = static_cast<double>(
-      mode == 1 ? static_cast<int>(la::simd::detect_tier()) : 0);
-  state.SetItemsProcessed(state.iterations() * kLanes);
-}
-// Arg order matters: the reference and scalar-tier runs record the
-// baselines the best-tier run reports its speedups against.
-BENCHMARK(BM_BatchedRetrain)->Arg(0)->Arg(2)->Arg(1)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace

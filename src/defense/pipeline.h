@@ -49,11 +49,10 @@ class Pipeline {
                                    const Filter* filter,
                                    util::Rng& rng) const;
 
-  /// Everything `run` does before the SGD solve, packaged so a batch
-  /// scheduler can train many pipelines' models in lockstep: `train` and
-  /// `test` are already filtered AND standardized (when configured), and
-  /// `train_rng` is the exact stream the sequential `run` would have
-  /// handed the trainer. `run(args...)` is bit-identical to
+  /// Everything `run` does before the SGD solve: `train` and `test` are
+  /// already filtered AND standardized (when configured), and `train_rng`
+  /// is the exact stream `run` hands the trainer. `run` is built on this
+  /// split: `run(args...)` is bit-identical to
   /// `finish(prepare(args...), trainer.train(prep.train, prep.train_rng))`.
   struct Prepared {
     data::Dataset train;          // filtered (+ scaled) training data

@@ -1,682 +1,6 @@
 #include "la/simd.h"
 
-#include <cstdlib>
-#include <stdexcept>
-
-#include "util/error.h"
-
-// Everything ISA-specific is compiled in this one TU behind per-function
-// target attributes, so the library builds with the baseline flags and
-// the AVX2 code paths only ever execute after cpuid said they may.
-//
-// FMA is deliberately ABSENT from the target attributes: with only
-// "avx2" enabled the compiler has no fused instruction to contract
-// mul+add into, so the SoA lockstep kernels execute exactly the
-// mul-then-add sequences of the reference trainers and stay bit-identical
-// per lane. Adding "fma" here would silently break that contract.
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-#define PG_SIMD_X86 1
-#include <immintrin.h>
-#else
-#define PG_SIMD_X86 0
-#endif
-
 namespace pg::la::simd {
-
-namespace {
-
-// The SoA kernels keep one accumulator register per 4 lanes; 32 lanes
-// bounds that at 8 (fits the 16 ymm registers with room for operands).
-// BatchedLinearTrainer enforces the cap; kernels just trust it.
-constexpr std::size_t kMaxLanes = 32;
-
-// ------------------------------------------------------------- scalar
-// Reference loops. These are also what the "scalar" tier dispatches to,
-// so the batched code path is testable on any host.
-
-double dot_scalar(const double* x, const double* y, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-void axpy_scalar(double alpha, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
-void scale_scalar(double* x, double alpha, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) x[i] *= alpha;
-}
-
-void matvec_scalar(const double* a, std::size_t rows, std::size_t cols,
-                   const double* x, double* y) {
-  for (std::size_t r = 0; r < rows; ++r) y[r] = dot_scalar(a + r * cols, x, cols);
-}
-
-void soa_gather_scalar(const double* const* __restrict rows, std::size_t d,
-                       double* __restrict x_soa, std::size_t lanes) {
-  // c-outer / k-inner: the stores are contiguous (one lane-slice per c)
-  // and each rows[k] stream is walked sequentially across iterations.
-  for (std::size_t c = 0; c < d; ++c) {
-    double* xc = x_soa + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) xc[k] = rows[k][c];
-  }
-}
-
-void soa_score_scalar(const double* __restrict w, const double* __restrict x, const double* __restrict b,
-                      double* __restrict scores, std::size_t d, std::size_t lanes) {
-  for (std::size_t k = 0; k < lanes; ++k) scores[k] = b[k];
-  for (std::size_t c = 0; c < d; ++c) {
-    const double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) scores[k] += wc[k] * xc[k];
-  }
-}
-
-void soa_affine_step_scalar(double* __restrict w, const double* __restrict x, const double* __restrict decay,
-                            const double* __restrict step, std::size_t d,
-                            std::size_t lanes) {
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      wc[k] = decay[k] * wc[k] + step[k] * xc[k];
-    }
-  }
-}
-
-void soa_logreg_step_scalar(double* __restrict w, const double* __restrict x, const double* __restrict eta,
-                            const double* __restrict g, double lambda, std::size_t d,
-                            std::size_t lanes) {
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      wc[k] -= eta[k] * (g[k] * xc[k] + lambda * wc[k]);
-    }
-  }
-}
-
-// The fused kernels below run affine/logreg update + next-sample gather
-// + next-sample score in a single sweep of w. Per element the operations
-// (and their order) are exactly the three separate kernels'; only the
-// number of passes over memory changes.
-
-void soa_affine_fused_scalar(double* __restrict w, const double* __restrict x, const double* __restrict decay,
-                             const double* __restrict step, const double* const* __restrict rows,
-                             double* __restrict x_next, const double* __restrict b, double* __restrict scores,
-                             std::size_t d, std::size_t lanes) {
-  for (std::size_t k = 0; k < lanes; ++k) scores[k] = b[k];
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    double* nc = x_next + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      wc[k] = decay[k] * wc[k] + step[k] * xc[k];
-      nc[k] = rows[k][c];
-      scores[k] += wc[k] * nc[k];
-    }
-  }
-}
-
-void soa_logreg_fused_scalar(double* __restrict w, const double* __restrict x, const double* __restrict eta,
-                             const double* __restrict g, double lambda,
-                             const double* const* __restrict rows, double* __restrict x_next,
-                             const double* __restrict b, double* __restrict scores, std::size_t d,
-                             std::size_t lanes) {
-  for (std::size_t k = 0; k < lanes; ++k) scores[k] = b[k];
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    double* nc = x_next + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) {
-      wc[k] -= eta[k] * (g[k] * xc[k] + lambda * wc[k]);
-      nc[k] = rows[k][c];
-      scores[k] += wc[k] * nc[k];
-    }
-  }
-}
-
-#if PG_SIMD_X86
-
-// --------------------------------------------------------------- SSE2
-
-__attribute__((target("sse2"))) double dot_sse2(const double* x,
-                                                const double* y,
-                                                std::size_t n) {
-  __m128d a0 = _mm_setzero_pd();
-  __m128d a1 = _mm_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    a0 = _mm_add_pd(a0, _mm_mul_pd(_mm_loadu_pd(x + i), _mm_loadu_pd(y + i)));
-    a1 = _mm_add_pd(
-        a1, _mm_mul_pd(_mm_loadu_pd(x + i + 2), _mm_loadu_pd(y + i + 2)));
-  }
-  double buf[2];
-  _mm_storeu_pd(buf, _mm_add_pd(a0, a1));
-  double acc = buf[0] + buf[1];
-  for (; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-__attribute__((target("sse2"))) void axpy_sse2(double alpha, const double* x,
-                                               double* y, std::size_t n) {
-  const __m128d av = _mm_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(y + i, _mm_add_pd(_mm_loadu_pd(y + i),
-                                    _mm_mul_pd(av, _mm_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target("sse2"))) void scale_sse2(double* x, double alpha,
-                                                std::size_t n) {
-  const __m128d av = _mm_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(x + i, _mm_mul_pd(av, _mm_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-__attribute__((target("sse2"))) void matvec_sse2(const double* a,
-                                                 std::size_t rows,
-                                                 std::size_t cols,
-                                                 const double* x, double* y) {
-  for (std::size_t r = 0; r < rows; ++r) y[r] = dot_sse2(a + r * cols, x, cols);
-}
-
-__attribute__((target("sse2"))) void soa_gather_sse2(const double* const* __restrict rows,
-                                                     std::size_t d,
-                                                     double* __restrict x_soa,
-                                                     std::size_t lanes) {
-  // 2x2 block transpose in registers: two contiguous loads per lane pair,
-  // two contiguous stores per column pair.
-  std::size_t c = 0;
-  for (; c + 2 <= d; c += 2) {
-    for (std::size_t k = 0; k < lanes; k += 2) {
-      const __m128d r0 = _mm_loadu_pd(rows[k] + c);      // a0 a1
-      const __m128d r1 = _mm_loadu_pd(rows[k + 1] + c);  // b0 b1
-      _mm_storeu_pd(x_soa + c * lanes + k, _mm_unpacklo_pd(r0, r1));
-      _mm_storeu_pd(x_soa + (c + 1) * lanes + k, _mm_unpackhi_pd(r0, r1));
-    }
-  }
-  for (; c < d; ++c) {
-    double* xc = x_soa + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) xc[k] = rows[k][c];
-  }
-}
-
-__attribute__((target("sse2"))) void soa_score_sse2(const double* __restrict w,
-                                                    const double* __restrict x,
-                                                    const double* __restrict b,
-                                                    double* __restrict scores,
-                                                    std::size_t d,
-                                                    std::size_t lanes) {
-  __m128d acc[kMaxLanes / 2];
-  const std::size_t groups = lanes / 2;
-  for (std::size_t g = 0; g < groups; ++g) acc[g] = _mm_loadu_pd(b + 2 * g);
-  for (std::size_t c = 0; c < d; ++c) {
-    const double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t g = 0; g < groups; ++g) {
-      acc[g] = _mm_add_pd(acc[g], _mm_mul_pd(_mm_loadu_pd(wc + 2 * g),
-                                             _mm_loadu_pd(xc + 2 * g)));
-    }
-  }
-  for (std::size_t g = 0; g < groups; ++g) _mm_storeu_pd(scores + 2 * g, acc[g]);
-}
-
-__attribute__((target("sse2"))) void soa_affine_step_sse2(
-    double* __restrict w, const double* __restrict x, const double* __restrict decay, const double* __restrict step,
-    std::size_t d, std::size_t lanes) {
-  __m128d dv[kMaxLanes / 2];
-  __m128d sv[kMaxLanes / 2];
-  const std::size_t groups = lanes / 2;
-  for (std::size_t g = 0; g < groups; ++g) {
-    dv[g] = _mm_loadu_pd(decay + 2 * g);
-    sv[g] = _mm_loadu_pd(step + 2 * g);
-  }
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const __m128d wv = _mm_loadu_pd(wc + 2 * g);
-      const __m128d xv = _mm_loadu_pd(xc + 2 * g);
-      _mm_storeu_pd(wc + 2 * g, _mm_add_pd(_mm_mul_pd(dv[g], wv),
-                                           _mm_mul_pd(sv[g], xv)));
-    }
-  }
-}
-
-__attribute__((target("sse2"))) void soa_logreg_step_sse2(
-    double* __restrict w, const double* __restrict x, const double* __restrict eta, const double* __restrict g,
-    double lambda, std::size_t d, std::size_t lanes) {
-  __m128d ev[kMaxLanes / 2];
-  __m128d gv[kMaxLanes / 2];
-  const __m128d lv = _mm_set1_pd(lambda);
-  const std::size_t groups = lanes / 2;
-  for (std::size_t q = 0; q < groups; ++q) {
-    ev[q] = _mm_loadu_pd(eta + 2 * q);
-    gv[q] = _mm_loadu_pd(g + 2 * q);
-  }
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t q = 0; q < groups; ++q) {
-      const __m128d wv = _mm_loadu_pd(wc + 2 * q);
-      const __m128d xv = _mm_loadu_pd(xc + 2 * q);
-      const __m128d inner =
-          _mm_add_pd(_mm_mul_pd(gv[q], xv), _mm_mul_pd(lv, wv));
-      _mm_storeu_pd(wc + 2 * q, _mm_sub_pd(wv, _mm_mul_pd(ev[q], inner)));
-    }
-  }
-}
-
-__attribute__((target("sse2"))) void soa_affine_fused_sse2(
-    double* __restrict w, const double* __restrict x, const double* __restrict decay, const double* __restrict step,
-    const double* const* __restrict rows, double* __restrict x_next, const double* __restrict b, double* __restrict scores,
-    std::size_t d, std::size_t lanes) {
-  // Lane-group outer (see soa_affine_fused_avx2 for the rationale).
-  const std::size_t groups = lanes / 2;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t k = 2 * g;
-    const __m128d dv = _mm_loadu_pd(decay + k);
-    const __m128d sv = _mm_loadu_pd(step + k);
-    __m128d acc = _mm_loadu_pd(b + k);
-    const double* __restrict r0p = rows[k];
-    const double* __restrict r1p = rows[k + 1];
-    std::size_t c = 0;
-    for (; c + 2 <= d; c += 2) {
-      const __m128d r0 = _mm_loadu_pd(r0p + c);
-      const __m128d r1 = _mm_loadu_pd(r1p + c);
-      const __m128d n0 = _mm_unpacklo_pd(r0, r1);
-      const __m128d n1 = _mm_unpackhi_pd(r0, r1);
-      _mm_storeu_pd(x_next + c * lanes + k, n0);
-      _mm_storeu_pd(x_next + (c + 1) * lanes + k, n1);
-      const __m128d w0 = _mm_add_pd(
-          _mm_mul_pd(dv, _mm_loadu_pd(w + c * lanes + k)),
-          _mm_mul_pd(sv, _mm_loadu_pd(x + c * lanes + k)));
-      _mm_storeu_pd(w + c * lanes + k, w0);
-      acc = _mm_add_pd(acc, _mm_mul_pd(w0, n0));
-      const __m128d w1 = _mm_add_pd(
-          _mm_mul_pd(dv, _mm_loadu_pd(w + (c + 1) * lanes + k)),
-          _mm_mul_pd(sv, _mm_loadu_pd(x + (c + 1) * lanes + k)));
-      _mm_storeu_pd(w + (c + 1) * lanes + k, w1);
-      acc = _mm_add_pd(acc, _mm_mul_pd(w1, n1));
-    }
-    for (; c < d; ++c) {
-      const __m128d n = _mm_set_pd(r1p[c], r0p[c]);
-      _mm_storeu_pd(x_next + c * lanes + k, n);
-      const __m128d wv = _mm_add_pd(
-          _mm_mul_pd(dv, _mm_loadu_pd(w + c * lanes + k)),
-          _mm_mul_pd(sv, _mm_loadu_pd(x + c * lanes + k)));
-      _mm_storeu_pd(w + c * lanes + k, wv);
-      acc = _mm_add_pd(acc, _mm_mul_pd(wv, n));
-    }
-    _mm_storeu_pd(scores + k, acc);
-  }
-}
-
-__attribute__((target("sse2"))) void soa_logreg_fused_sse2(
-    double* __restrict w, const double* __restrict x, const double* __restrict eta, const double* __restrict g,
-    double lambda, const double* const* __restrict rows, double* __restrict x_next, const double* __restrict b,
-    double* __restrict scores, std::size_t d, std::size_t lanes) {
-  const __m128d lv = _mm_set1_pd(lambda);
-  const std::size_t groups = lanes / 2;
-  for (std::size_t q = 0; q < groups; ++q) {
-    const std::size_t k = 2 * q;
-    const __m128d ev = _mm_loadu_pd(eta + k);
-    const __m128d gv = _mm_loadu_pd(g + k);
-    __m128d acc = _mm_loadu_pd(b + k);
-    const double* __restrict r0p = rows[k];
-    const double* __restrict r1p = rows[k + 1];
-    std::size_t c = 0;
-    for (; c + 2 <= d; c += 2) {
-      const __m128d r0 = _mm_loadu_pd(r0p + c);
-      const __m128d r1 = _mm_loadu_pd(r1p + c);
-      const __m128d n0 = _mm_unpacklo_pd(r0, r1);
-      const __m128d n1 = _mm_unpackhi_pd(r0, r1);
-      _mm_storeu_pd(x_next + c * lanes + k, n0);
-      _mm_storeu_pd(x_next + (c + 1) * lanes + k, n1);
-      const __m128d wv0 = _mm_loadu_pd(w + c * lanes + k);
-      const __m128d in0 =
-          _mm_add_pd(_mm_mul_pd(gv, _mm_loadu_pd(x + c * lanes + k)),
-                     _mm_mul_pd(lv, wv0));
-      const __m128d w0 = _mm_sub_pd(wv0, _mm_mul_pd(ev, in0));
-      _mm_storeu_pd(w + c * lanes + k, w0);
-      acc = _mm_add_pd(acc, _mm_mul_pd(w0, n0));
-      const __m128d wv1 = _mm_loadu_pd(w + (c + 1) * lanes + k);
-      const __m128d in1 =
-          _mm_add_pd(_mm_mul_pd(gv, _mm_loadu_pd(x + (c + 1) * lanes + k)),
-                     _mm_mul_pd(lv, wv1));
-      const __m128d w1 = _mm_sub_pd(wv1, _mm_mul_pd(ev, in1));
-      _mm_storeu_pd(w + (c + 1) * lanes + k, w1);
-      acc = _mm_add_pd(acc, _mm_mul_pd(w1, n1));
-    }
-    for (; c < d; ++c) {
-      const __m128d n = _mm_set_pd(r1p[c], r0p[c]);
-      _mm_storeu_pd(x_next + c * lanes + k, n);
-      const __m128d wv = _mm_loadu_pd(w + c * lanes + k);
-      const __m128d inner =
-          _mm_add_pd(_mm_mul_pd(gv, _mm_loadu_pd(x + c * lanes + k)),
-                     _mm_mul_pd(lv, wv));
-      const __m128d wn = _mm_sub_pd(wv, _mm_mul_pd(ev, inner));
-      _mm_storeu_pd(w + c * lanes + k, wn);
-      acc = _mm_add_pd(acc, _mm_mul_pd(wn, n));
-    }
-    _mm_storeu_pd(scores + k, acc);
-  }
-}
-
-// --------------------------------------------------------------- AVX2
-
-__attribute__((target("avx2"))) double dot_avx2(const double* x,
-                                                const double* y,
-                                                std::size_t n) {
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    a0 = _mm256_add_pd(
-        a0, _mm256_mul_pd(_mm256_loadu_pd(x + i), _mm256_loadu_pd(y + i)));
-    a1 = _mm256_add_pd(a1, _mm256_mul_pd(_mm256_loadu_pd(x + i + 4),
-                                         _mm256_loadu_pd(y + i + 4)));
-  }
-  double buf[4];
-  _mm256_storeu_pd(buf, _mm256_add_pd(a0, a1));
-  double acc = (buf[0] + buf[1]) + (buf[2] + buf[3]);
-  for (; i < n; ++i) acc += x[i] * y[i];
-  return acc;
-}
-
-__attribute__((target("avx2"))) void axpy_avx2(double alpha, const double* x,
-                                               double* y, std::size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(y + i,
-                     _mm256_add_pd(_mm256_loadu_pd(y + i),
-                                   _mm256_mul_pd(av, _mm256_loadu_pd(x + i))));
-  }
-  for (; i < n; ++i) y[i] += alpha * x[i];
-}
-
-__attribute__((target("avx2"))) void scale_avx2(double* x, double alpha,
-                                                std::size_t n) {
-  const __m256d av = _mm256_set1_pd(alpha);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(x + i, _mm256_mul_pd(av, _mm256_loadu_pd(x + i)));
-  }
-  for (; i < n; ++i) x[i] *= alpha;
-}
-
-__attribute__((target("avx2"))) void matvec_avx2(const double* a,
-                                                 std::size_t rows,
-                                                 std::size_t cols,
-                                                 const double* x, double* y) {
-  for (std::size_t r = 0; r < rows; ++r) y[r] = dot_avx2(a + r * cols, x, cols);
-}
-
-__attribute__((target("avx2"))) void soa_gather_avx2(const double* const* __restrict rows,
-                                                     std::size_t d,
-                                                     double* __restrict x_soa,
-                                                     std::size_t lanes) {
-  // 4x4 block transpose in registers: 4 contiguous loads (one per lane),
-  // unpack + permute, 4 contiguous stores (one per column). Replaces the
-  // naive strided-scatter gather that dominated the batched step.
-  std::size_t c = 0;
-  for (; c + 4 <= d; c += 4) {
-    for (std::size_t k = 0; k < lanes; k += 4) {
-      const __m256d r0 = _mm256_loadu_pd(rows[k] + c);      // a0 a1 a2 a3
-      const __m256d r1 = _mm256_loadu_pd(rows[k + 1] + c);  // b0 b1 b2 b3
-      const __m256d r2 = _mm256_loadu_pd(rows[k + 2] + c);  // c0 c1 c2 c3
-      const __m256d r3 = _mm256_loadu_pd(rows[k + 3] + c);  // d0 d1 d2 d3
-      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // a0 b0 a2 b2
-      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // a1 b1 a3 b3
-      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);  // c0 d0 c2 d2
-      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);  // c1 d1 c3 d3
-      _mm256_storeu_pd(x_soa + (c + 0) * lanes + k,
-                       _mm256_permute2f128_pd(t0, t2, 0x20));
-      _mm256_storeu_pd(x_soa + (c + 1) * lanes + k,
-                       _mm256_permute2f128_pd(t1, t3, 0x20));
-      _mm256_storeu_pd(x_soa + (c + 2) * lanes + k,
-                       _mm256_permute2f128_pd(t0, t2, 0x31));
-      _mm256_storeu_pd(x_soa + (c + 3) * lanes + k,
-                       _mm256_permute2f128_pd(t1, t3, 0x31));
-    }
-  }
-  for (; c < d; ++c) {
-    double* xc = x_soa + c * lanes;
-    for (std::size_t k = 0; k < lanes; ++k) xc[k] = rows[k][c];
-  }
-}
-
-__attribute__((target("avx2"))) void soa_score_avx2(const double* __restrict w,
-                                                    const double* __restrict x,
-                                                    const double* __restrict b,
-                                                    double* __restrict scores,
-                                                    std::size_t d,
-                                                    std::size_t lanes) {
-  // One independent add-chain per 4-lane group: with >= 2 groups the
-  // chains interleave and hide the add latency that serializes the
-  // sequential trainer's score dot.
-  __m256d acc[kMaxLanes / 4];
-  const std::size_t groups = lanes / 4;
-  for (std::size_t g = 0; g < groups; ++g) acc[g] = _mm256_loadu_pd(b + 4 * g);
-  for (std::size_t c = 0; c < d; ++c) {
-    const double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t g = 0; g < groups; ++g) {
-      acc[g] = _mm256_add_pd(acc[g], _mm256_mul_pd(_mm256_loadu_pd(wc + 4 * g),
-                                                   _mm256_loadu_pd(xc + 4 * g)));
-    }
-  }
-  for (std::size_t g = 0; g < groups; ++g) {
-    _mm256_storeu_pd(scores + 4 * g, acc[g]);
-  }
-}
-
-__attribute__((target("avx2"))) void soa_affine_step_avx2(
-    double* __restrict w, const double* __restrict x, const double* __restrict decay, const double* __restrict step,
-    std::size_t d, std::size_t lanes) {
-  __m256d dv[kMaxLanes / 4];
-  __m256d sv[kMaxLanes / 4];
-  const std::size_t groups = lanes / 4;
-  for (std::size_t g = 0; g < groups; ++g) {
-    dv[g] = _mm256_loadu_pd(decay + 4 * g);
-    sv[g] = _mm256_loadu_pd(step + 4 * g);
-  }
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t g = 0; g < groups; ++g) {
-      const __m256d wv = _mm256_loadu_pd(wc + 4 * g);
-      const __m256d xv = _mm256_loadu_pd(xc + 4 * g);
-      _mm256_storeu_pd(wc + 4 * g, _mm256_add_pd(_mm256_mul_pd(dv[g], wv),
-                                                 _mm256_mul_pd(sv[g], xv)));
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void soa_logreg_step_avx2(
-    double* __restrict w, const double* __restrict x, const double* __restrict eta, const double* __restrict g,
-    double lambda, std::size_t d, std::size_t lanes) {
-  __m256d ev[kMaxLanes / 4];
-  __m256d gv[kMaxLanes / 4];
-  const __m256d lv = _mm256_set1_pd(lambda);
-  const std::size_t groups = lanes / 4;
-  for (std::size_t q = 0; q < groups; ++q) {
-    ev[q] = _mm256_loadu_pd(eta + 4 * q);
-    gv[q] = _mm256_loadu_pd(g + 4 * q);
-  }
-  for (std::size_t c = 0; c < d; ++c) {
-    double* wc = w + c * lanes;
-    const double* xc = x + c * lanes;
-    for (std::size_t q = 0; q < groups; ++q) {
-      const __m256d wv = _mm256_loadu_pd(wc + 4 * q);
-      const __m256d xv = _mm256_loadu_pd(xc + 4 * q);
-      const __m256d inner =
-          _mm256_add_pd(_mm256_mul_pd(gv[q], xv), _mm256_mul_pd(lv, wv));
-      _mm256_storeu_pd(wc + 4 * q, _mm256_sub_pd(wv, _mm256_mul_pd(ev[q], inner)));
-    }
-  }
-}
-
-__attribute__((target("avx2"))) void soa_affine_fused_avx2(
-    double* __restrict w, const double* __restrict x, const double* __restrict decay, const double* __restrict step,
-    const double* const* __restrict rows, double* __restrict x_next, const double* __restrict b, double* __restrict scores,
-    std::size_t d, std::size_t lanes) {
-  // Lane-group OUTER, columns inner: the 4 row pointers, the coefficient
-  // vectors, and the score accumulator stay in registers for the whole
-  // sweep (column-outer forces the compiler to reload all of them every
-  // iteration), and each row is read contiguously.
-  const std::size_t groups = lanes / 4;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t k = 4 * g;
-    const __m256d dv = _mm256_loadu_pd(decay + k);
-    const __m256d sv = _mm256_loadu_pd(step + k);
-    __m256d acc = _mm256_loadu_pd(b + k);
-    const double* __restrict r0p = rows[k];
-    const double* __restrict r1p = rows[k + 1];
-    const double* __restrict r2p = rows[k + 2];
-    const double* __restrict r3p = rows[k + 3];
-    std::size_t c = 0;
-    for (; c + 4 <= d; c += 4) {
-      // 4x4 gather transpose (see soa_gather_avx2).
-      const __m256d r0 = _mm256_loadu_pd(r0p + c);
-      const __m256d r1 = _mm256_loadu_pd(r1p + c);
-      const __m256d r2 = _mm256_loadu_pd(r2p + c);
-      const __m256d r3 = _mm256_loadu_pd(r3p + c);
-      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-      const __m256d n0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-      const __m256d n1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-      const __m256d n2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-      const __m256d n3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-      _mm256_storeu_pd(x_next + (c + 0) * lanes + k, n0);
-      _mm256_storeu_pd(x_next + (c + 1) * lanes + k, n1);
-      _mm256_storeu_pd(x_next + (c + 2) * lanes + k, n2);
-      _mm256_storeu_pd(x_next + (c + 3) * lanes + k, n3);
-      const __m256d w0 = _mm256_add_pd(
-          _mm256_mul_pd(dv, _mm256_loadu_pd(w + (c + 0) * lanes + k)),
-          _mm256_mul_pd(sv, _mm256_loadu_pd(x + (c + 0) * lanes + k)));
-      _mm256_storeu_pd(w + (c + 0) * lanes + k, w0);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w0, n0));
-      const __m256d w1 = _mm256_add_pd(
-          _mm256_mul_pd(dv, _mm256_loadu_pd(w + (c + 1) * lanes + k)),
-          _mm256_mul_pd(sv, _mm256_loadu_pd(x + (c + 1) * lanes + k)));
-      _mm256_storeu_pd(w + (c + 1) * lanes + k, w1);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w1, n1));
-      const __m256d w2 = _mm256_add_pd(
-          _mm256_mul_pd(dv, _mm256_loadu_pd(w + (c + 2) * lanes + k)),
-          _mm256_mul_pd(sv, _mm256_loadu_pd(x + (c + 2) * lanes + k)));
-      _mm256_storeu_pd(w + (c + 2) * lanes + k, w2);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w2, n2));
-      const __m256d w3 = _mm256_add_pd(
-          _mm256_mul_pd(dv, _mm256_loadu_pd(w + (c + 3) * lanes + k)),
-          _mm256_mul_pd(sv, _mm256_loadu_pd(x + (c + 3) * lanes + k)));
-      _mm256_storeu_pd(w + (c + 3) * lanes + k, w3);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w3, n3));
-    }
-    for (; c < d; ++c) {
-      const __m256d n = _mm256_set_pd(r3p[c], r2p[c], r1p[c], r0p[c]);
-      _mm256_storeu_pd(x_next + c * lanes + k, n);
-      const __m256d wv = _mm256_add_pd(
-          _mm256_mul_pd(dv, _mm256_loadu_pd(w + c * lanes + k)),
-          _mm256_mul_pd(sv, _mm256_loadu_pd(x + c * lanes + k)));
-      _mm256_storeu_pd(w + c * lanes + k, wv);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(wv, n));
-    }
-    _mm256_storeu_pd(scores + k, acc);
-  }
-}
-
-__attribute__((target("avx2"))) void soa_logreg_fused_avx2(
-    double* __restrict w, const double* __restrict x, const double* __restrict eta, const double* __restrict g,
-    double lambda, const double* const* __restrict rows, double* __restrict x_next, const double* __restrict b,
-    double* __restrict scores, std::size_t d, std::size_t lanes) {
-  // Lane-group outer for the same reasons as soa_affine_fused_avx2.
-  const __m256d lv = _mm256_set1_pd(lambda);
-  const std::size_t groups = lanes / 4;
-  for (std::size_t q = 0; q < groups; ++q) {
-    const std::size_t k = 4 * q;
-    const __m256d ev = _mm256_loadu_pd(eta + k);
-    const __m256d gv = _mm256_loadu_pd(g + k);
-    __m256d acc = _mm256_loadu_pd(b + k);
-    const double* __restrict r0p = rows[k];
-    const double* __restrict r1p = rows[k + 1];
-    const double* __restrict r2p = rows[k + 2];
-    const double* __restrict r3p = rows[k + 3];
-    std::size_t c = 0;
-    for (; c + 4 <= d; c += 4) {
-      const __m256d r0 = _mm256_loadu_pd(r0p + c);
-      const __m256d r1 = _mm256_loadu_pd(r1p + c);
-      const __m256d r2 = _mm256_loadu_pd(r2p + c);
-      const __m256d r3 = _mm256_loadu_pd(r3p + c);
-      const __m256d t0 = _mm256_unpacklo_pd(r0, r1);
-      const __m256d t1 = _mm256_unpackhi_pd(r0, r1);
-      const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-      const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-      const __m256d n0 = _mm256_permute2f128_pd(t0, t2, 0x20);
-      const __m256d n1 = _mm256_permute2f128_pd(t1, t3, 0x20);
-      const __m256d n2 = _mm256_permute2f128_pd(t0, t2, 0x31);
-      const __m256d n3 = _mm256_permute2f128_pd(t1, t3, 0x31);
-      _mm256_storeu_pd(x_next + (c + 0) * lanes + k, n0);
-      _mm256_storeu_pd(x_next + (c + 1) * lanes + k, n1);
-      _mm256_storeu_pd(x_next + (c + 2) * lanes + k, n2);
-      _mm256_storeu_pd(x_next + (c + 3) * lanes + k, n3);
-      const __m256d wv0 = _mm256_loadu_pd(w + (c + 0) * lanes + k);
-      const __m256d in0 = _mm256_add_pd(
-          _mm256_mul_pd(gv, _mm256_loadu_pd(x + (c + 0) * lanes + k)),
-          _mm256_mul_pd(lv, wv0));
-      const __m256d w0 = _mm256_sub_pd(wv0, _mm256_mul_pd(ev, in0));
-      _mm256_storeu_pd(w + (c + 0) * lanes + k, w0);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w0, n0));
-      const __m256d wv1 = _mm256_loadu_pd(w + (c + 1) * lanes + k);
-      const __m256d in1 = _mm256_add_pd(
-          _mm256_mul_pd(gv, _mm256_loadu_pd(x + (c + 1) * lanes + k)),
-          _mm256_mul_pd(lv, wv1));
-      const __m256d w1 = _mm256_sub_pd(wv1, _mm256_mul_pd(ev, in1));
-      _mm256_storeu_pd(w + (c + 1) * lanes + k, w1);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w1, n1));
-      const __m256d wv2 = _mm256_loadu_pd(w + (c + 2) * lanes + k);
-      const __m256d in2 = _mm256_add_pd(
-          _mm256_mul_pd(gv, _mm256_loadu_pd(x + (c + 2) * lanes + k)),
-          _mm256_mul_pd(lv, wv2));
-      const __m256d w2 = _mm256_sub_pd(wv2, _mm256_mul_pd(ev, in2));
-      _mm256_storeu_pd(w + (c + 2) * lanes + k, w2);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w2, n2));
-      const __m256d wv3 = _mm256_loadu_pd(w + (c + 3) * lanes + k);
-      const __m256d in3 = _mm256_add_pd(
-          _mm256_mul_pd(gv, _mm256_loadu_pd(x + (c + 3) * lanes + k)),
-          _mm256_mul_pd(lv, wv3));
-      const __m256d w3 = _mm256_sub_pd(wv3, _mm256_mul_pd(ev, in3));
-      _mm256_storeu_pd(w + (c + 3) * lanes + k, w3);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(w3, n3));
-    }
-    for (; c < d; ++c) {
-      const __m256d n = _mm256_set_pd(r3p[c], r2p[c], r1p[c], r0p[c]);
-      _mm256_storeu_pd(x_next + c * lanes + k, n);
-      const __m256d wv = _mm256_loadu_pd(w + c * lanes + k);
-      const __m256d inner = _mm256_add_pd(
-          _mm256_mul_pd(gv, _mm256_loadu_pd(x + c * lanes + k)),
-          _mm256_mul_pd(lv, wv));
-      const __m256d wn = _mm256_sub_pd(wv, _mm256_mul_pd(ev, inner));
-      _mm256_storeu_pd(w + c * lanes + k, wn);
-      acc = _mm256_add_pd(acc, _mm256_mul_pd(wn, n));
-    }
-    _mm256_storeu_pd(scores + k, acc);
-  }
-}
-
-#endif  // PG_SIMD_X86
-
-}  // namespace
 
 const char* tier_name(Tier tier) noexcept {
   switch (tier) {
@@ -687,19 +11,9 @@ const char* tier_name(Tier tier) noexcept {
   return "scalar";
 }
 
-Tier parse_tier(const std::string& name) {
-  if (name == "scalar") return Tier::kScalar;
-  if (name == "sse2") return Tier::kSse2;
-  if (name == "avx2") return Tier::kAvx2;
-  // Direct throw (not PG_CHECK): these surface verbatim as the CLI's
-  // one-line error, so no expression/file-position noise.
-  throw std::invalid_argument("unknown simd tier '" + name +
-                              "' (expected scalar, sse2, avx2, or auto)");
-}
-
 Tier detect_tier() {
   static const Tier tier = [] {
-#if PG_SIMD_X86
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
     if (__builtin_cpu_supports("sse2")) return Tier::kSse2;
@@ -707,83 +21,6 @@ Tier detect_tier() {
     return Tier::kScalar;
   }();
   return tier;
-}
-
-Tier resolve_tier(const std::string& requested) {
-  std::string request = requested;
-  if (request.empty() || request == "auto") {
-    const char* env = std::getenv("PG_SIMD");
-    if (env != nullptr && *env != '\0') request = env;
-  }
-  if (request.empty() || request == "auto") {
-    const Tier detected = detect_tier();
-    if (detected == Tier::kScalar) {
-      throw std::invalid_argument(
-          "kernel=simd: this host supports neither SSE2 nor AVX2; set "
-          "simd=scalar (or PG_SIMD=scalar) to force the batched scalar "
-          "path explicitly");
-    }
-    return detected;
-  }
-  const Tier tier = parse_tier(request);
-  if (tier > detect_tier()) {
-    throw std::invalid_argument(
-        std::string("kernel=simd: requested tier '") + tier_name(tier) +
-        "' but this host supports at most '" + tier_name(detect_tier()) +
-        "'");
-  }
-  return tier;
-}
-
-const Ops& ops(Tier tier) {
-  PG_CHECK(tier <= detect_tier(),
-           std::string("simd tier '") + tier_name(tier) +
-               "' is not executable on this host (max '" +
-               tier_name(detect_tier()) + "')");
-  static const Ops scalar{Tier::kScalar,
-                          1,
-                          &dot_scalar,
-                          &axpy_scalar,
-                          &scale_scalar,
-                          &matvec_scalar,
-                          &soa_gather_scalar,
-                          &soa_score_scalar,
-                          &soa_affine_step_scalar,
-                          &soa_logreg_step_scalar,
-                        &soa_affine_fused_scalar,
-                        &soa_logreg_fused_scalar};
-#if PG_SIMD_X86
-  static const Ops sse2{Tier::kSse2,
-                        2,
-                        &dot_sse2,
-                        &axpy_sse2,
-                        &scale_sse2,
-                        &matvec_sse2,
-                        &soa_gather_sse2,
-                        &soa_score_sse2,
-                        &soa_affine_step_sse2,
-                        &soa_logreg_step_sse2,
-                        &soa_affine_fused_sse2,
-                        &soa_logreg_fused_sse2};
-  static const Ops avx2{Tier::kAvx2,
-                        4,
-                        &dot_avx2,
-                        &axpy_avx2,
-                        &scale_avx2,
-                        &matvec_avx2,
-                        &soa_gather_avx2,
-                        &soa_score_avx2,
-                        &soa_affine_step_avx2,
-                        &soa_logreg_step_avx2,
-                        &soa_affine_fused_avx2,
-                        &soa_logreg_fused_avx2};
-  switch (tier) {
-    case Tier::kScalar: return scalar;
-    case Tier::kSse2: return sse2;
-    case Tier::kAvx2: return avx2;
-  }
-#endif
-  return scalar;
 }
 
 }  // namespace pg::la::simd

@@ -1,74 +1,15 @@
-// SoA batched SGD: train K payoff cells' linear models in lockstep.
-//
-// A payoff sweep retrains thousands of independent SVM/logreg models that
-// share one configuration (epochs, lambda) and one feature dimension but
-// differ in training data and RNG stream. The sequential trainers are
-// latency-bound: the per-sample score is a strict left-to-right
-// accumulation chain (kept that way on purpose for bit-stability), so the
-// core sits idle between dependent adds. BatchedLinearTrainer transposes
-// the problem instead of the arithmetic: K models' weights are laid out
-// structure-of-arrays (`w[k][c] -> w_soa[c * W + k]`) and one instruction
-// stream steps all K updates at once through the la::simd soa_* kernels.
-// Lane k performs exactly the sequential trainer's operations in the
-// sequential order, so each returned model is BIT-IDENTICAL to what
-// `SvmTrainer(config).train(*cells[k].train, cells[k].rng)` returns --
-// at every tier, including AVX2 (compiled without FMA; see la/simd.h).
-//
-// Ragged batches (cells with different training-set sizes) run epoch-major:
-// a lane whose epoch is exhausted passes identity coefficients
-// (decay = 1, step = 0 / eta = 0, g = 0) until the widest lane finishes,
-// which leaves its weights bit-untouched.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "data/dataset.h"
-#include "la/simd.h"
-#include "ml/linear_model.h"
-#include "ml/logreg.h"
-#include "ml/svm.h"
 #include "util/rng.h"
 
 namespace pg::ml {
 
-/// One lane of a batch: a training set and the RNG stream the sequential
-/// trainer would have consumed (it is consumed the same way here -- one
-/// shuffle of this cell's own sample order per epoch).
+// Stubs named only by perfbench/layer_trace.cpp; ROADMAP item 7 deletes them.
 struct BatchCell {
   const data::Dataset* train = nullptr;
   util::Rng rng{0};
 };
-
-/// Group cell indices into batches of at most `width` lanes, ordered by
-/// descending training-set size (ties by ascending index): cells of
-/// similar size share a batch, minimizing the ragged tail lanes idle at
-/// the end of each epoch. Deterministic; indices partition [0, sizes.size()).
-[[nodiscard]] std::vector<std::vector<std::size_t>> plan_batches(
-    const std::vector<std::size_t>& sizes, std::size_t width);
-
-class BatchedLinearTrainer {
- public:
-  /// Uses the kernel table of the given tier; throws when the host cannot
-  /// execute it (resolve_tier() upstream guarantees it can).
-  explicit BatchedLinearTrainer(la::simd::Tier tier);
-
-  [[nodiscard]] la::simd::Tier tier() const noexcept;
-
-  /// Train all cells' SVMs in lockstep. Cells must be non-empty, share
-  /// one feature dimension, and number at most la::simd::kMaxSoaLanes.
-  /// models[k] is bit-identical to the sequential SvmTrainer result for
-  /// cell k; cells[k].rng is advanced exactly as the sequential trainer
-  /// would have advanced it.
-  [[nodiscard]] std::vector<LinearModel> train_svm(
-      const SvmConfig& config, std::vector<BatchCell>& cells) const;
-
-  /// Same contract for the logistic-regression baseline.
-  [[nodiscard]] std::vector<LinearModel> train_logreg(
-      const LogRegConfig& config, std::vector<BatchCell>& cells) const;
-
- private:
-  const la::simd::Ops* ops_;
-};
+class BatchedLinearTrainer;
 
 }  // namespace pg::ml

@@ -1,8 +1,8 @@
 // Linear binary classifier: sign(w . x + b).
 //
-// Both the hinge-loss SVM (the paper's victim model) and the logistic
-// regression baseline produce this model type; every payoff in the game is
-// an accuracy of a LinearModel on held-out data.
+// The hinge-loss SVM (the paper's victim model) produces this model type;
+// every payoff in the game is an accuracy of a LinearModel on held-out
+// data.
 #pragma once
 
 #include "data/dataset.h"

@@ -3,49 +3,11 @@
 #include <chrono>
 #include <ostream>
 
+#include "util/strings.h"
+
 namespace pg::obs {
 
 #ifndef PG_OBS_DISABLED
-
-namespace {
-
-// Minimal JSON string escaper. obs/ sits below scenario/ in the layer
-// order, so it cannot reuse the sink helpers there; span names are
-// ASCII identifiers and coordinates, so control chars + quote + slash
-// cover everything real.
-void write_escaped(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"':
-        os << "\\\"";
-        break;
-      case '\\':
-        os << "\\\\";
-        break;
-      case '\n':
-        os << "\\n";
-        break;
-      case '\t':
-        os << "\\t";
-        break;
-      case '\r':
-        os << "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
 
 Tracer& Tracer::instance() {
   static Tracer* t = new Tracer();  // leaked: outlive every traced thread
@@ -119,13 +81,10 @@ void Tracer::write_chrome_trace(std::ostream& os) {
       // as a fraction, which both chrome://tracing and Perfetto accept.
       const double ts_us = static_cast<double>(e.ts_ns) / 1000.0;
       const double dur_us = static_cast<double>(e.dur_ns) / 1000.0;
-      os << ",{\"name\":";
-      write_escaped(os, e.name.c_str());
-      os << ",\"cat\":";
-      write_escaped(os, e.cat);
-      os << ",\"ph\":\"X\",\"ts\":" << ts_us << ",\"dur\":" << dur_us
-         << ",\"pid\":1,\"tid\":" << buf->tid << ",\"args\":{\"depth\":"
-         << e.depth << "}}";
+      os << ",{\"name\":\"" << util::json_escape(e.name) << "\",\"cat\":\""
+         << util::json_escape(e.cat) << "\",\"ph\":\"X\",\"ts\":" << ts_us
+         << ",\"dur\":" << dur_us << ",\"pid\":1,\"tid\":" << buf->tid
+         << ",\"args\":{\"depth\":" << e.depth << "}}";
     }
   }
   os << "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"dropped_events\":"

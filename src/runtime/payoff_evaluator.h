@@ -90,16 +90,6 @@ class PayoffCache {
   /// one waiter is promoted to owner and recomputes.
   void abandon(std::uint64_t key);
 
-  /// Non-blocking claim for batch schedulers: kBusy means another owner
-  /// is computing the key RIGHT NOW and the caller should not wait while
-  /// it holds other unpublished claims (a batch holding claims A and B
-  /// must never sleep on a key owned by a batch holding B and waiting on
-  /// A). kHit / kOwner behave exactly like claim()'s, and are counted in
-  /// stats() the same way; kBusy counts NOTHING -- the caller resolves
-  /// the cell later with a blocking claim(), which does the counting.
-  enum class TryClaim { kHit, kOwner, kBusy };
-  [[nodiscard]] TryClaim try_claim(std::uint64_t key, double& value);
-
   /// Lookup traffic since construction / the last clear().
   [[nodiscard]] PayoffCacheStats stats() const;
 
@@ -141,25 +131,6 @@ class PayoffEvaluator {
   [[nodiscard]] std::vector<double> evaluate_cells(std::size_t count,
                                                    const CellFn& cell,
                                                    const KeyFn& key = {}) const;
-
-  /// batch(indices, values): compute every listed cell and write each
-  /// values[indices[j]]. The callee may (that is the point) train the
-  /// listed cells together -- e.g. in one SoA lockstep batch -- as long
-  /// as each value is the same pure function of its index that a CellFn
-  /// would compute.
-  using BatchFn =
-      std::function<void(const std::vector<std::size_t>&, std::vector<double>&)>;
-
-  /// Batch-aware variant of evaluate_cells with identical cache
-  /// semantics and results: cache keys are per CELL, so hits, disk
-  /// spills, and single-flight coalescing are unchanged -- only the
-  /// grouping of cold cells into batch() calls differs. Cold cells are
-  /// claimed with try_claim (never blocking while claims are held) and
-  /// handed to batch() in one list; cells that were in flight elsewhere
-  /// are resolved afterwards with blocking claims, one at a time, each
-  /// promoted owner retraining through a single-cell batch() call.
-  [[nodiscard]] std::vector<double> evaluate_cells_batched(
-      std::size_t count, const BatchFn& batch, const KeyFn& key = {}) const;
 
   /// Row-major matrix of rows x cols cells (cell index = r * cols + c).
   /// core::PoisoningGame::discretize is built on this, so every payoff

@@ -388,8 +388,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
                                      flag_value(args, i, arg));
     } else if (arg == "--threads") {
       options.overrides.emplace_back("threads", flag_value(args, i, arg));
-    } else if (arg == "--kernel") {
-      options.overrides.emplace_back("kernel", flag_value(args, i, arg));
     } else if (arg == "--cache-dir") {
       options.overrides.emplace_back("cache_dir", flag_value(args, i, arg));
     } else if (arg == "--no-cache") {
@@ -440,7 +438,8 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       // Trailing non-flag arguments after --merge are the partials.
       options.merge_inputs.push_back(arg);
     } else {
-      PG_CHECK(false, "unknown argument: " + arg + "\n" + cli_usage());
+      PG_CHECK(false, "unknown argument: " + arg +
+                          " (pg_run --help lists the options)");
     }
   }
   PG_CHECK(options.scenario.empty() || options.spec_file.empty(),
@@ -515,10 +514,6 @@ std::string cli_usage() {
       "                    run becomes the cross product of all axes,\n"
       "                    merged into one result)\n"
       "  --threads N       executor width (0 = all cores, 1 = serial)\n"
-      "  --kernel K        retrain kernel: reference (default, bit-identical)\n"
-      "                    or simd (SoA batched SGD, 1e-9 tolerance; tier\n"
-      "                    picked by cpuid, overridable with --set simd=TIER\n"
-      "                    or PG_SIMD=TIER where TIER is scalar|sse2|avx2)\n"
       "  --cache-dir DIR   payoff disk-cache directory (default $PG_CACHE_DIR)\n"
       "  --cache-max-bytes N  evict oldest disk-cache shards past N bytes\n"
       "  --no-cache        disable payoff memoization entirely\n"
@@ -611,16 +606,9 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
 
     if (options.print_spec) {
       out << spec.to_text();
-      // Surface the host's vector ISA alongside the resolved spec, and --
-      // when the simd kernel is requested -- the tier the run would
-      // actually dispatch to. An unsatisfiable request errors here, same
-      // as it would at run start.
+      // Surface the host's vector ISA alongside the resolved spec.
       out << "# simd: detected=" << la::simd::tier_name(la::simd::detect_tier())
           << "\n";
-      if (spec.kernel == "simd") {
-        out << "# simd: resolved="
-            << la::simd::tier_name(la::simd::resolve_tier(spec.simd)) << "\n";
-      }
       return 0;
     }
 

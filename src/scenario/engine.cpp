@@ -71,28 +71,6 @@ sim::ExperimentConfig experiment_config(const ScenarioSpec& spec) {
   return cfg;
 }
 
-/// Resolve the spec's retrain-kernel request. nullopt = the bit-identical
-/// reference default. kernel=simd resolves the tier (spec `simd=` over
-/// $PG_SIMD over cpuid; an unsatisfiable request throws a one-line error,
-/// never a silent fallback) and records it on the obs.simd.tier gauge
-/// (encoded tier+1, so 0 distinguishes "never requested").
-std::optional<sim::RetrainKernel> resolve_retrain_kernel(
-    const ScenarioSpec& spec) {
-  if (spec.kernel.empty() || spec.kernel == "reference") {
-    PG_CHECK(spec.simd.empty(),
-             "simd= tier override requires kernel=simd (the reference "
-             "kernel has no tiers)");
-    return std::nullopt;
-  }
-  PG_CHECK(spec.kernel == "simd", "unknown kernel '" + spec.kernel +
-                                      "' (expected reference or simd)");
-  sim::RetrainKernel kernel;
-  kernel.tier = la::simd::resolve_tier(spec.simd);
-  obs::gauge("obs.simd.tier")
-      .record(static_cast<std::uint64_t>(kernel.tier) + 1);
-  return kernel;
-}
-
 void add_context_metrics(const sim::ExperimentContext& ctx,
                          ScenarioResult& result) {
   result.add_metric("corpus_source", ctx.corpus_source);
@@ -134,13 +112,11 @@ void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
 
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
   const auto sweep = sim::run_pure_sweep(
       ctx, grid, spec.replications, exec,
-      bundle.shard(sim::context_key(ctx)), &sweep_stats,
-      kernel ? &*kernel : nullptr);
+      bundle.shard(sim::context_key(ctx)), &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   result.tables.push_back(sweep_table(sweep));
 
@@ -177,12 +153,10 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                            cache);
 
-  const auto kernel = resolve_retrain_kernel(spec);
-  const sim::RetrainKernel* kptr = kernel ? &*kernel : nullptr;
   sim::PureSweepStats sweep_stats;
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
   const auto sweep = sim::run_pure_sweep(ctx, grid, spec.replications, exec,
-                                         cache, &sweep_stats, kptr);
+                                         cache, &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
@@ -205,7 +179,6 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 
     sim::MixedEvalConfig ecfg;
     ecfg.draws = spec.draws;
-    ecfg.kernel = kptr;
     const auto eval =
         sim::evaluate_mixed_defense(ctx, sol.strategy, ecfg, evaluator);
 
@@ -277,12 +250,11 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
       spec.replications, exec, bundle.shard(sim::context_key(ctx)),
-      &sweep_stats, kernel ? &*kernel : nullptr);
+      &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   report("measured (Spambase-like sweep)",
          core::PoisoningGame(sim::fit_payoff_curves(sweep),
@@ -322,19 +294,16 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
   const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
                                            cache);
 
-  const auto kernel = resolve_retrain_kernel(spec);
-  const sim::RetrainKernel* kptr = kernel ? &*kernel : nullptr;
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, exec, cache, &sweep_stats, kptr);
+      spec.replications, exec, cache, &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
 
   sim::MixedEvalConfig ecfg;
   ecfg.draws = spec.draws;
-  ecfg.kernel = kptr;
   const auto rows = sim::run_support_sweep(ctx, game, spec.support_max, {},
                                            ecfg, exec, &evaluator);
 
@@ -394,13 +363,10 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
     targets.push_back(t);
   }
 
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::TransferConfig tcfg;
   tcfg.eval.draws = spec.draws;
   tcfg.sweep_replications = spec.replications;
   tcfg.support_size = spec.support_max;
-  tcfg.kernel = kernel ? &*kernel : nullptr;
-  tcfg.eval.kernel = tcfg.kernel;
 
   sim::PureSweepStats sweep_stats;
   const auto source_strategy = sim::solve_transfer_strategy(
@@ -509,12 +475,11 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
-  const auto kernel = resolve_retrain_kernel(spec);
   sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
       spec.replications, exec, bundle.shard(sim::context_key(ctx)),
-      &sweep_stats, kernel ? &*kernel : nullptr);
+      &sweep_stats);
   bundle.add_sweep_stats(sweep_stats);
   ablate("measured_curves",
          core::PoisoningGame(sim::fit_payoff_curves(sweep),
@@ -996,11 +961,9 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
   if (!kind_swept) (void)runner_for(spec.kind);
 
   // Surface the host's vector ISA on every run (metrics snapshots carry
-  // it even for reference runs), and fail an unsatisfiable kernel=simd
-  // request HERE, before any cell retrains.
+  // it as a host fingerprint).
   obs::gauge("obs.simd.detected")
       .record(static_cast<std::uint64_t>(la::simd::detect_tier()) + 1);
-  (void)resolve_retrain_kernel(spec);
 
   util::Stopwatch watch;
   // ONE cache bundle for the whole grid: points sharing an experiment

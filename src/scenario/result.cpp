@@ -2,18 +2,20 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <iomanip>
 #include <ostream>
 #include <sstream>
 
 #include "obs/metrics.h"
 #include "serve/protocol.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 namespace pg::scenario {
 
 namespace {
+
+using util::json_escape;
 
 /// util::format_double_roundtrip (shortest lossless decimal) extended
 /// with the non-finite spellings the sinks need.
@@ -21,30 +23,6 @@ std::string format_number(double v) {
   if (std::isnan(v)) return "nan";
   if (std::isinf(v)) return v > 0 ? "inf" : "-inf";
   return util::format_double_roundtrip(v);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          std::ostringstream os;
-          os << "\\u" << std::hex << std::setw(4) << std::setfill('0')
-             << static_cast<int>(static_cast<unsigned char>(c));
-          out += os.str();
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 void write_json_value(const Value& v, std::ostream& out) {

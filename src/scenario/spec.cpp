@@ -112,8 +112,6 @@ const std::vector<Field>& field_table() {
       PG_SPEC_FIELD(lp_pricing),
       PG_SPEC_FIELD(timing_reps),
       PG_SPEC_FIELD(threads),
-      PG_SPEC_FIELD(kernel),
-      PG_SPEC_FIELD(simd),
       PG_SPEC_FIELD(use_cache),
       PG_SPEC_FIELD(cache_dir),
       PG_SPEC_FIELD(cache_max_bytes),

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -12,10 +11,13 @@
 #include <vector>
 
 #include "util/error.h"
+#include "util/strings.h"
 
 namespace pg::serve {
 
 namespace {
+
+using util::json_escape;
 
 bool valid_request_id(const std::string& id) {
   if (id.empty() || id.size() > kMaxRequestIdBytes) return false;
@@ -83,30 +85,6 @@ std::pair<std::string, std::string> split_pair(const std::string& token) {
   PG_CHECK(eq != std::string::npos && eq > 0,
            "serve header: expected key=value, got '" + token + "'");
   return {token.substr(0, eq), token.substr(eq + 1)};
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
 }
 
 std::string envelope_prefix(const std::string& request_id,

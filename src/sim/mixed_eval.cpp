@@ -1,14 +1,10 @@
 #include "sim/mixed_eval.h"
 
 #include <algorithm>
-#include <string>
-#include <utility>
 
 #include "attack/boundary_attack.h"
 #include "defense/distance_filter.h"
 #include "defense/pipeline.h"
-#include "ml/batch_trainer.h"
-#include "obs/metrics.h"
 #include "runtime/rng_stream.h"
 #include "util/error.h"
 #include "util/logging.h"
@@ -70,35 +66,6 @@ double run_cell(const ExperimentContext& ctx, const defense::Pipeline& pipeline,
       .test_accuracy;
 }
 
-/// run_cell up to (but not including) the SGD solve -- same configs, same
-/// stream, so finish(prepare_cell(...), trainer.train(...)) reproduces
-/// run_cell bit-for-bit lane by lane.
-defense::Pipeline::Prepared prepare_cell(const ExperimentContext& ctx,
-                                         const defense::Pipeline& pipeline,
-                                         const runtime::RngStreamFactory& streams,
-                                         std::uint64_t key,
-                                         const EvalCell& cell) {
-  defense::DistanceFilterConfig fcfg;
-  fcfg.removal_fraction = cell.fraction;
-  fcfg.centroid = ctx.config.centroid;
-  const defense::DistanceFilter filter(fcfg);
-  const defense::Filter* filter_ptr = (cell.fraction > 0.0) ? &filter : nullptr;
-
-  util::Rng rng = streams.stream(key);
-
-  if (cell.placement < 0.0) {
-    return pipeline.prepare(ctx.train(), ctx.test(), nullptr, 0, filter_ptr,
-                            rng);
-  }
-
-  attack::BoundaryAttackConfig acfg;
-  acfg.placement_fraction = cell.placement;
-  acfg.depth_offsets.clear();
-  const attack::BoundaryAttack attack(acfg);
-  return pipeline.prepare(ctx.train(), ctx.test(), &attack, ctx.poison_budget,
-                          filter_ptr, rng);
-}
-
 }  // namespace
 
 MixedEvalResult evaluate_mixed_defense(
@@ -153,67 +120,13 @@ MixedEvalResult evaluate_mixed_defense(
   const auto key_fn = [&](std::size_t c) {
     return cell_key(fingerprint, cells[c]);
   };
-  std::vector<double> accuracies;
-  if (config.kernel != nullptr) {
-    PG_CHECK(config.kernel->batch_width >= 1 &&
-                 config.kernel->batch_width <= la::simd::kMaxSoaLanes,
-             "RetrainKernel: batch_width out of range");
-    const ml::BatchedLinearTrainer trainer(config.kernel->tier);
-    const std::size_t width = config.kernel->batch_width;
-    // Batch scheduler for the cold cells the evaluator hands us: prepare
-    // each listed cell (attack + filter + standardize) in parallel, then
-    // group the SGD solves by training-set size into SoA lockstep
-    // batches. Values are bit-identical per cell to run_cell's.
-    const auto batch_fn = [&](const std::vector<std::size_t>& idx,
-                              std::vector<double>& values) {
-      static obs::Counter& obs_lanes = obs::counter("obs.simd.cells_batched");
-      static obs::Counter& obs_batches = obs::counter("obs.simd.batches");
-      runtime::Executor& ex = evaluator.executor();
-      std::vector<defense::Pipeline::Prepared> prepped(idx.size());
-      runtime::parallel_for_nested(&ex, 0, idx.size(), 1, [&](std::size_t j) {
-        prepped[j] = prepare_cell(ctx, pipeline, streams,
-                                  cell_key(fingerprint, cells[idx[j]]),
-                                  cells[idx[j]]);
-      });
-      std::vector<std::size_t> sizes(idx.size());
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        sizes[j] = prepped[j].train.size();
-      }
-      const auto batches = ml::plan_batches(sizes, width);
-      runtime::parallel_for_nested(
-          &ex, 0, batches.size(), 1, [&](std::size_t bi) {
-            const std::vector<std::size_t>& batch = batches[bi];
-            std::vector<ml::BatchCell> bcells(batch.size());
-            for (std::size_t j = 0; j < batch.size(); ++j) {
-              bcells[j].train = &prepped[batch[j]].train;
-              bcells[j].rng = prepped[batch[j]].train_rng;
-            }
-            std::vector<ml::LinearModel> models =
-                trainer.train_svm(ctx.config.svm, bcells);
-            for (std::size_t j = 0; j < batch.size(); ++j) {
-              values[idx[batch[j]]] =
-                  defense::Pipeline::finish(std::move(prepped[batch[j]]),
-                                            std::move(models[j]))
-                      .test_accuracy;
-            }
-            obs_lanes.add(batch.size());
-            obs_batches.add(1);
-            obs::counter("obs.simd.batch_width_" +
-                         std::to_string(batch.size()))
-                .add(1);
-          });
-    };
-    accuracies =
-        evaluator.evaluate_cells_batched(cells.size(), batch_fn, key_fn);
-  } else {
-    accuracies = evaluator.evaluate_cells(
-        cells.size(),
-        [&](std::size_t c) {
-          return run_cell(ctx, pipeline, streams,
-                          cell_key(fingerprint, cells[c]), cells[c]);
-        },
-        key_fn);
-  }
+  const std::vector<double> accuracies = evaluator.evaluate_cells(
+      cells.size(),
+      [&](std::size_t c) {
+        return run_cell(ctx, pipeline, streams,
+                        cell_key(fingerprint, cells[c]), cells[c]);
+      },
+      key_fn);
 
   // Deterministic reduction: walk the cells in the order they were laid
   // out, independent of how (or whether) they were computed.

@@ -2,15 +2,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <utility>
 
 #include "attack/boundary_attack.h"
 #include "defense/distance_filter.h"
 #include "defense/pipeline.h"
-#include "ml/batch_trainer.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/rng_stream.h"
 #include "util/error.h"
@@ -75,7 +70,7 @@ struct AbandonGuard {
 };
 
 /// Serial reduction in a fixed order, so the floating-point sums are
-/// identical no matter how the cells were scheduled (or batched).
+/// identical no matter how the cells were scheduled.
 void reduce_points(const std::vector<double>& grid, std::size_t replications,
                    const std::vector<SweepCell>& out,
                    PureSweepResult& result) {
@@ -99,244 +94,6 @@ void reduce_points(const std::vector<double>& grid, std::size_t replications,
   }
 }
 
-// --------------------------------------------------------------------
-// SoA batched path (kernel=simd): identical cell values and cache
-// traffic, but cold cells' SGD solves run `batch_width` models per
-// instruction stream through ml::BatchedLinearTrainer.
-
-/// One SGD solve awaiting batching: a prepared pipeline context going in,
-/// a finished result coming out.
-struct BatchLane {
-  defense::Pipeline::Prepared prep;
-  defense::PipelineResult result;
-};
-
-/// Both arms of one sweep cell, prepared exactly as the reference cell
-/// body would have (same filter/attack configs, same fork order -- fork()
-/// is const, so preparing both arms up front consumes nothing).
-struct CellArms {
-  BatchLane clean;
-  BatchLane attacked;
-};
-
-void prepare_cell(const ExperimentContext& ctx,
-                  const defense::Pipeline& pipeline,
-                  const runtime::RngStreamFactory& streams, double p,
-                  std::size_t gi, std::size_t rep, CellArms& arms) {
-  util::Rng rng = streams.stream(gi, rep);
-
-  defense::DistanceFilterConfig fcfg;
-  fcfg.removal_fraction = p;
-  fcfg.centroid = ctx.config.centroid;
-  const defense::DistanceFilter filter(fcfg);
-  const defense::Filter* filter_ptr = (p > 0.0) ? &filter : nullptr;
-
-  util::Rng rng_clean = rng.fork(1);
-  arms.clean.prep = pipeline.prepare(ctx.train(), ctx.test(), nullptr, 0,
-                                     filter_ptr, rng_clean);
-
-  attack::BoundaryAttackConfig acfg;
-  acfg.placement_fraction = p;
-  const attack::BoundaryAttack attack(acfg);
-  util::Rng rng_attack = rng.fork(2);
-  arms.attacked.prep = pipeline.prepare(ctx.train(), ctx.test(), &attack,
-                                        ctx.poison_budget, filter_ptr,
-                                        rng_attack);
-}
-
-/// Train every lane's SVM through the SoA batched trainer: lanes are
-/// grouped by descending training-set size into batches of at most
-/// `batch_width` models, and the batches fan out over the executor.
-void train_lanes(const ml::SvmConfig& svm,
-                 const ml::BatchedLinearTrainer& trainer,
-                 std::size_t batch_width, runtime::Executor* executor,
-                 std::vector<BatchLane*>& lanes) {
-  static obs::Counter& obs_lanes = obs::counter("obs.simd.cells_batched");
-  static obs::Counter& obs_batches = obs::counter("obs.simd.batches");
-  std::vector<std::size_t> sizes(lanes.size());
-  for (std::size_t i = 0; i < lanes.size(); ++i) {
-    sizes[i] = lanes[i]->prep.train.size();
-  }
-  const auto batches = ml::plan_batches(sizes, batch_width);
-  runtime::parallel_for_nested(
-      executor, 0, batches.size(), 1, [&](std::size_t bi) {
-        const std::vector<std::size_t>& batch = batches[bi];
-        std::vector<ml::BatchCell> cells(batch.size());
-        for (std::size_t j = 0; j < batch.size(); ++j) {
-          cells[j].train = &lanes[batch[j]]->prep.train;
-          cells[j].rng = lanes[batch[j]]->prep.train_rng;
-        }
-        std::vector<ml::LinearModel> models = trainer.train_svm(svm, cells);
-        for (std::size_t j = 0; j < batch.size(); ++j) {
-          BatchLane& lane = *lanes[batch[j]];
-          lane.result = defense::Pipeline::finish(std::move(lane.prep),
-                                                  std::move(models[j]));
-        }
-        obs_lanes.add(batch.size());
-        obs_batches.add(1);
-        obs::counter("obs.simd.batch_width_" + std::to_string(batch.size()))
-            .add(1);
-      });
-}
-
-PureSweepResult run_pure_sweep_batched(
-    const ExperimentContext& ctx, const std::vector<double>& grid,
-    std::size_t replications, runtime::Executor* executor,
-    runtime::PayoffCache* cache, PureSweepStats* stats,
-    const RetrainKernel& kernel) {
-  obs::Span span("pure_sweep_batched", "payoff");
-  const defense::Pipeline pipeline({ctx.config.svm});
-  const ml::BatchedLinearTrainer trainer(kernel.tier);
-  PureSweepResult result;
-  result.clean_accuracy = ctx.clean_accuracy;
-  result.poison_budget = ctx.poison_budget;
-
-  const std::uint64_t fingerprint =
-      cache != nullptr ? context_fingerprint(ctx) : 0;
-  const runtime::RngStreamFactory streams(ctx.config.seed);
-  const std::size_t cells = grid.size() * replications;
-  std::vector<SweepCell> out(cells);
-
-  const auto cell_base = [&](std::size_t c) {
-    return sweep_cell_key(fingerprint, grid[c / replications],
-                          c / replications, c % replications);
-  };
-
-  // Phase A: non-blocking triage. try_claim never sleeps, so amassing
-  // owner claims over the whole grid cannot deadlock against another
-  // batched run claiming the same keys in a different order; cells owned
-  // elsewhere RIGHT NOW are deferred to phase D.
-  enum class State : unsigned char { kHit, kOwner, kNoFlight, kPending };
-  std::vector<State> state(cells, State::kOwner);
-  std::vector<char> published(cells, 0);
-  std::vector<std::size_t> compute;
-  std::vector<std::size_t> pending;
-  std::size_t n_hits = 0;
-  for (std::size_t c = 0; c < cells; ++c) {
-    if (cache == nullptr) {
-      compute.push_back(c);
-      continue;
-    }
-    const runtime::ContentKey base = cell_base(c);
-    switch (cache->try_claim(subkey(base, 0), out[c].accuracy_no_attack)) {
-      case runtime::PayoffCache::TryClaim::kHit:
-        if (cache->lookup(subkey(base, 1), out[c].accuracy_attacked) &&
-            cache->lookup(subkey(base, 2), out[c].poison_survived)) {
-          state[c] = State::kHit;
-          ++n_hits;
-        } else {
-          // Sibling sub-keys missing (pre-single-flight disk snapshot):
-          // recompute without flight state, as on the reference path.
-          state[c] = State::kNoFlight;
-          compute.push_back(c);
-        }
-        break;
-      case runtime::PayoffCache::TryClaim::kOwner:
-        state[c] = State::kOwner;
-        compute.push_back(c);
-        break;
-      case runtime::PayoffCache::TryClaim::kBusy:
-        state[c] = State::kPending;
-        pending.push_back(c);
-        break;
-    }
-  }
-
-  std::size_t n_retrained = 0;
-  std::vector<std::unique_ptr<CellArms>> arms(cells);
-  try {
-    // Prepare (attack + filter + standardize) all compute cells in
-    // parallel; the SGD solves are deliberately NOT run here.
-    runtime::parallel_for_nested(
-        executor, 0, compute.size(), 1, [&](std::size_t j) {
-          const std::size_t c = compute[j];
-          arms[c] = std::make_unique<CellArms>();
-          prepare_cell(ctx, pipeline, streams, grid[c / replications],
-                       c / replications, c % replications, *arms[c]);
-        });
-
-    // Phase B: the tentpole -- every cold SGD solve in the sweep, both
-    // arms of every cell, batched into lockstep SoA groups.
-    std::vector<BatchLane*> lanes;
-    lanes.reserve(compute.size() * 2);
-    for (const std::size_t c : compute) {
-      lanes.push_back(&arms[c]->clean);
-      lanes.push_back(&arms[c]->attacked);
-    }
-    train_lanes(ctx.config.svm, trainer, kernel.batch_width, executor, lanes);
-
-    // Phase C: assemble cell values, store sibling arms, publish the
-    // single-flight key LAST (the reference path's ordering contract).
-    for (const std::size_t c : compute) {
-      out[c].accuracy_no_attack = arms[c]->clean.result.test_accuracy;
-      out[c].accuracy_attacked = arms[c]->attacked.result.test_accuracy;
-      out[c].poison_survived =
-          1.0 - arms[c]->attacked.result.detection.recall;
-      ++n_retrained;
-      if (cache != nullptr) {
-        const runtime::ContentKey base = cell_base(c);
-        cache->store(subkey(base, 1), out[c].accuracy_attacked);
-        cache->store(subkey(base, 2), out[c].poison_survived);
-        if (state[c] == State::kOwner) {
-          cache->publish(subkey(base, 0), out[c].accuracy_no_attack);
-          published[c] = 1;
-        }
-      }
-      arms[c].reset();
-    }
-  } catch (...) {
-    if (cache != nullptr) {
-      for (const std::size_t c : compute) {
-        if (state[c] == State::kOwner && published[c] == 0) {
-          cache->abandon(subkey(cell_base(c), 0));
-        }
-      }
-    }
-    throw;
-  }
-
-  // Phase D: cells that were in flight elsewhere during triage. All our
-  // claims are published, so blocking is safe -- one cell at a time,
-  // fully resolved (published) before the next claim. A promoted owner
-  // retrains through the SAME batched path (a 2-lane batch), so the
-  // published value never depends on which contender won.
-  for (const std::size_t c : pending) {
-    const runtime::ContentKey base = cell_base(c);
-    const runtime::PayoffCache::Claim claim =
-        cache->claim(subkey(base, 0), out[c].accuracy_no_attack);
-    const bool owner = claim == runtime::PayoffCache::Claim::kOwner;
-    if (!owner && cache->lookup(subkey(base, 1), out[c].accuracy_attacked) &&
-        cache->lookup(subkey(base, 2), out[c].poison_survived)) {
-      ++n_hits;
-      continue;
-    }
-    AbandonGuard guard{cache, owner ? subkey(base, 0) : 0, owner};
-    CellArms cell_arms;
-    prepare_cell(ctx, pipeline, streams, grid[c / replications],
-                 c / replications, c % replications, cell_arms);
-    std::vector<BatchLane*> lanes{&cell_arms.clean, &cell_arms.attacked};
-    train_lanes(ctx.config.svm, trainer, kernel.batch_width, executor, lanes);
-    out[c].accuracy_no_attack = cell_arms.clean.result.test_accuracy;
-    out[c].accuracy_attacked = cell_arms.attacked.result.test_accuracy;
-    out[c].poison_survived = 1.0 - cell_arms.attacked.result.detection.recall;
-    ++n_retrained;
-    cache->store(subkey(base, 1), out[c].accuracy_attacked);
-    cache->store(subkey(base, 2), out[c].poison_survived);
-    if (owner) {
-      guard.active = false;
-      cache->publish(subkey(base, 0), out[c].accuracy_no_attack);
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->cells_total += cells;
-    stats->cells_retrained += n_retrained;
-    stats->cache_hits += n_hits;
-  }
-  reduce_points(grid, replications, out, result);
-  return result;
-}
-
 }  // namespace
 
 PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
@@ -344,17 +101,9 @@ PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
                                std::size_t replications,
                                runtime::Executor* executor,
                                runtime::PayoffCache* cache,
-                               PureSweepStats* stats,
-                               const RetrainKernel* kernel) {
+                               PureSweepStats* stats) {
   PG_CHECK(!grid.empty(), "run_pure_sweep: empty grid");
   PG_CHECK(replications >= 1, "replications must be >= 1");
-  if (kernel != nullptr) {
-    PG_CHECK(kernel->batch_width >= 1 &&
-                 kernel->batch_width <= la::simd::kMaxSoaLanes,
-             "RetrainKernel: batch_width out of range");
-    return run_pure_sweep_batched(ctx, grid, replications, executor, cache,
-                                  stats, *kernel);
-  }
 
   const defense::Pipeline pipeline({ctx.config.svm});
   PureSweepResult result;

@@ -13,27 +13,14 @@
 #include <cstddef>
 #include <vector>
 
-#include "la/simd.h"
 #include "runtime/executor.h"
 #include "runtime/payoff_evaluator.h"
 #include "sim/experiment.h"
 
 namespace pg::sim {
 
-/// Opt-in SoA batched retraining (the `kernel=simd` spec key). When a
-/// sweep/eval entry point receives one of these, cold cells' SGD solves
-/// are grouped into lockstep batches trained `batch_width` models at a
-/// time through the la::simd kernels of `tier` (resolve_tier() upstream
-/// guarantees the host can execute it). Cell keys, cache semantics, and
-/// per-cell values are unchanged -- the batched trainer is bit-identical
-/// per lane -- but horizontal kernels used on the side (e.g. weight
-/// averaging) keep results within the documented 1e-9 of the reference
-/// path rather than bit-equal. Null pointer = reference path.
-struct RetrainKernel {
-  la::simd::Tier tier = la::simd::Tier::kScalar;
-  /// Max models per lockstep batch (1 .. la::simd::kMaxSoaLanes).
-  std::size_t batch_width = 8;
-};
+// Stub named only by perfbench/layer_trace.cpp; ROADMAP item 7 deletes it.
+struct RetrainKernel;
 
 struct PureSweepPoint {
   double removal_fraction = 0.0;
@@ -74,13 +61,9 @@ struct PureSweepStats {
 /// only ever return what the cell would recompute, so caching (including a
 /// disk-preloaded cache from an earlier process) cannot change results,
 /// only skip retrains. `stats` (optional) accumulates the cell/hit counts.
-///
-/// `kernel` (optional) switches the cold cells' SGD solves to the SoA
-/// batched path; see RetrainKernel above.
 [[nodiscard]] PureSweepResult run_pure_sweep(
     const ExperimentContext& ctx, const std::vector<double>& grid,
     std::size_t replications = 1, runtime::Executor* executor = nullptr,
-    runtime::PayoffCache* cache = nullptr, PureSweepStats* stats = nullptr,
-    const RetrainKernel* kernel = nullptr);
+    runtime::PayoffCache* cache = nullptr, PureSweepStats* stats = nullptr);
 
 }  // namespace pg::sim

@@ -34,10 +34,6 @@ struct TransferConfig {
   std::size_t sweep_replications = 1;
   std::size_t support_size = 3;
   MixedEvalConfig eval{};
-  /// Opt-in SoA batched retraining for the two solve sweeps (the target
-  /// evaluations take theirs through eval.kernel). Borrowed; null =
-  /// reference path.
-  const RetrainKernel* kernel = nullptr;
 };
 
 /// Solve a strategy on one prepared context: the pure sweep over

@@ -1,12 +1,11 @@
 // Unit and property tests for pg::ml -- linear models, the hinge-loss SVM
-// trainer, logistic regression, metrics, and cross validation.
+// trainer, metrics, and cross validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "data/synthetic.h"
 #include "ml/linear_model.h"
-#include "ml/logreg.h"
 #include "ml/metrics.h"
 #include "ml/svm.h"
 #include "ml/validation.h"
@@ -165,44 +164,6 @@ TEST(SvmTest, SingleClassDataDoesNotCrash) {
   util::Rng rng(19);
   const LinearModel m = SvmTrainer(cfg).train(d, rng);
   EXPECT_EQ(m.accuracy(d), 1.0);  // everything classified +1
-}
-
-// --------------------------------------------------------------- logreg.h
-
-TEST(LogRegTest, SigmoidProperties) {
-  EXPECT_DOUBLE_EQ(sigmoid(0.0), 0.5);
-  EXPECT_NEAR(sigmoid(100.0), 1.0, 1e-12);
-  EXPECT_NEAR(sigmoid(-100.0), 0.0, 1e-12);
-  EXPECT_NEAR(sigmoid(2.0) + sigmoid(-2.0), 1.0, 1e-12);
-}
-
-TEST(LogRegTest, LearnsSeparableProblem) {
-  const data::Dataset d = separable_blobs(400, 21);
-  LogRegConfig cfg;
-  cfg.epochs = 30;
-  util::Rng rng(22);
-  const LinearModel m = LogRegTrainer(cfg).train(d, rng);
-  EXPECT_GT(m.accuracy(d), 0.97);
-}
-
-TEST(LogRegTest, ObjectiveDecreasesWithTraining) {
-  const data::Dataset d = separable_blobs(300, 23, 2.0);
-  LogRegConfig cfg;
-  cfg.epochs = 40;
-  util::Rng rng(24);
-  const LinearModel trained = LogRegTrainer(cfg).train(d, rng);
-  const LinearModel zero(la::Vector(d.dim(), 0.0), 0.0);
-  EXPECT_LT(logistic_objective(trained, d, cfg.lambda),
-            logistic_objective(zero, d, cfg.lambda));
-}
-
-TEST(LogRegTest, RejectsBadConfig) {
-  EXPECT_THROW(LogRegTrainer({.epochs = 0}), std::invalid_argument);
-  EXPECT_THROW(LogRegTrainer({.epochs = 1, .lambda = -1.0}),
-               std::invalid_argument);
-  EXPECT_THROW(
-      LogRegTrainer({.epochs = 1, .lambda = 0.0, .learning_rate = 0.0}),
-      std::invalid_argument);
 }
 
 // --------------------------------------------------------------- metrics.h

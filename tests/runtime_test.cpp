@@ -318,6 +318,27 @@ TEST(PayoffEvaluatorTest, CacheSkipsRecomputation) {
   EXPECT_EQ(evaluator.cells_computed(), 10u);
 }
 
+TEST(PayoffEvaluatorTest, AbandonOnThrowLeavesCacheReusable) {
+  runtime::SerialExecutor exec;
+  runtime::PayoffCache cache;
+  const runtime::PayoffEvaluator evaluator(exec, &cache);
+  const auto key = [](std::size_t i) { return 0xA000 + i; };
+  EXPECT_THROW((void)evaluator.evaluate_cells(
+                   3,
+                   [](std::size_t i) -> double {
+                     if (i == 1) throw std::runtime_error("boom");
+                     return 2.0;
+                   },
+                   key),
+               std::runtime_error);
+  // Cell 0 was published; cell 1's claim was abandoned, so a second
+  // attempt owns it again instead of waiting on a value that never comes.
+  const auto ok =
+      evaluator.evaluate_cells(3, [](std::size_t) { return 1.0; }, key);
+  EXPECT_EQ(ok, (std::vector<double>{2.0, 1.0, 1.0}));
+  EXPECT_EQ(cache.size(), 3u);
+}
+
 TEST(PayoffEvaluatorTest, DiscretizeMatchesSerialReference) {
   const core::PoisoningGame game(
       core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100);

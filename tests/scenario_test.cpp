@@ -83,6 +83,9 @@ TEST(SpecTest, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_THROW(spec.set("sweep_max", "zero point four"),
                std::invalid_argument);
   EXPECT_THROW(spec.set("use_cache", "maybe"), std::invalid_argument);
+  // Keys of the deleted batched path: a stale spec naming them fails.
+  EXPECT_THROW(spec.set("kernel", "reference"), std::invalid_argument);
+  EXPECT_THROW(spec.set("simd", "sse2"), std::invalid_argument);
   EXPECT_THROW(ScenarioSpec::parse("a line without separator\n"),
                std::invalid_argument);
   EXPECT_THROW((void)spec.get("no_such_knob"), std::invalid_argument);
@@ -152,6 +155,7 @@ TEST(CliTest, RejectsBadInput) {
   EXPECT_THROW(parse_cli({"--scenario", "a", "--spec", "b"}),
                std::invalid_argument);
   EXPECT_THROW(parse_cli({"--out", "xml"}), std::invalid_argument);
+  EXPECT_THROW(parse_cli({"--kernel", "simd"}), std::invalid_argument);
 }
 
 TEST(CliTest, ListShowsTheCatalog) {
@@ -180,6 +184,13 @@ TEST(CliTest, SetOverridesSpecFileAndLastSetWins) {
   const ScenarioSpec resolved = ScenarioSpec::parse(out.str());
   EXPECT_EQ(resolved.instances, 250u);  // --set beats file, last --set wins
   EXPECT_EQ(resolved.epochs, 30u);      // file beats default
+  // The host fingerprint line closes the output.
+  std::string text = out.str();
+  ASSERT_FALSE(text.empty());
+  ASSERT_EQ(text.back(), '\n');
+  text.pop_back();
+  const std::string last_line = text.substr(text.rfind('\n') + 1);
+  EXPECT_EQ(last_line.rfind("# simd: detected=", 0), 0u) << last_line;
   std::remove(path.c_str());
 }
 

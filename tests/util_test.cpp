@@ -13,6 +13,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/stopwatch.h"
+#include "util/strings.h"
 #include "util/table.h"
 
 namespace pg::util {
@@ -493,12 +494,27 @@ TEST(StopwatchTest, MeasuresNonNegativeTime) {
   EXPECT_GE(w.elapsed_ms(), 0.0);
 }
 
+// -------------------------------------------------------------- strings.h
+
+TEST(StringsTest, JsonEscapePinsTheTable) {
+  EXPECT_EQ(json_escape("plain"), "plain");
+  EXPECT_EQ(json_escape("\""), "\\\"");
+  EXPECT_EQ(json_escape("\\"), "\\\\");
+  EXPECT_EQ(json_escape("\n"), "\\n");
+  EXPECT_EQ(json_escape("\r"), "\\r");
+  EXPECT_EQ(json_escape("\t"), "\\t");
+  EXPECT_EQ(json_escape("\x01"), "\\u0001");
+  EXPECT_EQ(json_escape("\x1f"), "\\u001f");
+  EXPECT_EQ(json_escape(std::string(1, '\0')), "\\u0000");
+  // Bytes >= 0x80 (UTF-8) and everything else >= 0x20 pass through.
+  EXPECT_EQ(json_escape("\x80\xc3\xa9/ ~"), "\x80\xc3\xa9/ ~");
+}
+
 // ------------------------------------------------------------------ env.h
 
 TEST(EnvTest, FallsBackWhenUnsetOrEmpty) {
   ASSERT_EQ(unsetenv("PG_TEST_KNOB"), 0);
   EXPECT_EQ(env_size("PG_TEST_KNOB", 7), 7u);
-  EXPECT_EQ(env_double("PG_TEST_KNOB", 0.5), 0.5);
   EXPECT_EQ(env_string("PG_TEST_KNOB", "dflt"), "dflt");
   ASSERT_EQ(setenv("PG_TEST_KNOB", "", 1), 0);
   EXPECT_EQ(env_size("PG_TEST_KNOB", 7), 7u);
@@ -509,11 +525,30 @@ TEST(EnvTest, FallsBackWhenUnsetOrEmpty) {
 TEST(EnvTest, ParsesSetValues) {
   ASSERT_EQ(setenv("PG_TEST_KNOB", "123", 1), 0);
   EXPECT_EQ(env_size("PG_TEST_KNOB", 7), 123u);
-  EXPECT_EQ(env_double("PG_TEST_KNOB", 0.5), 123.0);
   EXPECT_EQ(env_string("PG_TEST_KNOB", "dflt"), "123");
-  ASSERT_EQ(setenv("PG_TEST_KNOB", "0.25", 1), 0);
-  EXPECT_EQ(env_double("PG_TEST_KNOB", 0.5), 0.25);
   ASSERT_EQ(unsetenv("PG_TEST_KNOB"), 0);
+}
+
+TEST(EnvTest, SizeKnobAcceptsOnlyAFullDecimalInteger) {
+  ASSERT_EQ(unsetenv("PG_BENCH_INSTANCES"), 0);
+  EXPECT_EQ(env_size("PG_BENCH_INSTANCES", 4601), 4601u);
+  ASSERT_EQ(setenv("PG_BENCH_INSTANCES", "", 1), 0);
+  EXPECT_EQ(env_size("PG_BENCH_INSTANCES", 4601), 4601u);
+  ASSERT_EQ(setenv("PG_BENCH_INSTANCES", "900", 1), 0);
+  EXPECT_EQ(env_size("PG_BENCH_INSTANCES", 4601), 900u);
+  for (const char* bad : {"4k", "abc", "-3"}) {
+    ASSERT_EQ(setenv("PG_BENCH_INSTANCES", bad, 1), 0);
+    try {
+      (void)env_size("PG_BENCH_INSTANCES", 4601);
+      ADD_FAILURE() << "accepted '" << bad << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("PG_BENCH_INSTANCES"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+  }
+  ASSERT_EQ(unsetenv("PG_BENCH_INSTANCES"), 0);
 }
 
 }  // namespace
