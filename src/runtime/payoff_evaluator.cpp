@@ -109,12 +109,6 @@ std::size_t PayoffCache::size() const {
   return map_.size();
 }
 
-void PayoffCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  stats_ = {};
-}
-
 PayoffCacheStats PayoffCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return stats_;
@@ -137,44 +131,56 @@ void PayoffCache::preload(
   for (const auto& [key, value] : entries) map_.emplace(key, value);
 }
 
+bool memoize(PayoffCache* cache, std::span<const std::uint64_t> keys,
+             std::span<double> values, const std::function<void()>& compute) {
+  static obs::Counter& obs_retrains = obs::counter("obs.cache.retrains");
+  PG_CHECK(!keys.empty() && keys.size() == values.size(),
+           "memoize: needs one value per key and at least one key");
+  const bool owner = cache != nullptr && cache->claim(keys[0], values[0]) ==
+                                             PayoffCache::Claim::kOwner;
+  // Entries to store once computed: an owner's siblings, or after a hit
+  // every entry from the first missing sibling on.
+  std::size_t first = 1;
+  if (cache != nullptr && !owner) {
+    while (first < keys.size() && cache->lookup(keys[first], values[first])) {
+      ++first;
+    }
+    if (first == keys.size()) return false;
+  }
+  try {
+    compute();
+    for (std::size_t i = first; cache != nullptr && i < keys.size(); ++i) {
+      cache->store(keys[i], values[i]);
+    }
+  } catch (...) {
+    if (owner) cache->abandon(keys[0]);
+    throw;
+  }
+  obs_retrains.add(1);
+  if (owner) cache->publish(keys[0], values[0]);
+  return true;
+}
+
 std::vector<double> PayoffEvaluator::evaluate_cells(std::size_t count,
                                                     const CellFn& cell,
                                                     const KeyFn& key) const {
   PG_CHECK(cell != nullptr, "PayoffEvaluator: null cell function");
   obs::Span span("evaluate_cells", "payoff");
-  static obs::Counter& obs_retrains = obs::counter("obs.cache.retrains");
   std::vector<double> values(count, 0.0);
   // Nesting-aware dispatch: payoff cells are coarse (a retrain each), so
   // even when this evaluator runs inside an outer pool task -- a sweep
   // point under the scenario engine's point-parallel grid -- its cells
   // still fan out to idle workers instead of serializing on one.
   executor_.parallel_for_nested(0, count, grain_, [&](std::size_t i) {
-    if (cache_ != nullptr && key) {
-      // Single-flight: when two concurrent evaluations (grid points, or
-      // server requests on a shared store) hit the same cold cell, one
-      // computes and the rest wait for its value instead of retraining.
-      const std::uint64_t k = key(i);
-      double cached = 0.0;
-      const PayoffCache::Claim claim = cache_->claim(k, cached);
-      if (claim != PayoffCache::Claim::kOwner) {
-        values[i] = cached;
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-      try {
-        values[i] = cell(i);
-      } catch (...) {
-        cache_->abandon(k);
-        throw;
-      }
+    if (!key) {
+      values[i] = cell(i);
       computed_.fetch_add(1, std::memory_order_relaxed);
-      obs_retrains.add(1);
-      cache_->publish(k, values[i]);
       return;
     }
-    values[i] = cell(i);
-    computed_.fetch_add(1, std::memory_order_relaxed);
-    obs_retrains.add(1);
+    const std::uint64_t k = key(i);
+    const bool computed = memoize(cache_, {&k, 1}, {&values[i], 1},
+                                  [&] { values[i] = cell(i); });
+    (computed ? computed_ : hits_).fetch_add(1, std::memory_order_relaxed);
   });
   return values;
 }

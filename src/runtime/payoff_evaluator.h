@@ -12,6 +12,10 @@
 // repeated grids (support sweeps, transfer evaluation, solver ablations)
 // never retrain the same cell twice.
 //
+// Every memoized cell in the library -- sweep cells, clean baselines,
+// defense-ablation cells and the evaluator's keyed cells -- goes through
+// memoize() below, the only user of the cache's single-flight claims.
+//
 // Memoization cannot change results, only skip work: a cached value is by
 // definition the value the cell function would deterministically
 // recompute for that key. Under-specified keys break this -- key builders
@@ -24,6 +28,7 @@
 #include <cstdint>
 #include <functional>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -66,31 +71,8 @@ class PayoffCache {
   [[nodiscard]] bool lookup(std::uint64_t key, double& value) const;
   void store(std::uint64_t key, double value);
   [[nodiscard]] std::size_t size() const;
-  void clear();
 
-  /// SINGLE-FLIGHT claim on one cell key, for coalescing concurrent
-  /// computations of the same cold cell (two server requests, or two grid
-  /// points, hitting one cell at once). Exactly one caller per key
-  /// becomes kOwner and MUST follow up with publish() (or abandon() on
-  /// failure); everyone else either gets the value immediately (kHit) or
-  /// blocks until the owner publishes and then gets it (kWaited --
-  /// morally a hit: the cell was not recomputed). Counted as a hit/miss
-  /// in stats(): kOwner is the one miss, kHit and kWaited are hits.
-  ///
-  /// DEADLOCK CONTRACT: a kOwner's cell computation must never claim()
-  /// another key on the same cache from the same thread chain it blocks
-  /// on -- cell bodies in this codebase are leaf computations (pipeline
-  /// runs, closed-form curves), so claims only ever nest through
-  /// INDEPENDENT keys computed by independent tasks.
-  enum class Claim { kHit, kOwner, kWaited };
-  [[nodiscard]] Claim claim(std::uint64_t key, double& value);
-  /// Publish a kOwner's computed value and wake the waiters.
-  void publish(std::uint64_t key, double value);
-  /// Release a kOwner's claim WITHOUT a value (the computation threw);
-  /// one waiter is promoted to owner and recomputes.
-  void abandon(std::uint64_t key);
-
-  /// Lookup traffic since construction / the last clear().
+  /// Lookup traffic since construction.
   [[nodiscard]] PayoffCacheStats stats() const;
 
   /// All entries, sorted by key so serialized cache files are
@@ -102,6 +84,17 @@ class PayoffCache {
   void preload(const std::vector<std::pair<std::uint64_t, double>>& entries);
 
  private:
+  friend bool memoize(PayoffCache*, std::span<const std::uint64_t>,
+                      std::span<double>, const std::function<void()>&);
+
+  /// Single-flight: one caller per key becomes kOwner (the one miss in
+  /// stats()) and must publish() or abandon(); the rest are hits, at once
+  /// (kHit) or after the owner publishes (kWaited).
+  enum class Claim { kHit, kOwner, kWaited };
+  [[nodiscard]] Claim claim(std::uint64_t key, double& value);
+  void publish(std::uint64_t key, double value);  // store, wake waiters
+  void abandon(std::uint64_t key);  // release; one waiter becomes owner
+
   mutable std::mutex mutex_;
   std::unordered_map<std::uint64_t, double> map_;
   // Keys claimed by an in-flight owner; waiters sleep on flight_cv_.
@@ -109,6 +102,19 @@ class PayoffCache {
   std::condition_variable flight_cv_;
   mutable PayoffCacheStats stats_;
 };
+
+/// The one memoized-cell path. Fills `values` (one per key) from `cache`
+/// or by running `compute`, which must fill all of them; returns whether
+/// it ran. keys[0] is claimed single-flight: one caller per cold cell
+/// computes and the rest wait for its value. The owner stores keys[1..]
+/// before publishing keys[0]; a hit on keys[0] with a missing sibling (a
+/// shard written by an older version) computes and stores the entries
+/// from that sibling on. A throwing owner abandons its claim to a waiter
+/// and rethrows; a null `cache` just computes. Each run of `compute` adds
+/// 1 to obs.cache.retrains. `compute` must not memoize a key of the same
+/// cache that a task it waits on could own (cells are leaf computations).
+bool memoize(PayoffCache* cache, std::span<const std::uint64_t> keys,
+             std::span<double> values, const std::function<void()>& compute);
 
 class PayoffEvaluator {
  public:
@@ -124,10 +130,9 @@ class PayoffEvaluator {
                            std::size_t grain = 1)
       : executor_(executor), cache_(cache), grain_(grain == 0 ? 1 : grain) {}
 
-  [[nodiscard]] Executor& executor() const noexcept { return executor_; }
-  [[nodiscard]] PayoffCache* cache() const noexcept { return cache_; }
-
   /// Evaluate `count` independent cells; returns values in index order.
+  /// Keyed cells go through memoize(); unkeyed cells (closed-form
+  /// curves) are computed directly and never counted as retrains.
   [[nodiscard]] std::vector<double> evaluate_cells(std::size_t count,
                                                    const CellFn& cell,
                                                    const KeyFn& key = {}) const;

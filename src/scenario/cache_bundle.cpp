@@ -37,23 +37,10 @@ ShardStore::SpillStats ShardStore::spill() {
   return stats;
 }
 
-void CacheBundle::add_sweep_stats(const sim::PureSweepStats& stats) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  sweep_stats_.cells_total += stats.cells_total;
-  sweep_stats_.cells_retrained += stats.cells_retrained;
-  sweep_stats_.cache_hits += stats.cache_hits;
-}
-
-void CacheBundle::absorb(const runtime::PayoffEvaluator& evaluator) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  eval_retrained_ += evaluator.cells_computed();
-  eval_hits_ += evaluator.cache_hits();
-}
-
 void CacheBundle::add_cells(std::size_t retrained, std::size_t hits) {
   std::lock_guard<std::mutex> lock(mutex_);
-  eval_retrained_ += retrained;
-  eval_hits_ += hits;
+  retrained_ += retrained;
+  hits_ += hits;
 }
 
 void CacheBundle::finish(CacheReport& report, bool spill) {
@@ -61,10 +48,9 @@ void CacheBundle::finish(CacheReport& report, bool spill) {
   report.disk_enabled = store_.disk_enabled();
   report.disk_dir = store_.dir();
   report.shards = store_.shard_count();
-  report.cells_total =
-      sweep_stats_.cells_total + eval_retrained_ + eval_hits_;
-  report.cells_retrained = sweep_stats_.cells_retrained + eval_retrained_;
-  report.cache_hits = sweep_stats_.cache_hits + eval_hits_;
+  report.cells_total = retrained_ + hits_;
+  report.cells_retrained = retrained_;
+  report.cache_hits = hits_;
   // Per-run delta: shards preloaded by EARLIER runs on the same store are
   // that run's traffic, not this one's.
   report.disk_entries_loaded = store_.entries_loaded() - loaded_at_start_;

@@ -9,8 +9,8 @@
 // engine, which is the pre-refactor behavior.
 //
 // CacheBundle is the PER-RUN view the runners are handed: it delegates
-// shard lookup to the store and keeps this run's traffic counters (sweep
-// cells, evaluator cells, manually-cached cells), so ScenarioResult::cache
+// shard lookup to the store and keeps this run's traffic counters (every
+// runtime::memoize cell, retrained or served), so ScenarioResult::cache
 // reports what THIS request did even when the shards are shared -- a warm
 // second request for the same spec shows cells_retrained == 0.
 //
@@ -34,7 +34,6 @@
 #include "runtime/payoff_disk_cache.h"
 #include "runtime/payoff_evaluator.h"
 #include "scenario/result.h"
-#include "sim/pure_sweep.h"
 
 namespace pg::scenario {
 
@@ -93,12 +92,8 @@ class CacheBundle {
   }
   [[nodiscard]] bool memo() const noexcept { return store_.memo(); }
 
-  /// Fold one runner's sweep-cell counters into the totals.
-  void add_sweep_stats(const sim::PureSweepStats& stats);
-  /// Fold one engine-built evaluator's counters into the totals.
-  void absorb(const runtime::PayoffEvaluator& evaluator);
-  /// Manually-cached cells (clean baselines, the defense-ablation
-  /// runner).
+  /// Fold memoized cells into the totals: `retrained` were computed,
+  /// `hits` served from a cache.
   void add_cells(std::size_t retrained, std::size_t hits);
 
   /// Fill this run's cache report. Single-threaded: called once after
@@ -112,9 +107,8 @@ class CacheBundle {
   ShardStore& store_;
   std::size_t loaded_at_start_;
   std::mutex mutex_;
-  sim::PureSweepStats sweep_stats_;
-  std::size_t eval_retrained_ = 0;
-  std::size_t eval_hits_ = 0;
+  std::size_t retrained_ = 0;
+  std::size_t hits_ = 0;
 };
 
 }  // namespace pg::scenario

@@ -224,7 +224,7 @@ bool partial_usable(const std::string& path) {
 /// any executor threads (fork + threads do not mix); each worker
 /// re-enters run_cli as `--shard i/N` writing `<out-file>.shard-<i>`,
 /// all of them sharing the run's cache dir -- so cross-worker cell
-/// reuse goes through DiskPayoffCache::claim/publish for real.
+/// reuse goes through the DiskPayoffCache shards for real.
 ///
 /// Failure handling: after each round the parent inspects every
 /// launched worker -- nonzero exit, death by signal, or a

@@ -117,7 +117,7 @@ void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const auto sweep = sim::run_pure_sweep(
       ctx, grid, spec.replications, exec,
       bundle.shard(sim::context_key(ctx)), &sweep_stats);
-  bundle.add_sweep_stats(sweep_stats);
+  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
   result.tables.push_back(sweep_table(sweep));
 
   const auto best = sim::best_pure_defense(sweep);
@@ -157,7 +157,7 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
   const auto sweep = sim::run_pure_sweep(ctx, grid, spec.replications, exec,
                                          cache, &sweep_stats);
-  bundle.add_sweep_stats(sweep_stats);
+  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
   const auto pure = sim::best_pure_defense(sweep);
@@ -220,7 +220,7 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
       static_cast<std::size_t>(
           last_solution->defender_loss < best_pure_predicted ? 1 : 0));
 
-  bundle.absorb(evaluator);
+  bundle.add_cells(evaluator.cells_computed(), evaluator.cache_hits());
 }
 
 // --------------------------------------------------------------- pure_ne
@@ -255,7 +255,7 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
       spec.replications, exec, bundle.shard(sim::context_key(ctx)),
       &sweep_stats);
-  bundle.add_sweep_stats(sweep_stats);
+  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
   report("measured (Spambase-like sweep)",
          core::PoisoningGame(sim::fit_payoff_curves(sweep),
                              ctx.poison_budget));
@@ -298,7 +298,7 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
       spec.replications, exec, cache, &sweep_stats);
-  bundle.add_sweep_stats(sweep_stats);
+  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
 
@@ -327,7 +327,7 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
         "plateau_after_3",
         static_cast<std::size_t>(drop_3_to_5 <= drop_2_to_3 + 1e-9 ? 1 : 0));
   }
-  bundle.absorb(evaluator);
+  bundle.add_cells(evaluator.cells_computed(), evaluator.cache_hits());
 }
 
 // ---------------------------------------------------------------- transfer
@@ -388,9 +388,9 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
     table.add_row(
         {target.name, res.transferred_accuracy, res.native_accuracy,
          res.transfer_gap});
-    bundle.absorb(evaluator);
+    bundle.add_cells(evaluator.cells_computed(), evaluator.cache_hits());
   }
-  bundle.add_sweep_stats(sweep_stats);
+  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
   result.tables.push_back(std::move(table));
 }
 
@@ -480,7 +480,7 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
       spec.replications, exec, bundle.shard(sim::context_key(ctx)),
       &sweep_stats);
-  bundle.add_sweep_stats(sweep_stats);
+  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
   ablate("measured_curves",
          core::PoisoningGame(sim::fit_payoff_curves(sweep),
                              ctx.poison_budget));
@@ -574,7 +574,7 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
   const auto run_cell = [&](const attack::PoisoningAttack* atk,
                             const defense::Filter* filter,
                             const std::string& defense_name,
-                            std::uint64_t salt) -> std::array<double, 3> {
+                            std::uint64_t salt) {
     runtime::ContentKey base;
     base.mix(kAblationTag).mix(fingerprint).mix(salt);
     for (const char c : atk->name()) {
@@ -583,45 +583,19 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
     for (const char c : defense_name) {
       base.mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
     }
-    const auto subkey = [&base](std::uint64_t arm) {
-      runtime::ContentKey k = base;
-      return k.mix(arm).digest();
-    };
-    std::array<double, 3> out{};
-    // Single-flight on sub-key 0, published LAST (so a hit on 0 implies
-    // 1 and 2 are present) -- concurrent requests sharing this shard
-    // coalesce onto one pipeline run per cell.
-    bool owner = false;
-    if (cache != nullptr) {
-      const runtime::PayoffCache::Claim claim = cache->claim(subkey(0), out[0]);
-      if (claim != runtime::PayoffCache::Claim::kOwner) {
-        if (cache->lookup(subkey(1), out[1]) &&
-            cache->lookup(subkey(2), out[2])) {
-          hits.fetch_add(1, std::memory_order_relaxed);
-          return out;
-        }
-      } else {
-        owner = true;
-      }
+    std::array<std::uint64_t, 3> keys{};
+    for (std::uint64_t arm = 0; arm < keys.size(); ++arm) {
+      keys[arm] = runtime::ContentKey(base).mix(arm).digest();
     }
-    std::array<double, 3> computed{};
-    try {
+    std::array<double, 3> out{};
+    const bool computed = runtime::memoize(cache, keys, out, [&] {
       util::Rng r = rng.fork(salt);
       const auto res = pipeline.run(ctx.train(), ctx.test(), atk,
                                     ctx.poison_budget, filter, r);
-      computed = {res.test_accuracy, res.detection.precision,
-                  res.detection.recall};
-    } catch (...) {
-      if (owner) cache->abandon(subkey(0));
-      throw;
-    }
-    out = computed;
-    retrained.fetch_add(1, std::memory_order_relaxed);
-    if (cache != nullptr) {
-      cache->store(subkey(1), out[1]);
-      cache->store(subkey(2), out[2]);
-      if (owner) cache->publish(subkey(0), out[0]);
-    }
+      out = {res.test_accuracy, res.detection.precision,
+             res.detection.recall};
+    });
+    (computed ? retrained : hits).fetch_add(1, std::memory_order_relaxed);
     return out;
   };
 

@@ -60,7 +60,7 @@ struct ShardRequest {
 /// artifact `merge_partials` stitches. Requires the spec to have sweep
 /// axes; throws on index >= total or total == 0. Workers sharing a
 /// `cache_dir` coordinate through DiskPayoffCache (content-addressed
-/// shards + single-flight claim/publish), nothing else.
+/// shards of runtime::memoize cells), nothing else.
 [[nodiscard]] ScenarioResult run_scenario_shard(const ScenarioSpec& spec,
                                                 const ShardRequest& shard);
 

@@ -306,9 +306,9 @@ void ScenarioServer::connection_loop(Connection* conn) {
       const auto reject = [&](const std::string& code,
                               const std::string& message) {
         obs_errors.add(1);
+        served_.fetch_add(1, std::memory_order_relaxed);
         send_response(fd, header.request_id, false,
                       make_error_envelope(header.request_id, code, message));
-        served_.fetch_add(1, std::memory_order_relaxed);
       };
 
       if (header.body_bytes > options_.max_request_bytes) {
@@ -370,8 +370,8 @@ void ScenarioServer::connection_loop(Connection* conn) {
 
       const Outcome outcome = future.get();
       if (!outcome.ok) obs_errors.add(1);
-      send_response(fd, header.request_id, outcome.ok, outcome.body);
       served_.fetch_add(1, std::memory_order_relaxed);
+      send_response(fd, header.request_id, outcome.ok, outcome.body);
     }
   } catch (const std::exception& e) {
     // Dead peer or torn frame: this connection is done, the server is

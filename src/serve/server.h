@@ -16,8 +16,8 @@
 //
 // Because every request runs on the ONE executor and ONE shard store,
 // a warm repeat request retrains zero cells, and concurrent requests
-// hitting the same cold cell coalesce through the caches' single-flight
-// claims instead of computing it twice.
+// hitting the same cold cell coalesce in runtime::memoize (single-flight
+// per cell) instead of computing it twice.
 //
 // Protocol errors degrade per the versioning contract: an unparseable
 // header cannot be resynced (its length is unknown), so the connection
@@ -106,7 +106,8 @@ class ScenarioServer {
   [[nodiscard]] const std::string& socket_path() const noexcept {
     return options_.socket_path;
   }
-  /// Completed responses (ok or error) since start().
+  /// Responses (ok or error) since start(). A request is counted before
+  /// its response is written, so a failed write still counts.
   [[nodiscard]] std::size_t requests_served() const noexcept {
     return served_.load(std::memory_order_relaxed);
   }

@@ -1,6 +1,7 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <mutex>
 #include <utility>
@@ -167,47 +168,30 @@ ExperimentContext prepare_experiment(const ExperimentConfig& config,
     throw;
   }
 
-  // The clean baseline is an ordinary single-flight payoff cell in the
+  // The clean baseline is an ordinary memoized payoff cell in the
   // context's shard, so a warm context trains nothing here and builds no
-  // split. The test positive fraction rides along as a sibling entry,
-  // stored before the baseline is published.
+  // split: {clean_accuracy, test_positive_fraction} under the baseline key
+  // and its sibling.
   runtime::PayoffCache* cache = nullptr;
-  std::uint64_t baseline_key = 0;
-  std::uint64_t fraction_key = 0;
+  std::array<std::uint64_t, 2> keys{};
   if (memo != nullptr && memo->shard) {
     const std::uint64_t key = context_key(ctx);
     cache = memo->shard(key);
-    baseline_key =
-        runtime::ContentKey().mix(kBaselineKeyTag).mix(key).digest();
-    fraction_key =
-        runtime::ContentKey().mix(kPositiveFractionTag).mix(key).digest();
+    keys = {runtime::ContentKey().mix(kBaselineKeyTag).mix(key).digest(),
+            runtime::ContentKey().mix(kPositiveFractionTag).mix(key).digest()};
   }
-  if (cache != nullptr && cache->claim(baseline_key, ctx.clean_accuracy) !=
-                              runtime::PayoffCache::Claim::kOwner) {
-    ++memo->hits;
-    if (!cache->lookup(fraction_key, ctx.test_positive_fraction)) {
-      // A shard written before the sibling existed gains it here.
-      ctx.test_positive_fraction = ctx.test().positive_fraction();
-      cache->store(fraction_key, ctx.test_positive_fraction);
-    }
-    return ctx;
-  }
-  try {
-    ctx.test_positive_fraction = ctx.test().positive_fraction();
+  std::array<double, 2> values{};
+  const bool trained = runtime::memoize(cache, keys, values, [&] {
+    values[1] = ctx.test().positive_fraction();
     util::Rng train_rng = util::Rng(config.seed).fork(2);
     const defense::Pipeline pipeline({config.svm});
-    ctx.clean_accuracy =
+    values[0] =
         pipeline.run(ctx.train(), ctx.test(), nullptr, 0, nullptr, train_rng)
             .test_accuracy;
-  } catch (...) {
-    if (cache != nullptr) cache->abandon(baseline_key);
-    throw;
-  }
-  if (cache != nullptr) {
-    cache->store(fraction_key, ctx.test_positive_fraction);
-    cache->publish(baseline_key, ctx.clean_accuracy);
-  }
-  if (memo != nullptr) ++memo->retrained;
+  });
+  ctx.clean_accuracy = values[0];
+  ctx.test_positive_fraction = values[1];
+  if (memo != nullptr) ++(trained ? memo->retrained : memo->hits);
   return ctx;
 }
 

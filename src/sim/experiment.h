@@ -93,13 +93,11 @@ class ExperimentContext {
 /// accuracy. A corpus file (try_real_corpus, a candidate path exists) is
 /// loaded and split here, so context_key() can hash its content; a
 /// synthetic split is only planned. With a `memo`, the baseline is a
-/// single-flight payoff cell in the shard of context_key(): a hit skips
-/// the training run and the corpus with it (the test positive fraction
-/// comes from a sibling entry stored next to the baseline); the owner
-/// builds the split, trains, stores the sibling and publishes (and
-/// abandons its claim if anything throws). Without a memo the split is
-/// built and the baseline trained at once. The context is bit-identical
-/// either way.
+/// two-value runtime::memoize cell in the shard of context_key():
+/// {clean_accuracy, test_positive_fraction}. A hit skips the training run
+/// and the corpus with it; a miss builds the split and trains. Without a
+/// memo the split is built and the baseline trained at once. The context
+/// is bit-identical either way.
 [[nodiscard]] ExperimentContext prepare_experiment(
     const ExperimentConfig& config, BaselineMemo* memo = nullptr);
 

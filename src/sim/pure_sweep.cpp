@@ -1,5 +1,6 @@
 #include "sim/pure_sweep.h"
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 
@@ -27,47 +28,60 @@ std::vector<double> sweep_grid(double max_fraction, std::size_t steps) {
 
 namespace {
 
-/// Per-(grid point, replication) measurements, filled cell-parallel.
-struct SweepCell {
-  double accuracy_no_attack = 0.0;
-  double accuracy_attacked = 0.0;
-  double poison_survived = 0.0;
-};
+/// One (grid point, replication) cell's measurements, in sub-key order:
+/// no-attack accuracy, attacked accuracy, share of poison survived.
+using SweepCell = std::array<double, 3>;
 
 /// Distinguishes pure-sweep cache keys from every other key family that
 /// shares a PayoffCache (mixed-eval cells mix a different word sequence).
 constexpr std::uint64_t kSweepKeyTag = 0x50555245'53575045ULL;  // "PURESWPE"
 
-/// Key base covering everything a cell's three measurements depend on:
-/// the context, the filter strength, the grid index (the RNG stream is
-/// keyed by index, so the same fraction at a different grid position is a
-/// different cell), and the replication. The three measurements get
-/// sub-keys 0/1/2 off this base.
-runtime::ContentKey sweep_cell_key(std::uint64_t fingerprint, double fraction,
-                                   std::size_t gi, std::size_t rep) {
-  runtime::ContentKey key;
-  key.mix(kSweepKeyTag)
+/// Keys of a cell's three measurements: a base covering everything they
+/// depend on -- the context, the filter strength, the grid index (the
+/// RNG stream is keyed by index, so the same fraction at a different grid
+/// position is a different cell) and the replication -- extended by the
+/// measurement's sub-key 0/1/2.
+std::array<std::uint64_t, 3> sweep_cell_keys(std::uint64_t fingerprint,
+                                             double fraction, std::size_t gi,
+                                             std::size_t rep) {
+  runtime::ContentKey base;
+  base.mix(kSweepKeyTag)
       .mix(fingerprint)
       .mix(fraction)
       .mix(static_cast<std::uint64_t>(gi))
       .mix(static_cast<std::uint64_t>(rep));
-  return key;
-}
-
-std::uint64_t subkey(runtime::ContentKey base, std::uint64_t arm) {
-  return base.mix(arm).digest();
-}
-
-/// Releases a single-flight claim if the owning cell throws before it can
-/// publish, so waiters are promoted instead of sleeping forever.
-struct AbandonGuard {
-  runtime::PayoffCache* cache = nullptr;
-  std::uint64_t key = 0;
-  bool active = false;
-  ~AbandonGuard() {
-    if (active && cache != nullptr) cache->abandon(key);
+  std::array<std::uint64_t, 3> keys{};
+  for (std::uint64_t arm = 0; arm < keys.size(); ++arm) {
+    keys[arm] = runtime::ContentKey(base).mix(arm).digest();
   }
-};
+  return keys;
+}
+
+/// Run both arms of one cell at filter strength p on the cell's stream.
+SweepCell measure_cell(const ExperimentContext& ctx,
+                       const defense::Pipeline& pipeline, double p,
+                       const util::Rng& rng) {
+  defense::DistanceFilterConfig fcfg;
+  fcfg.removal_fraction = p;
+  fcfg.centroid = ctx.config.centroid;
+  const defense::DistanceFilter filter(fcfg);
+  const defense::Filter* filter_ptr = (p > 0.0) ? &filter : nullptr;
+
+  // No-attack arm: Gamma measurement.
+  util::Rng rng_clean = rng.fork(1);
+  const double no_attack =
+      pipeline.run(ctx.train(), ctx.test(), nullptr, 0, filter_ptr, rng_clean)
+          .test_accuracy;
+
+  // Attacked arm: the optimal pure attack against a known filter p.
+  attack::BoundaryAttackConfig acfg;
+  acfg.placement_fraction = p;
+  const attack::BoundaryAttack attack(acfg);
+  util::Rng rng_attack = rng.fork(2);
+  const auto res = pipeline.run(ctx.train(), ctx.test(), &attack,
+                                ctx.poison_budget, filter_ptr, rng_attack);
+  return {no_attack, res.test_accuracy, 1.0 - res.detection.recall};
+}
 
 /// Serial reduction in a fixed order, so the floating-point sums are
 /// identical no matter how the cells were scheduled.
@@ -80,9 +94,9 @@ void reduce_points(const std::vector<double>& grid, std::size_t replications,
     point.removal_fraction = grid[gi];
     for (std::size_t rep = 0; rep < replications; ++rep) {
       const SweepCell& cell = out[gi * replications + rep];
-      point.accuracy_no_attack += cell.accuracy_no_attack;
-      point.accuracy_attacked += cell.accuracy_attacked;
-      point.poison_survived_fraction += cell.poison_survived;
+      point.accuracy_no_attack += cell[0];
+      point.accuracy_attacked += cell[1];
+      point.poison_survived_fraction += cell[2];
     }
     point.accuracy_no_attack /= reps;
     point.accuracy_attacked /= reps;
@@ -110,8 +124,7 @@ PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
   result.clean_accuracy = ctx.clean_accuracy;
   result.poison_budget = ctx.poison_budget;
 
-  const std::uint64_t fingerprint =
-      cache != nullptr ? context_fingerprint(ctx) : 0;
+  const std::uint64_t fingerprint = context_fingerprint(ctx);
   std::atomic<std::size_t> retrained{0};
   std::atomic<std::size_t> hits{0};
 
@@ -130,70 +143,15 @@ PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
     const std::size_t gi = c / replications;
     const std::size_t rep = c % replications;
     const double p = grid[gi];
-
-    const runtime::ContentKey base =
-        cache != nullptr ? sweep_cell_key(fingerprint, p, gi, rep)
-                         : runtime::ContentKey();
-    // Single-flight on sub-key 0: the owner publishes it LAST (after
-    // storing 1 and 2), so a hit on 0 implies the siblings are present --
-    // concurrent cells coalesce onto one retrain instead of racing.
-    bool owner = false;
-    if (cache != nullptr) {
-      const runtime::PayoffCache::Claim claim =
-          cache->claim(subkey(base, 0), out[c].accuracy_no_attack);
-      if (claim != runtime::PayoffCache::Claim::kOwner) {
-        if (cache->lookup(subkey(base, 1), out[c].accuracy_attacked) &&
-            cache->lookup(subkey(base, 2), out[c].poison_survived)) {
-          hits.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        // Sibling sub-keys missing (a pre-single-flight disk snapshot
-        // stored 0 first and died mid-cell): recompute below and store
-        // the missing arms; 0 is already published, so no flight state.
-      } else {
-        owner = true;
-      }
-    }
-    AbandonGuard guard{cache, owner ? subkey(base, 0) : 0, owner};
-
-    util::Rng rng = streams.stream(gi, rep);
-
-    defense::DistanceFilterConfig fcfg;
-    fcfg.removal_fraction = p;
-    fcfg.centroid = ctx.config.centroid;
-    const defense::DistanceFilter filter(fcfg);
-    const defense::Filter* filter_ptr = (p > 0.0) ? &filter : nullptr;
-
-    // No-attack arm: Gamma measurement.
-    util::Rng rng_clean = rng.fork(1);
-    out[c].accuracy_no_attack =
-        pipeline
-            .run(ctx.train(), ctx.test(), nullptr, 0, filter_ptr, rng_clean)
-            .test_accuracy;
-
-    // Attacked arm: the optimal pure attack against a known filter p.
-    attack::BoundaryAttackConfig acfg;
-    acfg.placement_fraction = p;
-    const attack::BoundaryAttack attack(acfg);
-    util::Rng rng_attack = rng.fork(2);
-    const auto res = pipeline.run(ctx.train(), ctx.test(), &attack,
-                                  ctx.poison_budget, filter_ptr, rng_attack);
-    out[c].accuracy_attacked = res.test_accuracy;
-    out[c].poison_survived = 1.0 - res.detection.recall;
-
-    retrained.fetch_add(1, std::memory_order_relaxed);
-    if (cache != nullptr) {
-      cache->store(subkey(base, 1), out[c].accuracy_attacked);
-      cache->store(subkey(base, 2), out[c].poison_survived);
-      if (owner) {
-        guard.active = false;
-        cache->publish(subkey(base, 0), out[c].accuracy_no_attack);
-      }
-    }
+    SweepCell& cell = out[c];
+    const bool computed = runtime::memoize(
+        cache, sweep_cell_keys(fingerprint, p, gi, rep), cell, [&] {
+          cell = measure_cell(ctx, pipeline, p, streams.stream(gi, rep));
+        });
+    (computed ? retrained : hits).fetch_add(1, std::memory_order_relaxed);
   });
 
   if (stats != nullptr) {
-    stats->cells_total += cells;
     stats->cells_retrained += retrained.load();
     stats->cache_hits += hits.load();
   }

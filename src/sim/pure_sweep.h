@@ -41,9 +41,8 @@ struct PureSweepResult {
 
 /// Retrain traffic of one or more cached sweeps (the scenario engine sums
 /// these into its cache-stats output; a warm disk-cached re-run must
-/// report cells_retrained == 0).
+/// report cells_retrained == 0). Every cell is one or the other.
 struct PureSweepStats {
-  std::size_t cells_total = 0;
   std::size_t cells_retrained = 0;
   std::size_t cache_hits = 0;
 };

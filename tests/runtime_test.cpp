@@ -5,6 +5,7 @@
 // to their serial counterparts.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -357,6 +358,100 @@ TEST(PayoffEvaluatorTest, DiscretizeMatchesSerialReference) {
   }
 }
 
+// ------------------------------------------------------------- memoize
+
+using Entries = std::vector<std::pair<std::uint64_t, double>>;
+
+TEST(MemoizeTest, OwnerStoresSiblingsAndASecondCallComputesNothing) {
+  runtime::PayoffCache cache;
+  const std::array<std::uint64_t, 3> keys{11, 12, 13};
+  int runs = 0;
+  std::array<double, 3> first{};
+  EXPECT_TRUE(runtime::memoize(&cache, keys, first, [&] {
+    ++runs;
+    first = {0.1, 0.2, 0.3};
+  }));
+  EXPECT_EQ(cache.snapshot(), (Entries{{11, 0.1}, {12, 0.2}, {13, 0.3}}));
+
+  std::array<double, 3> second{};
+  EXPECT_FALSE(runtime::memoize(&cache, keys, second, [&] { ++runs; }));
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(second, first);
+}
+
+TEST(MemoizeTest, AMissingSiblingIsComputedAndOnlyItIsStored) {
+  // A shard written by an older version: keys[0] and keys[1] only.
+  runtime::PayoffCache cache;
+  cache.preload({{11, 0.1}, {12, 0.2}});
+  const std::array<std::uint64_t, 3> keys{11, 12, 13};
+  int runs = 0;
+  std::array<double, 3> values{};
+  EXPECT_TRUE(runtime::memoize(&cache, keys, values, [&] {
+    ++runs;
+    values = {0.1, 0.2, 0.3};
+  }));
+  EXPECT_EQ(runs, 1);
+  EXPECT_EQ(values, (std::array<double, 3>{0.1, 0.2, 0.3}));
+  EXPECT_EQ(cache.snapshot(), (Entries{{11, 0.1}, {12, 0.2}, {13, 0.3}}));
+  // The claim and keys[1] hit; keys[2] is the one miss.
+  EXPECT_EQ(cache.stats().hits, 2u);
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(MemoizeTest, NullCacheComputesEveryCall) {
+  const std::array<std::uint64_t, 2> keys{21, 22};
+  int runs = 0;
+  std::array<double, 2> values{};
+  for (int call = 0; call < 3; ++call) {
+    EXPECT_TRUE(runtime::memoize(nullptr, keys, values, [&] {
+      ++runs;
+      values = {1.0, 2.0};
+    }));
+  }
+  EXPECT_EQ(runs, 3);
+}
+
+TEST(MemoizeTest, AThrowingOwnerHandsItsClaimToAWaiter) {
+  runtime::PayoffCache cache;
+  const std::array<std::uint64_t, 2> keys{31, 32};
+  std::atomic<bool> owner_computing{false};
+  std::atomic<bool> waiter_started{false};
+
+  const auto throw_after_waiter_starts = [&] {
+    owner_computing = true;
+    while (!waiter_started) std::this_thread::yield();
+    // Let the waiter block on the claim before it is released.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    throw std::runtime_error("boom");
+  };
+  std::thread owner([&] {
+    std::array<double, 2> values{};
+    EXPECT_THROW(
+        (void)runtime::memoize(&cache, keys, values, throw_after_waiter_starts),
+        std::runtime_error);
+  });
+  while (!owner_computing) std::this_thread::yield();
+
+  int waiter_runs = 0;
+  std::array<double, 2> waited{};
+  std::thread waiter([&] {
+    waiter_started = true;
+    EXPECT_TRUE(runtime::memoize(&cache, keys, waited, [&] {
+      ++waiter_runs;
+      waited = {3.0, 4.0};
+    }));
+  });
+  owner.join();
+  waiter.join();
+  EXPECT_EQ(waiter_runs, 1);
+
+  std::array<double, 2> third{};
+  EXPECT_FALSE(runtime::memoize(&cache, keys, third, [] {
+    ADD_FAILURE() << "a published cell was recomputed";
+  }));
+  EXPECT_EQ(third, (std::array<double, 2>{3.0, 4.0}));
+}
+
 // ------------------------------------------------- determinism contract
 
 const sim::ExperimentContext& small_ctx() {
@@ -441,8 +536,6 @@ TEST(PayoffCacheTest, CountsHitsAndMisses) {
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.misses, 1u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(PayoffCacheTest, SnapshotIsSortedAndPreloadDoesNotCount) {
