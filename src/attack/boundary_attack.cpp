@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "data/scaler.h"
 #include "util/error.h"
 
 namespace pg::attack {
 
-BoundaryAttack::BoundaryAttack(BoundaryAttackConfig config) : config_(config) {
+BoundaryAttack::BoundaryAttack(BoundaryAttackConfig config,
+                               const ClassRadiusMap* clean_geometry)
+    : config_(config), clean_geometry_(clean_geometry) {
   PG_CHECK(config_.placement_fraction >= 0.0 &&
                config_.placement_fraction <= 1.0,
            "placement_fraction must be in [0, 1]");
@@ -84,7 +87,14 @@ data::Dataset BoundaryAttack::generate(const data::Dataset& clean,
                                        util::Rng& rng) const {
   PG_CHECK(!clean.empty(), "BoundaryAttack: empty clean dataset");
   if (n_points == 0) return data::Dataset{};
-  const ClassRadiusMap map(clean);
+  std::optional<ClassRadiusMap> own_map;
+  if (clean_geometry_ == nullptr) {
+    own_map.emplace(clean);
+  } else {
+    PG_CHECK(clean_geometry_->is_median_geometry_of(clean),
+             "BoundaryAttack: clean geometry was built from another dataset");
+  }
+  const ClassRadiusMap& map = own_map ? *own_map : *clean_geometry_;
 
   // Displacement correction: poison raises each class size by phi, pulling
   // the defender's removal quantile inward by the same factor. The result

@@ -58,7 +58,12 @@ struct BoundaryAttackConfig {
 
 class BoundaryAttack final : public PoisoningAttack {
  public:
-  explicit BoundaryAttack(BoundaryAttackConfig config);
+  /// `clean_geometry`, when given, is ClassRadiusMap(clean) built once by
+  /// the caller (it must outlive the attack); generate() then uses it
+  /// instead of building its own, and throws if it was built from any
+  /// dataset other than the `clean` it is handed.
+  explicit BoundaryAttack(BoundaryAttackConfig config,
+                          const ClassRadiusMap* clean_geometry = nullptr);
 
   [[nodiscard]] data::Dataset generate(const data::Dataset& clean,
                                        std::size_t n_points,
@@ -72,6 +77,7 @@ class BoundaryAttack final : public PoisoningAttack {
 
  private:
   BoundaryAttackConfig config_;
+  const ClassRadiusMap* clean_geometry_;
 };
 
 }  // namespace pg::attack

@@ -16,6 +16,7 @@ ClassRadiusMap::ClassRadiusMap(const data::Dataset& clean, bool use_median) {
     g.distances = util::EmpiricalCdf(clean.distances_to(g.centroid, label));
     classes_.push_back(std::move(g));
   }
+  if (use_median) median_source_ = &clean;
 }
 
 const ClassGeometry& ClassRadiusMap::geometry(int label) const {

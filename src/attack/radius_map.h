@@ -42,6 +42,13 @@ class ClassRadiusMap {
 
   [[nodiscard]] bool empty() const noexcept { return classes_.empty(); }
 
+  /// True when this is the coordinate-median map built from `d` itself:
+  /// the same object, not an equal copy.
+  [[nodiscard]] bool is_median_geometry_of(
+      const data::Dataset& d) const noexcept {
+    return median_source_ == &d;
+  }
+
   /// Geometry for the given label. Requires the label to be present.
   [[nodiscard]] const ClassGeometry& geometry(int label) const;
 
@@ -58,6 +65,7 @@ class ClassRadiusMap {
 
  private:
   std::vector<ClassGeometry> classes_;
+  const data::Dataset* median_source_ = nullptr;  // compared, never read
 };
 
 }  // namespace pg::attack

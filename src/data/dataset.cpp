@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/error.h"
+#include "util/stats.h"
 
 namespace pg::data {
 
@@ -32,12 +33,6 @@ void Dataset::append(const la::Vector& x, int label) {
   }
   features_.append_row(x);
   labels_.push_back(label);
-}
-
-void Dataset::append_all(const Dataset& other) {
-  for (std::size_t i = 0; i < other.size(); ++i) {
-    append(other.instance(i), other.label(i));
-  }
 }
 
 std::vector<std::size_t> Dataset::indices_of_label(int label) const {
@@ -89,15 +84,13 @@ la::Vector Dataset::class_coordinate_median(int label) const {
   PG_CHECK(!idx.empty(),
            "class_coordinate_median: no instances with the given label");
   la::Vector out(dim(), 0.0);
-  std::vector<double> column(idx.size());
   for (std::size_t c = 0; c < dim(); ++c) {
+    std::vector<double> column(idx.size());
     for (std::size_t k = 0; k < idx.size(); ++k) {
       column[k] = features_(idx[k], c);
     }
-    std::sort(column.begin(), column.end());
-    const std::size_t n = column.size();
-    out[c] = (n % 2 == 1) ? column[n / 2]
-                          : 0.5 * (column[n / 2 - 1] + column[n / 2]);
+    // Selection, not a sort: the same middle elements, so the same bits.
+    out[c] = util::median(std::move(column));
   }
   return out;
 }
@@ -108,7 +101,7 @@ std::vector<double> Dataset::distances_to(const la::Vector& center,
   std::vector<double> out;
   for (std::size_t i = 0; i < size(); ++i) {
     if (labels_[i] != label) continue;
-    out.push_back(la::distance(instance(i), center));
+    out.push_back(la::distance(features_.row(i), center));
   }
   return out;
 }
@@ -117,7 +110,7 @@ std::vector<double> Dataset::distances_to(const la::Vector& center) const {
   PG_CHECK(center.size() == dim(), "distances_to: dimension mismatch");
   std::vector<double> out(size());
   for (std::size_t i = 0; i < size(); ++i) {
-    out[i] = la::distance(instance(i), center);
+    out[i] = la::distance(features_.row(i), center);
   }
   return out;
 }
@@ -148,9 +141,17 @@ Dataset concatenate(const Dataset& a, const Dataset& b) {
   if (a.empty()) return b;
   if (b.empty()) return a;
   PG_CHECK(a.dim() == b.dim(), "concatenate: dimension mismatch");
-  Dataset out = a;
-  out.append_all(b);
-  return out;
+  la::Matrix features(a.size() + b.size(), a.dim());
+  std::vector<int> labels;
+  labels.reserve(a.size() + b.size());
+  // Rows are contiguous: each operand is one block copy.
+  double* out = features.row(0).data();
+  for (const Dataset* part : {&a, &b}) {
+    const std::vector<double>& x = part->features().data();
+    out = std::copy(x.begin(), x.end(), out);
+    labels.insert(labels.end(), part->labels().begin(), part->labels().end());
+  }
+  return Dataset(std::move(features), std::move(labels));
 }
 
 }  // namespace pg::data

@@ -44,9 +44,6 @@ class Dataset {
   /// and label in {-1, +1}.
   void append(const la::Vector& x, int label);
 
-  /// Append all instances of another dataset. Requires matching dim().
-  void append_all(const Dataset& other);
-
   /// Indices of all instances with the given label.
   [[nodiscard]] std::vector<std::size_t> indices_of_label(int label) const;
 
@@ -64,8 +61,9 @@ class Dataset {
   [[nodiscard]] la::Vector class_mean(int label) const;
 
   /// Coordinate-wise median of instances with the given label -- the
-  /// robust centroid the distance-based defense uses. Requires at least
-  /// one such instance.
+  /// robust centroid the distance-based defense uses. An even count takes
+  /// the mean of the two middle values. Requires at least one such
+  /// instance.
   [[nodiscard]] la::Vector class_coordinate_median(int label) const;
 
   /// Euclidean distance of each instance with the given label to the given

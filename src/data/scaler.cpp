@@ -39,11 +39,19 @@ la::Vector StandardScaler::transform(const la::Vector& x) const {
 }
 
 Dataset StandardScaler::transform(const Dataset& d) const {
-  Dataset out;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    out.append(transform(d.instance(i)), d.label(i));
+  if (d.empty()) return Dataset{};
+  PG_CHECK(fitted(), "StandardScaler not fitted");
+  PG_CHECK(d.dim() == mean_.size(), "StandardScaler: dimension mismatch");
+  const la::Matrix& X = d.features();
+  la::Matrix Z(X.rows(), X.cols());
+  for (std::size_t r = 0; r < X.rows(); ++r) {
+    const auto x = X.row(r);
+    const auto z = Z.row(r);
+    for (std::size_t c = 0; c < x.size(); ++c) {
+      z[c] = (x[c] - mean_[c]) / scale_[c];
+    }
   }
-  return out;
+  return Dataset(std::move(Z), d.labels());
 }
 
 la::Vector StandardScaler::inverse_transform(const la::Vector& z) const {

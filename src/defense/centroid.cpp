@@ -31,30 +31,27 @@ la::Vector compute_centroid(const data::Dataset& d, int label,
   PG_CHECK(config.trim_fraction >= 0.0 && config.trim_fraction < 0.5,
            "trim_fraction must be in [0, 0.5)");
 
+  if (config.method == CentroidMethod::kCoordinateMedian) {
+    return d.class_coordinate_median(label);
+  }
+
+  // Trimmed mean: sums each column in sorted order, so it keeps its sort.
   const std::size_t dim = d.dim();
   la::Vector out(dim, 0.0);
   std::vector<double> column(idx.size());
+  const auto trim = static_cast<std::size_t>(
+      std::floor(config.trim_fraction * static_cast<double>(column.size())));
+  const std::size_t lo = trim;
+  const std::size_t hi = column.size() - trim;
+  PG_ASSERT(hi > lo, "trimmed mean removed all mass");
   for (std::size_t c = 0; c < dim; ++c) {
     for (std::size_t k = 0; k < idx.size(); ++k) {
       column[k] = d.features()(idx[k], c);
     }
     std::sort(column.begin(), column.end());
-    if (config.method == CentroidMethod::kCoordinateMedian) {
-      const std::size_t n = column.size();
-      out[c] = (n % 2 == 1)
-                   ? column[n / 2]
-                   : 0.5 * (column[n / 2 - 1] + column[n / 2]);
-    } else {  // trimmed mean
-      const auto trim = static_cast<std::size_t>(
-          std::floor(config.trim_fraction *
-                     static_cast<double>(column.size())));
-      const std::size_t lo = trim;
-      const std::size_t hi = column.size() - trim;
-      PG_ASSERT(hi > lo, "trimmed mean removed all mass");
-      double s = 0.0;
-      for (std::size_t k = lo; k < hi; ++k) s += column[k];
-      out[c] = s / static_cast<double>(hi - lo);
-    }
+    double s = 0.0;
+    for (std::size_t k = lo; k < hi; ++k) s += column[k];
+    out[c] = s / static_cast<double>(hi - lo);
   }
   return out;
 }

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 
+#include "attack/radius_map.h"
 #include "la/vector_ops.h"
 #include "util/error.h"
 #include "util/stats.h"
 
 namespace pg::defense {
 
-DistanceFilter::DistanceFilter(DistanceFilterConfig config) : config_(config) {
+DistanceFilter::DistanceFilter(DistanceFilterConfig config,
+                               const attack::ClassRadiusMap* clean_geometry)
+    : config_(config), clean_geometry_(clean_geometry) {
   PG_CHECK(config_.removal_fraction >= 0.0 && config_.removal_fraction < 1.0,
            "removal_fraction must be in [0, 1)");
 }
@@ -35,15 +38,20 @@ FilterResult DistanceFilter::apply(const data::Dataset& train,
     return result;
   }
 
+  const bool clean_centroids =
+      clean_geometry_ != nullptr &&
+      config_.centroid.method == CentroidMethod::kCoordinateMedian &&
+      clean_geometry_->is_median_geometry_of(train);
   std::vector<bool> keep(train.size(), true);
   for (int label : {1, -1}) {
     const auto idx = train.indices_of_label(label);
     if (idx.empty()) continue;
     const la::Vector centroid =
-        compute_centroid(train, label, config_.centroid);
+        clean_centroids ? clean_geometry_->geometry(label).centroid
+                        : compute_centroid(train, label, config_.centroid);
     std::vector<double> dist(idx.size());
     for (std::size_t k = 0; k < idx.size(); ++k) {
-      dist[k] = la::distance(train.instance(idx[k]), centroid);
+      dist[k] = la::distance(train.features().row(idx[k]), centroid);
     }
     const double radius =
         util::quantile(dist, 1.0 - config_.removal_fraction);

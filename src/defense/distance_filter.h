@@ -12,6 +12,10 @@
 #include "defense/centroid.h"
 #include "defense/filter.h"
 
+namespace pg::attack {
+class ClassRadiusMap;
+}  // namespace pg::attack
+
 namespace pg::defense {
 
 struct DistanceFilterConfig {
@@ -22,7 +26,15 @@ struct DistanceFilterConfig {
 
 class DistanceFilter final : public Filter {
  public:
-  explicit DistanceFilter(DistanceFilterConfig config);
+  /// `clean_geometry`, when given, is the coordinate-median geometry of a
+  /// clean split (it must outlive the filter). apply() takes its class
+  /// centroids instead of recomputing them when it filters that very
+  /// dataset object with a kCoordinateMedian centroid; any other dataset
+  /// (a poisoned copy, say) gets its own centroids. The kept rows are the
+  /// same either way.
+  explicit DistanceFilter(DistanceFilterConfig config,
+                          const attack::ClassRadiusMap* clean_geometry =
+                              nullptr);
 
   [[nodiscard]] FilterResult apply(const data::Dataset& train,
                                    util::Rng& rng) const override;
@@ -39,6 +51,7 @@ class DistanceFilter final : public Filter {
 
  private:
   DistanceFilterConfig config_;
+  const attack::ClassRadiusMap* clean_geometry_;
 };
 
 }  // namespace pg::defense

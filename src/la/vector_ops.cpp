@@ -18,7 +18,7 @@
 // isolate codegen when triaging a miscompile or a perf regression.
 namespace pg::la {
 
-double dot(const Vector& a, const Vector& b) {
+double dot(std::span<const double> a, std::span<const double> b) {
   PG_CHECK(a.size() == b.size(), "dot: size mismatch");
   const std::size_t n = a.size();
   const double* pa = a.data();
@@ -26,6 +26,10 @@ double dot(const Vector& a, const Vector& b) {
   double s = 0.0;
   for (std::size_t i = 0; i < n; ++i) s += pa[i] * pb[i];
   return s;
+}
+
+double dot(const Vector& a, const Vector& b) {
+  return dot(std::span<const double>(a), std::span<const double>(b));
 }
 
 double squared_norm(const Vector& a) {
@@ -36,7 +40,7 @@ double squared_norm(const Vector& a) {
 
 double norm(const Vector& a) { return std::sqrt(squared_norm(a)); }
 
-double distance(const Vector& a, const Vector& b) {
+double distance(std::span<const double> a, std::span<const double> b) {
   PG_CHECK(a.size() == b.size(), "distance: size mismatch");
   const std::size_t n = a.size();
   const double* pa = a.data();
@@ -47,6 +51,10 @@ double distance(const Vector& a, const Vector& b) {
     s += d * d;
   }
   return std::sqrt(s);
+}
+
+double distance(const Vector& a, const Vector& b) {
+  return distance(std::span<const double>(a), std::span<const double>(b));
 }
 
 void axpy(double alpha, const Vector& x, Vector& y) {

@@ -6,13 +6,16 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace pg::la {
 
 using Vector = std::vector<double>;
 
-/// Dot product. Requires equal sizes.
+/// Dot product. Requires equal sizes. The Vector overload forwards to
+/// the span one, so a matrix row and a Vector sum in the same order.
+[[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 [[nodiscard]] double dot(const Vector& a, const Vector& b);
 
 /// Euclidean norm.
@@ -21,7 +24,10 @@ using Vector = std::vector<double>;
 /// Squared Euclidean norm.
 [[nodiscard]] double squared_norm(const Vector& a);
 
-/// Euclidean distance between two points. Requires equal sizes.
+/// Euclidean distance between two points. Requires equal sizes. The
+/// Vector overload forwards to the span one.
+[[nodiscard]] double distance(std::span<const double> a,
+                              std::span<const double> b);
 [[nodiscard]] double distance(const Vector& a, const Vector& b);
 
 /// y += alpha * x. Requires equal sizes.

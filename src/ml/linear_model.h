@@ -5,6 +5,8 @@
 // data.
 #pragma once
 
+#include <span>
+
 #include "data/dataset.h"
 #include "la/vector_ops.h"
 
@@ -21,10 +23,13 @@ class LinearModel {
   [[nodiscard]] const la::Vector& weights() const noexcept { return w_; }
   [[nodiscard]] double bias() const noexcept { return b_; }
 
-  /// Signed score w . x + b. Requires matching dimension.
+  /// Signed score w . x + b. Requires matching dimension. The Vector
+  /// overloads forward to the span ones (a Dataset row needs no copy).
+  [[nodiscard]] double decision_function(std::span<const double> x) const;
   [[nodiscard]] double decision_function(const la::Vector& x) const;
 
   /// Predicted label: +1 if the score is >= 0, else -1.
+  [[nodiscard]] int predict(std::span<const double> x) const;
   [[nodiscard]] int predict(const la::Vector& x) const;
 
   /// Fraction of correctly classified instances. Requires non-empty data.

@@ -40,8 +40,8 @@ ConfusionMatrix evaluate(const LinearModel& model, const data::Dataset& d) {
   PG_CHECK(!d.empty(), "evaluate on empty dataset");
   ConfusionMatrix cm;
   for (std::size_t i = 0; i < d.size(); ++i) {
-    const int pred = model.predict(d.instance(i));
-    const int truth = d.label(i);
+    const int pred = model.predict(d.features().row(i));
+    const int truth = d.labels()[i];
     if (truth == 1) {
       if (pred == 1) {
         ++cm.true_positive;

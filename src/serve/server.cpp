@@ -382,6 +382,13 @@ void ScenarioServer::connection_loop(Connection* conn) {
   // reap_connections(), which may not run until the accept loop's next
   // wake-up -- a client blocked on read_line() must not wait for that.
   ::shutdown(fd, SHUT_RDWR);
+  // Discard whatever the peer sent that was never read: closing an
+  // AF_UNIX socket with unread bytes resets the peer (ECONNRESET) instead
+  // of giving it EOF. After the shutdown the peer cannot add more, so
+  // this ends with what is already queued.
+  char discard[512];
+  while (::recv(fd, discard, sizeof(discard), MSG_DONTWAIT) > 0) {
+  }
   conn->done.store(true, std::memory_order_release);
 }
 

@@ -89,6 +89,8 @@ struct ExperimentContext::Split {
   std::mutex mutex;
   std::atomic<bool> built{false};
   data::TrainTestSplit data;
+  std::atomic<bool> geometry_built{false};
+  attack::ClassRadiusMap geometry;  // of data.train
 };
 
 const data::Dataset& ExperimentContext::train() const {
@@ -124,6 +126,23 @@ const ExperimentContext::Split& ExperimentContext::split() const {
     state.built.store(true, std::memory_order_release);
   }
   return state;
+}
+
+const attack::ClassRadiusMap& ExperimentContext::clean_geometry() const {
+  static obs::Timer& timer = obs::timer("obs.stage.geometry");
+  const data::Dataset& clean = train();
+  Split& state = *split_;
+  if (state.geometry_built.load(std::memory_order_acquire)) {
+    return state.geometry;
+  }
+  const std::lock_guard<std::mutex> lock(state.mutex);
+  if (!state.geometry_built.load(std::memory_order_relaxed)) {
+    const obs::ScopedTimer timed(timer);
+    const obs::Span span("geometry", "attack");
+    state.geometry = attack::ClassRadiusMap(clean);
+    state.geometry_built.store(true, std::memory_order_release);
+  }
+  return state.geometry;
 }
 
 void ExperimentContext::set_split(data::Dataset train, data::Dataset test) {

@@ -13,6 +13,7 @@
 #include <memory>
 #include <string>
 
+#include "attack/radius_map.h"
 #include "data/dataset.h"
 #include "data/loader.h"
 #include "defense/centroid.h"
@@ -73,6 +74,13 @@ class ExperimentContext {
   /// Planned split sizes, known without building the split.
   [[nodiscard]] std::size_t train_size() const noexcept { return train_size_; }
   [[nodiscard]] std::size_t test_size() const noexcept { return test_size_; }
+
+  /// The coordinate-median ClassRadiusMap of train(), built on the first
+  /// call (once, thread-safe, after the split) and shared by every copy,
+  /// like the split. Cells hand it to their BoundaryAttack and
+  /// DistanceFilter so no cell recomputes the clean split's geometry.
+  /// Requires both classes in train().
+  [[nodiscard]] const attack::ClassRadiusMap& clean_geometry() const;
 
   /// Install an already-built split (a corpus loaded from a file); the
   /// planned sizes become its sizes.

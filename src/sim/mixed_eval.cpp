@@ -35,10 +35,13 @@ std::uint64_t cell_key(std::uint64_t fingerprint, const EvalCell& cell) {
 double run_cell(const ExperimentContext& ctx, const defense::Pipeline& pipeline,
                 const runtime::RngStreamFactory& streams,
                 std::uint64_t key, const EvalCell& cell) {
+  // As in the sweep: no poison budget, no attack, no clean geometry.
+  const attack::ClassRadiusMap* geometry =
+      ctx.poison_budget > 0 ? &ctx.clean_geometry() : nullptr;
   defense::DistanceFilterConfig fcfg;
   fcfg.removal_fraction = cell.fraction;
   fcfg.centroid = ctx.config.centroid;
-  const defense::DistanceFilter filter(fcfg);
+  const defense::DistanceFilter filter(fcfg, geometry);
   const defense::Filter* filter_ptr = (cell.fraction > 0.0) ? &filter : nullptr;
 
   // The cell's randomness is a pure function of its content key: same
@@ -59,7 +62,7 @@ double run_cell(const ExperimentContext& ctx, const defense::Pipeline& pipeline,
   // already prices. Depth search is the best response to a KNOWN pure
   // filter and belongs to the Fig.-1 sweep only.
   acfg.depth_offsets.clear();
-  const attack::BoundaryAttack attack(acfg);
+  const attack::BoundaryAttack attack(acfg, geometry);
   return pipeline
       .run(ctx.train(), ctx.test(), &attack, ctx.poison_budget, filter_ptr,
            rng)

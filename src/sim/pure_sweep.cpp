@@ -61,10 +61,14 @@ std::array<std::uint64_t, 3> sweep_cell_keys(std::uint64_t fingerprint,
 SweepCell measure_cell(const ExperimentContext& ctx,
                        const defense::Pipeline& pipeline, double p,
                        const util::Rng& rng) {
+  // A context with no poison budget never attacks, so it never needs the
+  // clean geometry.
+  const attack::ClassRadiusMap* geometry =
+      ctx.poison_budget > 0 ? &ctx.clean_geometry() : nullptr;
   defense::DistanceFilterConfig fcfg;
   fcfg.removal_fraction = p;
   fcfg.centroid = ctx.config.centroid;
-  const defense::DistanceFilter filter(fcfg);
+  const defense::DistanceFilter filter(fcfg, geometry);
   const defense::Filter* filter_ptr = (p > 0.0) ? &filter : nullptr;
 
   // No-attack arm: Gamma measurement.
@@ -76,7 +80,7 @@ SweepCell measure_cell(const ExperimentContext& ctx,
   // Attacked arm: the optimal pure attack against a known filter p.
   attack::BoundaryAttackConfig acfg;
   acfg.placement_fraction = p;
-  const attack::BoundaryAttack attack(acfg);
+  const attack::BoundaryAttack attack(acfg, geometry);
   util::Rng rng_attack = rng.fork(2);
   const auto res = pipeline.run(ctx.train(), ctx.test(), &attack,
                                 ctx.poison_budget, filter_ptr, rng_attack);

@@ -75,6 +75,39 @@ TEST(RadiusMapTest, UnknownLabelThrows) {
   EXPECT_THROW((void)map.geometry(3), std::invalid_argument);
 }
 
+TEST(BoundaryAttackTest, SharedCleanGeometryGivesTheSamePoison) {
+  data::SpambaseLikeConfig cfg;
+  cfg.n_instances = 600;
+  util::Rng corpus_rng(21);
+  const data::Dataset clean = data::make_spambase_like(cfg, corpus_rng);
+  const ClassRadiusMap geometry(clean);
+  BoundaryAttackConfig search;  // default depth offsets
+  search.placement_fraction = 0.1;
+  BoundaryAttackConfig exact = search;
+  exact.depth_offsets.clear();
+  for (const BoundaryAttackConfig& acfg : {search, exact}) {
+    util::Rng own_rng(5);
+    util::Rng shared_rng(5);
+    const data::Dataset want = BoundaryAttack(acfg).generate(clean, 60, own_rng);
+    const data::Dataset got =
+        BoundaryAttack(acfg, &geometry).generate(clean, 60, shared_rng);
+    EXPECT_EQ(got.features().data(), want.features().data());
+    EXPECT_EQ(got.labels(), want.labels());
+    EXPECT_EQ(shared_rng.uniform(), own_rng.uniform());
+  }
+
+  // A geometry of an equal copy, or of mean centroids, is not this
+  // dataset's median geometry.
+  const data::Dataset copy = clean;
+  const ClassRadiusMap mean_geometry(clean, /*use_median=*/false);
+  util::Rng rng(5);
+  EXPECT_THROW((void)BoundaryAttack(exact, &geometry).generate(copy, 60, rng),
+               std::invalid_argument);
+  EXPECT_THROW(
+      (void)BoundaryAttack(exact, &mean_geometry).generate(clean, 60, rng),
+      std::invalid_argument);
+}
+
 TEST(PoisonBudgetTest, FloorsFraction) {
   EXPECT_EQ(poison_budget(100, 0.2), 20u);
   EXPECT_EQ(poison_budget(7, 0.5), 3u);

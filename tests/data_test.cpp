@@ -2,6 +2,8 @@
 // synthetic generators, and the Spambase loader.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 
@@ -82,11 +84,58 @@ TEST(DatasetTest, DistancesToCenter) {
   EXPECT_EQ(d.distances_to({0.0, 0.0}).size(), 4u);
 }
 
-TEST(DatasetTest, AppendAllConcatenates) {
-  Dataset a = tiny();
-  const Dataset b = tiny();
-  a.append_all(b);
-  EXPECT_EQ(a.size(), 8u);
+/// Coordinate medians as they were computed before selection: sort each
+/// column of the class and read its middle.
+la::Vector sorted_column_median(const Dataset& d, int label) {
+  la::Vector out(d.dim());
+  for (std::size_t c = 0; c < d.dim(); ++c) {
+    std::vector<double> column;
+    for (std::size_t i = 0; i < d.size(); ++i) {
+      if (d.label(i) == label) column.push_back(d.features()(i, c));
+    }
+    std::sort(column.begin(), column.end());
+    const std::size_t n = column.size();
+    out[c] = (n % 2 == 1) ? column[n / 2]
+                          : 0.5 * (column[n / 2 - 1] + column[n / 2]);
+  }
+  return out;
+}
+
+TEST(DatasetTest, CoordinateMedianBySelectionMatchesSort) {
+  util::Rng rng(3);
+  Dataset odd_even;  // 7 positives, 6 negatives
+  for (int i = 0; i < 13; ++i) {
+    odd_even.append({rng.normal(), rng.uniform(-5.0, 5.0), rng.normal()},
+                    i < 7 ? 1 : -1);
+  }
+  Dataset ties;  // three distinct values per column: 14 positives, 26 negatives
+  for (int i = 0; i < 40; ++i) {
+    ties.append({static_cast<double>(rng.uniform_index(3)), 1.0,
+                 static_cast<double>(i % 2)},
+                i % 3 == 0 ? 1 : -1);
+  }
+  Dataset single;
+  single.append({2.5, 0.0, 7.0}, 1);
+  SpambaseLikeConfig cfg;
+  cfg.n_instances = 1400;
+  util::Rng corpus_rng(42);
+  const Dataset spam = make_spambase_like(cfg, corpus_rng);
+  ASSERT_EQ(spam.dim(), 57u);
+
+  const std::array<const Dataset*, 4> cases = {&odd_even, &ties, &single,
+                                                &spam};
+  for (const Dataset* d : cases) {
+    for (int label : {1, -1}) {
+      if (d->count_label(label) == 0) continue;
+      const la::Vector got = d->class_coordinate_median(label);
+      const la::Vector want = sorted_column_median(*d, label);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c], want[c]) << "n=" << d->count_label(label)
+                                   << " label=" << label << " column=" << c;
+      }
+    }
+  }
 }
 
 TEST(SplitTest, PartitionsWithoutOverlap) {
@@ -136,6 +185,36 @@ TEST(ConcatenateTest, HandlesEmptySides) {
   EXPECT_EQ(concatenate(d, d).size(), 2 * d.size());
 }
 
+/// Every double and every label equal (EXPECT_EQ, no tolerance).
+void expect_same_rows(const Dataset& got, const Dataset& want) {
+  ASSERT_EQ(got.size(), want.size());
+  ASSERT_EQ(got.dim(), want.dim());
+  const auto& x = got.features().data();
+  const auto& y = want.features().data();
+  ASSERT_EQ(x.size(), y.size());
+  for (std::size_t k = 0; k < x.size(); ++k) EXPECT_EQ(x[k], y[k]) << k;
+  EXPECT_EQ(got.labels(), want.labels());
+}
+
+TEST(ConcatenateTest, MatchesRowByRowAppend) {
+  SpambaseLikeConfig cfg;
+  cfg.n_instances = 300;
+  util::Rng rng(8);
+  const Dataset a = make_spambase_like(cfg, rng);
+  const Dataset b = a.select({5, 0, 299, 17});
+  Dataset want = a;
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    want.append(b.instance(i), b.label(i));
+  }
+  expect_same_rows(concatenate(a, b), want);
+  expect_same_rows(concatenate(a, Dataset{}), a);
+  expect_same_rows(concatenate(Dataset{}, b), b);
+  expect_same_rows(concatenate(Dataset{}, Dataset{}), Dataset{});
+  Dataset narrow;
+  narrow.append({1.0}, 1);
+  EXPECT_THROW((void)concatenate(a, narrow), std::invalid_argument);
+}
+
 // --------------------------------------------------------------- scaler.h
 
 TEST(ScalerTest, StandardizesToZeroMeanUnitVar) {
@@ -178,6 +257,23 @@ TEST(ScalerTest, ConstantFeatureMapsToZero) {
 TEST(ScalerTest, UnfittedThrows) {
   StandardScaler s;
   EXPECT_THROW((void)s.transform(la::Vector{1.0}), std::invalid_argument);
+}
+
+TEST(ScalerTest, DatasetTransformMatchesRowByRow) {
+  SpambaseLikeConfig cfg;
+  cfg.n_instances = 300;
+  util::Rng rng(9);
+  const Dataset d = make_spambase_like(cfg, rng);
+  StandardScaler s;
+  s.fit(d.select({0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+  Dataset want;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    want.append(s.transform(d.instance(i)), d.label(i));
+  }
+  expect_same_rows(s.transform(d), want);
+  expect_same_rows(s.transform(Dataset{}), Dataset{});
+  EXPECT_THROW((void)StandardScaler().transform(d), std::invalid_argument);
+  EXPECT_THROW((void)s.transform(tiny()), std::invalid_argument);
 }
 
 TEST(ScalerTest, LabelsPreserved) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "attack/boundary_attack.h"
+#include "attack/radius_map.h"
 #include "data/synthetic.h"
 #include "defense/centroid.h"
 #include "defense/distance_filter.h"
@@ -40,6 +41,18 @@ TEST(CentroidTest, MedianOfSymmetricDataNearMean) {
   const auto med = compute_centroid(d, 1, cfg);
   const auto mean = d.class_mean(1);
   EXPECT_LT(la::distance(med, mean), 0.2);
+}
+
+TEST(CentroidTest, MedianIsTheDatasetCoordinateMedian) {
+  data::SpambaseLikeConfig cfg;
+  cfg.n_instances = 1400;
+  util::Rng rng(42);
+  const auto d = data::make_spambase_like(cfg, rng);
+  const CentroidConfig median{.method = CentroidMethod::kCoordinateMedian};
+  for (int label : {1, -1}) {
+    EXPECT_EQ(compute_centroid(d, label, median),
+              d.class_coordinate_median(label));
+  }
 }
 
 TEST(CentroidTest, MedianRobustToOutliers) {
@@ -171,6 +184,34 @@ TEST(DistanceFilterTest, RadiusForMatchesQuantile) {
   const double r = f.radius_for(d, 1);
   const auto dist = d.distances_to(d.class_mean(1), 1);
   EXPECT_NEAR(r, util::quantile(dist, 0.75), 1e-9);
+}
+
+TEST(DistanceFilterTest, CleanGeometryKeepsTheSameRows) {
+  data::SpambaseLikeConfig cfg;
+  cfg.n_instances = 1000;
+  util::Rng rng(12);
+  const auto clean = data::make_spambase_like(cfg, rng);
+  const attack::ClassRadiusMap geometry(clean);
+  attack::BoundaryAttackConfig acfg;
+  acfg.placement_fraction = 0.1;
+  acfg.depth_offsets.clear();
+  util::Rng attack_rng(13);
+  const auto poisoned = data::concatenate(
+      clean, attack::BoundaryAttack(acfg).generate(clean, 140, attack_rng));
+  for (double p : {0.05, 0.2}) {
+    const DistanceFilterConfig fcfg{.removal_fraction = p};
+    const DistanceFilter own(fcfg);
+    const DistanceFilter shared(fcfg, &geometry);
+    for (const data::Dataset* d : {&clean, &poisoned}) {
+      util::Rng own_rng(1);
+      util::Rng shared_rng(1);
+      const auto want = own.apply(*d, own_rng);
+      const auto got = shared.apply(*d, shared_rng);
+      EXPECT_EQ(got.removed_indices, want.removed_indices);
+      EXPECT_EQ(got.kept.features().data(), want.kept.features().data());
+      EXPECT_EQ(got.kept.labels(), want.kept.labels());
+    }
+  }
 }
 
 TEST(DistanceFilterTest, ConfigValidation) {

@@ -3,6 +3,8 @@
 // all on reduced corpora so the suite stays fast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
@@ -157,10 +159,14 @@ constexpr bool kObs = false;
 constexpr bool kObs = true;
 #endif
 
-/// Corpora built so far in this process (always 0 with obs compiled out).
-std::uint64_t corpus_builds() {
-  return obs::timer("obs.stage.corpus").stats().count;
+/// Calls of an obs.stage timer so far in this process (always 0 with obs
+/// compiled out).
+std::uint64_t stage_count(const char* name) {
+  return obs::timer(name).stats().count;
 }
+
+/// Corpora built so far in this process.
+std::uint64_t corpus_builds() { return stage_count("obs.stage.corpus"); }
 
 TEST(ExperimentTest, WarmHitBuildsNoCorpusUntilFirstUse) {
   const ExperimentConfig cfg = tiny_config();
@@ -201,15 +207,30 @@ TEST(ExperimentTest, ConcurrentFirstUseBuildsOnce) {
   const ExperimentContext warm = prepare_experiment(cfg, &memo);
 
   const std::uint64_t before = corpus_builds();
+  const std::uint64_t geometries = stage_count("obs.stage.geometry");
   std::vector<const data::Dataset*> seen(4, nullptr);
+  std::vector<const attack::ClassRadiusMap*> maps(4, nullptr);
   std::vector<std::thread> threads;
   for (std::size_t i = 0; i < seen.size(); ++i) {
-    threads.emplace_back([&warm, &seen, i] { seen[i] = &warm.train(); });
+    // Each thread on its own copy of the context; half ask for the split
+    // first, half for the geometry (which builds the split first).
+    threads.emplace_back([&warm, &seen, &maps, i] {
+      const ExperimentContext copy = warm;
+      if (i % 2 == 0) seen[i] = &copy.train();
+      maps[i] = &copy.clean_geometry();
+      if (i % 2 == 1) seen[i] = &copy.train();
+    });
   }
   for (std::thread& t : threads) t.join();
   for (const data::Dataset* d : seen) EXPECT_EQ(d, seen.front());
   EXPECT_EQ(seen.front()->size(), warm.train_size());
+  for (const attack::ClassRadiusMap* m : maps) EXPECT_EQ(m, maps.front());
+  EXPECT_EQ(&warm.clean_geometry(), maps.front());
+  EXPECT_TRUE(maps.front()->is_median_geometry_of(warm.train()));
+  EXPECT_EQ(maps.front()->geometry(1).centroid,
+            warm.train().class_coordinate_median(1));
   if (kObs) EXPECT_EQ(corpus_builds() - before, 1u);
+  if (kObs) EXPECT_EQ(stage_count("obs.stage.geometry") - geometries, 1u);
 }
 
 TEST(ExperimentTest, ShardWithoutThePositiveFractionGainsIt) {
@@ -295,6 +316,44 @@ TEST(PureSweepTest, ProducesBothSeries) {
     // Boundary placement survives its own filter.
     EXPECT_GT(pt.poison_survived_fraction, 0.85);
   }
+}
+
+TEST(PureSweepTest, StageTimersCountTheArmsRun) {
+  const ExperimentConfig cfg = fast_config(11);
+  const std::array<const char*, 3> stages = {
+      "obs.stage.attack", "obs.stage.filter", "obs.stage.scale"};
+  const auto counts = [&stages] {
+    std::array<std::uint64_t, 3> out{};
+    for (std::size_t i = 0; i < stages.size(); ++i) {
+      out[i] = stage_count(stages[i]);
+    }
+    return out;
+  };
+  runtime::PayoffCache cache;
+  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
+  const std::vector<double> grid = sweep_grid(0.3, 3);
+  const std::size_t reps = 2;
+
+  const auto before = counts();
+  const ExperimentContext cold = prepare_experiment(cfg, &memo);
+  ASSERT_GT(cold.poison_budget, 0u);
+  (void)run_pure_sweep(cold, grid, reps, nullptr, &cache);
+  const auto after_cold = counts();
+  // Each cell runs a clean and an attacked arm. Both arms filter when the
+  // cell's strength is above 0, and every arm standardizes; so does the
+  // clean baseline's one arm.
+  const auto filtered = static_cast<std::size_t>(
+      std::count_if(grid.begin(), grid.end(), [](double p) { return p > 0.0; }));
+  if (kObs) {
+    EXPECT_EQ(after_cold[0] - before[0], grid.size() * reps);
+    EXPECT_EQ(after_cold[1] - before[1], 2 * filtered * reps);
+    EXPECT_EQ(after_cold[2] - before[2], 2 * grid.size() * reps + 1);
+  }
+
+  // Warm: every cell and the baseline come from the cache.
+  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+  (void)run_pure_sweep(warm, grid, reps, nullptr, &cache);
+  EXPECT_EQ(counts(), after_cold);
 }
 
 TEST(PureSweepTest, FilterMitigationShape) {
