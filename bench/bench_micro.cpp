@@ -12,7 +12,6 @@
 #include <atomic>
 
 #include "attack/boundary_attack.h"
-#include "bench_common.h"
 #include "core/equilibrium.h"
 #include "core/game_model.h"
 #include "data/synthetic.h"

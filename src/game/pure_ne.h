@@ -1,7 +1,7 @@
 // Pure-strategy equilibrium (saddle point) detection.
 //
 // Proposition 1 of the paper claims the poisoning game has no pure NE; the
-// bench_prop1 harness discretizes the continuous game and uses
+// prop1 scenario discretizes the continuous game and uses
 // find_pure_equilibria to confirm the claim numerically on the measured
 // payoff curves.
 #pragma once

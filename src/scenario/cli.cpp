@@ -551,8 +551,8 @@ std::string cli_usage() {
       "  --with-telemetry    also compare telemetry* tables and obs.*\n"
       "                    metric keys (skipped by default)\n"
       "\n"
-      "Scenario sizes honor the historical PG_BENCH_* env knobs; --set\n"
-      "overrides take precedence over both.\n";
+      "A run is the registry spec or the --spec file, then each --set in\n"
+      "order (last wins).\n";
 }
 
 int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
@@ -575,7 +575,7 @@ int run_cli(const CliOptions& options, std::ostream& out, std::ostream& err) {
     }
     if (options.list) {
       util::TextTable table({"scenario", "kind", "description"});
-      for (const ScenarioEntry& e : ScenarioRegistry::instance().entries()) {
+      for (const ScenarioSpec& e : ScenarioRegistry::instance().entries()) {
         table.add_row({e.name, e.kind, e.description});
       }
       out << table.str();

@@ -6,12 +6,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
-#include <fstream>
-#include <iostream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,7 +40,6 @@
 #include "runtime/payoff_evaluator.h"
 #include "runtime/rng_stream.h"
 #include "scenario/cache_bundle.h"
-#include "scenario/registry.h"
 #include "scenario/sweep.h"
 #include "sim/curve_fit.h"
 #include "sim/experiment.h"
@@ -105,7 +103,7 @@ ResultTable sweep_table(const sim::PureSweepResult& sweep) {
 }
 
 // ------------------------------------------------------------- pure_sweep
-// Legacy bench_fig1: the Fig.-1 sweep plus fitted payoff curves.
+// fig1: the Fig.-1 sweep plus fitted payoff curves.
 void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                              CacheBundle& bundle, ScenarioResult& result) {
   const sim::ExperimentContext ctx =
@@ -139,7 +137,7 @@ void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // ------------------------------------------------------------ mixed_table
-// Legacy bench_table1: Algorithm 1 at n in [support_min, support_max],
+// table1: Algorithm 1 at n in [support_min, support_max],
 // empirical mixed evaluation, and the mixed-vs-pure comparison claim.
 void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                               CacheBundle& bundle, ScenarioResult& result) {
@@ -224,7 +222,7 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // --------------------------------------------------------------- pure_ne
-// Legacy bench_prop1: duality gap / saddle scan / best-response cycling
+// prop1: duality gap / saddle scan / best-response cycling
 // on measured and analytic curve families, plus a control game.
 void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
                           CacheBundle& bundle, ScenarioResult& result) {
@@ -282,7 +280,7 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // ---------------------------------------------------------- support_sweep
-// Legacy bench_nsweep: the section-5 plateau claim.
+// nsweep: the section-5 plateau claim.
 void run_support_sweep_scenario(const ScenarioSpec& spec,
                                 runtime::Executor* exec, CacheBundle& bundle,
                                 ScenarioResult& result) {
@@ -331,7 +329,7 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
 }
 
 // ---------------------------------------------------------------- transfer
-// Legacy bench_transfer: source-solved strategy transplanted onto three
+// transfer: source-solved strategy transplanted onto three
 // perturbed target corpora vs the natively-solved strategy. The source is
 // solved once, before the targets.
 void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
@@ -395,7 +393,7 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 }
 
 // --------------------------------------------------------- solver_ablation
-// Legacy bench_solver_ablation: four routes to the mixed NE on analytic
+// solver_ablation: four routes to the mixed NE on analytic
 // and measured curves.
 void run_solver_ablation_scenario(const ScenarioSpec& spec,
                                   runtime::Executor* exec, CacheBundle& bundle,
@@ -488,7 +486,7 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
 }
 
 // -------------------------------------------------------- defense_ablation
-// Legacy bench_defense_ablation: centroid drift under attack plus the
+// defense_ablation: centroid drift under attack plus the
 // sanitizer-family comparison across attack families.
 void run_defense_ablation_scenario(const ScenarioSpec& spec,
                                    runtime::Executor* exec,
@@ -1391,24 +1389,6 @@ ScenarioResult merge_partials(
         merged.cache.disk_max_bytes, num("disk_max_bytes"));
   }
   return merged;
-}
-
-int run_legacy_bench(const std::string& name, const std::string& json_out) {
-  try {
-    const ScenarioSpec spec = ScenarioRegistry::instance().make(name);
-    const ScenarioResult result = run_scenario(spec);
-    write_text(result, std::cout);
-    if (!json_out.empty()) {
-      std::ofstream out(json_out);
-      PG_CHECK(static_cast<bool>(out), "cannot write " + json_out);
-      write_json(result, out);
-      std::cout << "wrote " << json_out << "\n";
-    }
-    return 0;
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
 }
 
 }  // namespace pg::scenario

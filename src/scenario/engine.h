@@ -6,11 +6,10 @@
 // axes (scenario/sweep.h) the engine instead expands the cross-product
 // grid and runs every point through the same dispatch -- one executor,
 // one shared cache bundle -- then merges the per-point results into a
-// single ScenarioResult whose tables lead with the axis coordinates. Each runner drives the same sim/
-// and core/ entry points the legacy bench binaries called with the same
-// parameters and seeds, so at a fixed seed the numbers are bit-identical
-// to the pre-refactor benches -- and bit-identical at 1 vs N threads,
-// inherited from the runtime's determinism contract.
+// single ScenarioResult whose tables lead with the axis coordinates. Each
+// runner drives the sim/ and core/ entry points directly, so at a fixed
+// seed the numbers are bit-identical at 1 vs N threads, inherited from
+// the runtime's determinism contract.
 //
 // Caching: when `spec.use_cache` is on, every experiment context gets a
 // PayoffCache shard keyed by its context key (sim::context_key, known
@@ -119,11 +118,5 @@ struct EngineContext {
 /// exclusions).
 [[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec,
                                           EngineContext& context);
-
-/// The thin-wrapper entry point the legacy bench_* binaries delegate to:
-/// build the registered spec (env-aware), run it, print the text sink to
-/// stdout, optionally also write the JSON sink to `json_out`. Returns a
-/// process exit code (errors print to stderr).
-int run_legacy_bench(const std::string& name, const std::string& json_out = "");
 
 }  // namespace pg::scenario

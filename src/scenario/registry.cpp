@@ -2,36 +2,23 @@
 
 #include <algorithm>
 
-#include "util/env.h"
 #include "util/error.h"
 
 namespace pg::scenario {
 
 namespace {
 
-/// The shared PG_BENCH_* envelope every legacy bench started from
-/// (bench_common.h's paper_config + sweep_reps + bench_executor).
-ScenarioSpec paper_base() {
+/// The reduced envelope for structure-not-scale experiments: a smaller
+/// corpus and fewer epochs than the paper's 4601 instances x 300.
+ScenarioSpec reduced_base(std::size_t instances, std::size_t epochs) {
   ScenarioSpec spec;
-  spec.seed = util::env_size("PG_BENCH_SEED", 42);
-  spec.instances = util::env_size("PG_BENCH_INSTANCES", 4601);
-  spec.epochs = util::env_size("PG_BENCH_EPOCHS", 300);
-  spec.replications = util::env_size("PG_BENCH_REPS", 2);
-  spec.threads = util::env_size("PG_BENCH_THREADS", 0);
-  return spec;
-}
-
-/// The reduced envelope several benches used for structure-not-scale
-/// experiments: min(paper size, cap), preserving env override semantics.
-ScenarioSpec reduced_base(std::size_t max_instances, std::size_t max_epochs) {
-  ScenarioSpec spec = paper_base();
-  spec.instances = std::min(spec.instances, max_instances);
-  spec.epochs = std::min(spec.epochs, max_epochs);
+  spec.instances = instances;
+  spec.epochs = epochs;
   return spec;
 }
 
 ScenarioSpec make_fig1() {
-  ScenarioSpec spec = paper_base();
+  ScenarioSpec spec;
   spec.name = "fig1";
   spec.kind = "pure_sweep";
   spec.description = "Figure 1: pure strategy defense under optimal attack";
@@ -39,7 +26,7 @@ ScenarioSpec make_fig1() {
 }
 
 ScenarioSpec make_table1() {
-  ScenarioSpec spec = paper_base();
+  ScenarioSpec spec;
   spec.name = "table1";
   spec.kind = "mixed_table";
   spec.description = "Table 1: mixed strategy defense under optimal attack";
@@ -58,7 +45,7 @@ ScenarioSpec make_prop1() {
 }
 
 ScenarioSpec make_nsweep() {
-  ScenarioSpec spec = paper_base();
+  ScenarioSpec spec;
   spec.name = "nsweep";
   spec.kind = "support_sweep";
   spec.description = "Support-size sweep: accuracy plateau after n = 3";
@@ -95,18 +82,15 @@ ScenarioSpec make_defense_ablation() {
 }
 
 ScenarioSpec make_micro() {
-  ScenarioSpec spec = paper_base();
+  ScenarioSpec spec;
   spec.name = "micro";
   spec.kind = "micro";
   spec.description = "Micro kernel: payoff grid speedup_vs_serial";
-  spec.timing_reps = util::env_size("PG_BENCH_SOLVER_REPS", 1);
+  spec.timing_reps = 1;
   return spec;
 }
 
 ScenarioSpec make_serve_metrics() {
-  // Service health, not simulation: sized by nothing, so the paper
-  // envelope's knobs are irrelevant -- a bare spec keeps the golden
-  // baseline independent of PG_BENCH_* overrides.
   ScenarioSpec spec;
   spec.name = "serve_metrics";
   spec.kind = "serve_metrics";
@@ -117,21 +101,10 @@ ScenarioSpec make_serve_metrics() {
 
 }  // namespace
 
-ScenarioRegistry::ScenarioRegistry() {
-  const auto add = [this](ScenarioSpec (*make)()) {
-    const ScenarioSpec spec = make();
-    entries_.push_back({spec.name, spec.kind, spec.description, make});
-  };
-  add(&make_fig1);
-  add(&make_table1);
-  add(&make_prop1);
-  add(&make_nsweep);
-  add(&make_transfer);
-  add(&make_solver_ablation);
-  add(&make_defense_ablation);
-  add(&make_micro);
-  add(&make_serve_metrics);
-}
+ScenarioRegistry::ScenarioRegistry()
+    : entries_{make_fig1(), make_table1(), make_prop1(), make_nsweep(),
+               make_transfer(), make_solver_ablation(),
+               make_defense_ablation(), make_micro(), make_serve_metrics()} {}
 
 const ScenarioRegistry& ScenarioRegistry::instance() {
   static const ScenarioRegistry registry;
@@ -141,18 +114,18 @@ const ScenarioRegistry& ScenarioRegistry::instance() {
 std::vector<std::string> ScenarioRegistry::names() const {
   std::vector<std::string> out;
   out.reserve(entries_.size());
-  for (const ScenarioEntry& e : entries_) out.push_back(e.name);
+  for (const ScenarioSpec& e : entries_) out.push_back(e.name);
   return out;
 }
 
 bool ScenarioRegistry::contains(const std::string& name) const {
   return std::any_of(entries_.begin(), entries_.end(),
-                     [&](const ScenarioEntry& e) { return e.name == name; });
+                     [&](const ScenarioSpec& e) { return e.name == name; });
 }
 
 ScenarioSpec ScenarioRegistry::make(const std::string& name) const {
-  for (const ScenarioEntry& e : entries_) {
-    if (e.name == name) return e.make();
+  for (const ScenarioSpec& e : entries_) {
+    if (e.name == name) return e;
   }
   PG_CHECK(false, "unknown scenario: " + name +
                       " (pg_run --list shows the catalog)");

@@ -5,7 +5,7 @@
 // resolve(), so option precedence is defined exactly once:
 //
 //     overrides (CLI --set/--sweep, or server-enforced config)
-//   > spec text / registry defaults (incl. their PG_BENCH_* env reads)
+//   > spec text / registry spec
 //
 // Overrides apply in list order (last wins), matching repeated --set
 // flags; the special key "sweep+" APPENDS a grid axis instead of

@@ -4,7 +4,7 @@
 // Every scenario runner fills one ScenarioResult instead of printf-ing;
 // the sinks render it as JSON (machine consumption, the CI artifact
 // trail), CSV (external plotting), or aligned text (the human-facing
-// format the legacy bench wrappers print). Values are stored raw -- a
+// `pg_run --out text` format). Values are stored raw -- a
 // number stays a double all the way to the sink -- so the JSON/CSV
 // output is exactly what the engine computed, with no formatting loss.
 //

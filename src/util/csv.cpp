@@ -50,33 +50,6 @@ std::vector<std::vector<double>> load_numeric_csv(const std::string& path,
   return parse_numeric_csv(buf.str(), delim);
 }
 
-std::string format_csv(const std::vector<std::string>& header,
-                       const std::vector<std::vector<double>>& rows,
-                       char delim) {
-  std::ostringstream os;
-  os.precision(10);
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (i) os << delim;
-    os << header[i];
-  }
-  if (!header.empty()) os << '\n';
-  for (const auto& row : rows) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) os << delim;
-      os << row[i];
-    }
-    os << '\n';
-  }
-  return os.str();
-}
-
-void write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<double>>& rows, char delim) {
-  std::ofstream f(path);
-  if (!f) throw std::runtime_error("cannot create CSV file: " + path);
-  f << format_csv(header, rows, delim);
-}
-
 bool file_exists(const std::string& path) {
   std::ifstream f(path);
   return static_cast<bool>(f);

@@ -1,9 +1,8 @@
-// Minimal CSV reader/writer.
+// Minimal CSV reader.
 //
-// Used to (a) load a real UCI spambase.data file when present, and (b) dump
-// experiment results in a form that external plotting tools can consume.
-// Only the unquoted numeric subset of CSV is supported -- that is all the
-// Spambase format and our result tables need.
+// Used to load a real UCI spambase.data file when present. Only the
+// unquoted numeric subset of CSV is supported -- that is all the Spambase
+// format needs.
 #pragma once
 
 #include <string>
@@ -21,16 +20,6 @@ namespace pg::util {
 /// file cannot be opened.
 [[nodiscard]] std::vector<std::vector<double>> load_numeric_csv(
     const std::string& path, char delim = ',');
-
-/// Serialize rows of doubles as CSV with an optional header line.
-[[nodiscard]] std::string format_csv(
-    const std::vector<std::string>& header,
-    const std::vector<std::vector<double>>& rows, char delim = ',');
-
-/// Write CSV to a file. Throws std::runtime_error if the file cannot be
-/// created.
-void write_csv(const std::string& path, const std::vector<std::string>& header,
-               const std::vector<std::vector<double>>& rows, char delim = ',');
 
 /// True if the file exists and is readable.
 [[nodiscard]] bool file_exists(const std::string& path);

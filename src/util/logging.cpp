@@ -1,6 +1,7 @@
 #include "util/logging.h"
 
 #include <iostream>
+#include <mutex>
 
 namespace pg::util {
 
@@ -30,6 +31,10 @@ LogLevel log_level() noexcept { return g_level; }
 
 void log(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) < static_cast<int>(g_level)) return;
+  // std::cerr may be redirected to a buffer with no lock of its own (a
+  // test's std::ostringstream), and whole lines must not interleave.
+  static std::mutex mutex;
+  const std::lock_guard<std::mutex> lock(mutex);
   std::cerr << "[" << level_name(level) << "] " << message << "\n";
 }
 

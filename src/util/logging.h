@@ -17,6 +17,7 @@ void set_log_level(LogLevel level) noexcept;
 [[nodiscard]] LogLevel log_level() noexcept;
 
 /// Emit one line to stderr as "[LEVEL] message" if level passes the filter.
+/// Concurrent calls write one line at a time.
 void log(LogLevel level, const std::string& message);
 
 namespace detail {

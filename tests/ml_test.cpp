@@ -8,7 +8,6 @@
 #include "ml/linear_model.h"
 #include "ml/metrics.h"
 #include "ml/svm.h"
-#include "ml/validation.h"
 
 namespace pg::ml {
 namespace {
@@ -199,38 +198,6 @@ TEST(MetricsTest, AccuracyHelperMatchesModelAccuracy) {
   const data::Dataset d = separable_blobs(100, 31);
   const LinearModel m({1.0, 0.0, 0.0, 0.0}, 0.0);
   EXPECT_DOUBLE_EQ(accuracy(m, d), m.accuracy(d));
-}
-
-// ------------------------------------------------------------ validation.h
-
-TEST(ValidationTest, KfoldPartitionsEverything) {
-  util::Rng rng(1);
-  const auto folds = kfold_indices(10, 3, rng);
-  ASSERT_EQ(folds.size(), 3u);
-  std::vector<std::size_t> all;
-  for (const auto& f : folds) all.insert(all.end(), f.begin(), f.end());
-  std::sort(all.begin(), all.end());
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(all[i], i);
-}
-
-TEST(ValidationTest, KfoldRejectsBadK) {
-  util::Rng rng(1);
-  EXPECT_THROW((void)kfold_indices(10, 1, rng), std::invalid_argument);
-  EXPECT_THROW((void)kfold_indices(3, 4, rng), std::invalid_argument);
-}
-
-TEST(ValidationTest, CrossValidationHighOnSeparableData) {
-  const data::Dataset d = separable_blobs(300, 33);
-  util::Rng rng(34);
-  const double acc = cross_validated_accuracy(
-      d, 5,
-      [](const data::Dataset& train, util::Rng& r) {
-        SvmConfig cfg;
-        cfg.epochs = 20;
-        return SvmTrainer(cfg).train(train, r);
-      },
-      rng);
-  EXPECT_GT(acc, 0.95);
 }
 
 }  // namespace

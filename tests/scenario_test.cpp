@@ -120,14 +120,24 @@ TEST(RegistryTest, ListsEveryLegacyScenario) {
   EXPECT_THROW((void)registry.make("nope"), std::invalid_argument);
 }
 
-TEST(RegistryTest, HonorsBenchEnvKnobsLikeTheLegacyBenches) {
-  // prop1 capped instances at min(PG_BENCH_INSTANCES, 1500).
-  ASSERT_EQ(setenv("PG_BENCH_INSTANCES", "900", 1), 0);
-  EXPECT_EQ(ScenarioRegistry::instance().make("prop1").instances, 900u);
-  ASSERT_EQ(setenv("PG_BENCH_INSTANCES", "4000", 1), 0);
-  EXPECT_EQ(ScenarioRegistry::instance().make("prop1").instances, 1500u);
-  EXPECT_EQ(ScenarioRegistry::instance().make("fig1").instances, 4000u);
-  ASSERT_EQ(unsetenv("PG_BENCH_INSTANCES"), 0);
+TEST(RegistryTest, SpecsIgnoreTheEnvironment) {
+  // The variables the registry once read as size defaults, one of them
+  // malformed: none may change a spec or fail a lookup.
+  const ScenarioRegistry& registry = ScenarioRegistry::instance();
+  const std::vector<std::string> names = registry.names();
+  std::vector<std::string> before;
+  for (const std::string& name : names) {
+    before.push_back(registry.make(name).to_text());
+  }
+  const std::pair<const char*, const char*> vars[] = {
+      {"PG_BENCH_SEED", "7"},    {"PG_BENCH_INSTANCES", "4k"},
+      {"PG_BENCH_EPOCHS", "5"},  {"PG_BENCH_REPS", "9"},
+      {"PG_BENCH_THREADS", "3"}, {"PG_BENCH_SOLVER_REPS", "4"}};
+  for (const auto& [var, value] : vars) ASSERT_EQ(setenv(var, value, 1), 0);
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(registry.make(names[i]).to_text(), before[i]) << names[i];
+  }
+  for (const auto& var : vars) ASSERT_EQ(unsetenv(var.first), 0);
 }
 
 // ------------------------------------------------------------------- cli

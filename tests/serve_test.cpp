@@ -178,10 +178,9 @@ class ServeTest : public ::testing::Test {
 TEST_F(ServeTest, EveryRegistryScenarioMatchesDirectRun) {
   Start();
   Client client = Connect();
-  for (const scenario::ScenarioEntry& entry :
+  for (const scenario::ScenarioSpec& entry :
        scenario::ScenarioRegistry::instance().entries()) {
-    const scenario::ScenarioSpec spec =
-        shrink(scenario::ScenarioRegistry::instance().make(entry.name));
+    const scenario::ScenarioSpec spec = shrink(entry);
     const Client::Response response = client.request(spec.to_text());
     ASSERT_TRUE(response.ok()) << entry.name << ": " << response.body;
 

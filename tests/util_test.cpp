@@ -443,16 +443,6 @@ TEST(CsvTest, RejectsNonNumeric) {
   EXPECT_THROW((void)parse_numeric_csv("1,abc\n"), std::invalid_argument);
 }
 
-TEST(CsvTest, FormatRoundTrip) {
-  const std::vector<std::vector<double>> rows{{1.5, 2.5}, {3.0, 4.0}};
-  const std::string text = format_csv({"a", "b"}, rows);
-  const auto parsed = parse_numeric_csv(
-      text.substr(text.find('\n') + 1));  // drop header
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed[0][0], 1.5);
-  EXPECT_DOUBLE_EQ(parsed[1][1], 4.0);
-}
-
 TEST(CsvTest, MissingFileThrowsAndExistsIsFalse) {
   EXPECT_THROW((void)load_numeric_csv("/nonexistent/x.csv"),
                std::runtime_error);
@@ -514,41 +504,16 @@ TEST(StringsTest, JsonEscapePinsTheTable) {
 
 TEST(EnvTest, FallsBackWhenUnsetOrEmpty) {
   ASSERT_EQ(unsetenv("PG_TEST_KNOB"), 0);
-  EXPECT_EQ(env_size("PG_TEST_KNOB", 7), 7u);
   EXPECT_EQ(env_string("PG_TEST_KNOB", "dflt"), "dflt");
   ASSERT_EQ(setenv("PG_TEST_KNOB", "", 1), 0);
-  EXPECT_EQ(env_size("PG_TEST_KNOB", 7), 7u);
   EXPECT_EQ(env_string("PG_TEST_KNOB", "dflt"), "dflt");
   ASSERT_EQ(unsetenv("PG_TEST_KNOB"), 0);
 }
 
 TEST(EnvTest, ParsesSetValues) {
   ASSERT_EQ(setenv("PG_TEST_KNOB", "123", 1), 0);
-  EXPECT_EQ(env_size("PG_TEST_KNOB", 7), 123u);
   EXPECT_EQ(env_string("PG_TEST_KNOB", "dflt"), "123");
   ASSERT_EQ(unsetenv("PG_TEST_KNOB"), 0);
-}
-
-TEST(EnvTest, SizeKnobAcceptsOnlyAFullDecimalInteger) {
-  ASSERT_EQ(unsetenv("PG_BENCH_INSTANCES"), 0);
-  EXPECT_EQ(env_size("PG_BENCH_INSTANCES", 4601), 4601u);
-  ASSERT_EQ(setenv("PG_BENCH_INSTANCES", "", 1), 0);
-  EXPECT_EQ(env_size("PG_BENCH_INSTANCES", 4601), 4601u);
-  ASSERT_EQ(setenv("PG_BENCH_INSTANCES", "900", 1), 0);
-  EXPECT_EQ(env_size("PG_BENCH_INSTANCES", 4601), 900u);
-  for (const char* bad : {"4k", "abc", "-3"}) {
-    ASSERT_EQ(setenv("PG_BENCH_INSTANCES", bad, 1), 0);
-    try {
-      (void)env_size("PG_BENCH_INSTANCES", 4601);
-      ADD_FAILURE() << "accepted '" << bad << "'";
-    } catch (const std::invalid_argument& e) {
-      const std::string what = e.what();
-      EXPECT_NE(what.find("PG_BENCH_INSTANCES"), std::string::npos) << what;
-      EXPECT_NE(what.find(bad), std::string::npos) << what;
-      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
-    }
-  }
-  ASSERT_EQ(unsetenv("PG_BENCH_INSTANCES"), 0);
 }
 
 }  // namespace
