@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
 
@@ -31,6 +32,8 @@ SvmTrainer::SvmTrainer(SvmConfig config) : config_(config) {
 
 LinearModel SvmTrainer::train(const data::Dataset& train,
                               util::Rng& rng) const {
+  static obs::Timer& timer = obs::timer("obs.stage.train");
+  const obs::ScopedTimer timed(timer);
   // The SGD solve is the inner "solver" of every payoff cell; tracing it
   // under the same category as the game solvers makes retrain cost
   // directly comparable to equilibrium cost in one trace.
@@ -52,27 +55,30 @@ LinearModel SvmTrainer::train(const data::Dataset& train,
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
 
-  const auto& X = train.features();
+  const double* X = train.features().data().data();  // row i at X + i*d
   const auto& y = train.labels();
 
   // This loop is retrained once per payoff cell -- millions of times over
-  // a sweep grid -- so the inner passes are written as contiguous pointer
-  // loops: the elementwise update/decay passes auto-vectorize (no
-  // loop-carried dependence), while the score dot keeps a single
-  // accumulator advancing left-to-right because reassociating it would
-  // move trained accuracies and break the golden baselines.
+  // a sweep grid -- so each step makes one pass over the weights: the pass
+  // that applies step t's update also sums step t+1's score from the
+  // updated bias and weights. That score keeps a single accumulator
+  // advancing left to right, the same products and additions in the same
+  // order as a separate dot product after the update, because
+  // reassociating it would move trained accuracies and break the golden
+  // baselines. Each epoch scores its first sample on its own after the
+  // shuffle, and its last step scores its own row again: nothing reads
+  // that score.
   double* wp = w.data();
   std::size_t t = 0;  // global step counter (1-based in the update)
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
     rng.shuffle(order);
+    const double* xp = X + order[0] * d;
+    double score = b;
+    for (std::size_t c = 0; c < d; ++c) score += wp[c] * xp[c];
     for (std::size_t k = 0; k < n; ++k) {
       ++t;
-      const std::size_t i = order[k];
-      const auto xi = X.row(i);
-      const double* xp = xi.data();
-      const double yi = static_cast<double>(y[i]);
-      double score = b;
-      for (std::size_t c = 0; c < d; ++c) score += wp[c] * xp[c];
+      const double yi = static_cast<double>(y[order[k]]);
+      const double* xn = k + 1 < n ? X + order[k + 1] * d : xp;
       // Pegasos rate with a t0 = 1/lambda warm-start offset: the textbook
       // eta_t = 1/(lambda*t) opens at eta_1 = 1/lambda (10^4 for the
       // default lambda), which catapults the unregularized bias and costs
@@ -82,13 +88,20 @@ LinearModel SvmTrainer::train(const data::Dataset& train,
       const double decay = 1.0 - eta * lambda;
       if (yi * score < 1.0) {
         const double step = eta * yi;
+        b += step;  // bias unregularized
+        score = b;
         for (std::size_t c = 0; c < d; ++c) {
           wp[c] = decay * wp[c] + step * xp[c];
+          score += wp[c] * xn[c];
         }
-        b += step;  // bias unregularized
       } else {
-        for (std::size_t c = 0; c < d; ++c) wp[c] *= decay;
+        score = b;
+        for (std::size_t c = 0; c < d; ++c) {
+          wp[c] *= decay;
+          score += wp[c] * xn[c];
+        }
       }
+      xp = xn;
     }
     if (config_.average && epoch >= avg_start_epoch) {
       la::axpy(1.0, w, w_avg);

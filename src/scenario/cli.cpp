@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -38,12 +39,21 @@ std::string flag_value(const std::vector<std::string>& args, std::size_t& i,
   return args[++i];
 }
 
+/// The whole of an input file, up to kMaxInputBytes.
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   PG_CHECK(static_cast<bool>(in), "cannot read " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
+  std::string text;
+  std::array<char, 1 << 16> chunk{};
+  while (in && text.size() < kMaxInputBytes) {
+    in.read(chunk.data(), static_cast<std::streamsize>(std::min(
+                              chunk.size(), kMaxInputBytes - text.size())));
+    text.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
+  }
+  PG_CHECK(in.peek() == std::ifstream::traits_type::eof(),
+           path + " is larger than the " +
+               std::to_string(kMaxInputBytes >> 20) + " MiB input cap");
+  return text;
 }
 
 /// Fail fast on an unwritable output path, BEFORE the run: opening for
@@ -108,8 +118,9 @@ int run_compare(const CliOptions& options, std::ostream& out,
 /// from a crashed legacy/foreign producer -- name that cause instead of
 /// surfacing a bare parse error.
 JsonValue parse_artifact(const std::string& path) {
+  const std::string text = read_file(path);
   try {
-    return parse_json(read_file(path));
+    return parse_json(text);
   } catch (const std::exception& e) {
     throw std::runtime_error("cannot parse artifact " + path +
                              " (truncated or torn write?): " + e.what());
@@ -201,18 +212,14 @@ pid_t spawn_shard_worker(const CliOptions& options, std::size_t index,
   std::_Exit(code);
 }
 
-/// A worker's partial is usable iff it exists AND parses as JSON. A
-/// worker that died inside atomic_write_file leaves NO final file (the
-/// temp never renamed), so "missing" is the common crash signature;
-/// "present but unparseable" catches torn writes from legacy producers
-/// and the injected short-write action.
+/// A worker's partial is usable iff it exists, fits the input cap AND
+/// parses as JSON. A worker that died inside atomic_write_file leaves NO
+/// final file (the temp never renamed), so "missing" is the common crash
+/// signature; "present but unparseable" catches torn writes from legacy
+/// producers and the injected short-write action.
 bool partial_usable(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream text;
-  text << in.rdbuf();
   try {
-    (void)parse_json(text.str());
+    (void)parse_json(read_file(path));
   } catch (...) {
     return false;
   }

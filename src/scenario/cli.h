@@ -5,6 +5,7 @@
 // in-memory streams without spawning a process.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -77,6 +78,12 @@ struct CliOptions {
 /// retry wrapper can relaunch exactly those shards; every other merge
 /// failure stays generic exit 1.
 inline constexpr int kExitMissingShards = 4;
+
+/// Largest file `pg_run` reads as input: a `--spec` file, a `--compare`
+/// or `--merge` artifact, a `--shard-exec` worker's partial. A larger
+/// one fails in one line that names it, after at most one byte past
+/// the cap has been read.
+inline constexpr std::size_t kMaxInputBytes = std::size_t{64} << 20;
 
 /// Parse argv (excluding argv[0]). Throws std::invalid_argument on
 /// unknown flags, missing flag values, or malformed --set syntax.

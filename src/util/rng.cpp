@@ -71,21 +71,28 @@ double Rng::uniform(double lo, double hi) {
 
 std::size_t Rng::uniform_index(std::size_t n) {
   PG_CHECK(n > 0, "uniform_index requires n > 0");
-  // Rejection sampling for exact uniformity.
+  // Rejection sampling for exact uniformity: a draw at or above
+  // limit = UINT64_MAX - UINT64_MAX % n is redrawn. The limit is never
+  // below UINT64_MAX - (n - 1), so a draw x <= UINT64_MAX - n is accepted
+  // without computing it, and only a larger one pays the second division.
   const std::uint64_t bound = n;
-  const std::uint64_t limit = UINT64_MAX - UINT64_MAX % bound;
-  std::uint64_t x;
-  do {
-    x = gen_.next();
-  } while (x >= limit);
+  std::uint64_t x = gen_.next();
+  if (x > UINT64_MAX - bound) {
+    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % bound;
+    while (x >= limit) x = gen_.next();
+  }
   return static_cast<std::size_t>(x % bound);
 }
 
 long long Rng::uniform_int(long long lo, long long hi) {
   PG_CHECK(lo <= hi, "uniform_int requires lo <= hi");
-  const auto span =
-      static_cast<std::uint64_t>(hi - lo) + 1;  // hi-lo < 2^63, safe
-  return lo + static_cast<long long>(uniform_index(span));
+  // Span and offset in unsigned arithmetic: hi - lo overflows long long
+  // for any span above LLONG_MAX, and the full range has 2^64 values.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (span == UINT64_MAX) return static_cast<long long>(gen_.next());
+  return static_cast<long long>(static_cast<std::uint64_t>(lo) +
+                                uniform_index(span + 1));
 }
 
 double Rng::normal() noexcept {

@@ -66,7 +66,8 @@ class Rng {
   /// Uniform integer on [0, n). Requires n > 0. Unbiased (rejection).
   [[nodiscard]] std::size_t uniform_index(std::size_t n);
 
-  /// Uniform integer on [lo, hi] inclusive. Requires lo <= hi.
+  /// Uniform integer on [lo, hi] inclusive. Requires lo <= hi; any such
+  /// range works, and the full long long range is one raw draw.
   [[nodiscard]] long long uniform_int(long long lo, long long hi);
 
   /// Standard normal via Box-Muller (cached second variate).

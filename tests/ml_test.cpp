@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "ml/linear_model.h"
 #include "ml/metrics.h"
+#include "la/vector_ops.h"
 #include "ml/svm.h"
 
 namespace pg::ml {
@@ -163,6 +167,125 @@ TEST(SvmTest, SingleClassDataDoesNotCrash) {
   util::Rng rng(19);
   const LinearModel m = SvmTrainer(cfg).train(d, rng);
   EXPECT_EQ(m.accuracy(d), 1.0);  // everything classified +1
+}
+
+/// SvmTrainer::train as two passes over the weights per step: sum the
+/// score, then apply the update. The trainer fuses the update with the
+/// next sample's score; every model must match this loop bit for bit.
+LinearModel two_pass_reference(const data::Dataset& train,
+                               const SvmConfig& config, util::Rng& rng) {
+  const std::size_t n = train.size();
+  const std::size_t d = train.dim();
+  la::Vector w(d, 0.0);
+  double b = 0.0;
+  la::Vector w_avg(d, 0.0);
+  double b_avg = 0.0;
+  std::size_t avg_count = 0;
+  std::vector<std::size_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::size_t t = 0;
+  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+    rng.shuffle(order);
+    for (std::size_t k = 0; k < n; ++k) {
+      ++t;
+      const std::size_t i = order[k];
+      const auto x = train.features().row(i);
+      const double yi = static_cast<double>(train.label(i));
+      double score = b;
+      for (std::size_t c = 0; c < d; ++c) score += w[c] * x[c];
+      const double eta = 1.0 / (config.lambda * static_cast<double>(t) + 1.0);
+      const double decay = 1.0 - eta * config.lambda;
+      if (yi * score < 1.0) {
+        const double step = eta * yi;
+        for (std::size_t c = 0; c < d; ++c) w[c] = decay * w[c] + step * x[c];
+        b += step;
+      } else {
+        for (std::size_t c = 0; c < d; ++c) w[c] *= decay;
+      }
+    }
+    if (config.average && epoch >= config.epochs / 2) {
+      la::axpy(1.0, w, w_avg);
+      b_avg += b;
+      ++avg_count;
+    }
+  }
+  if (config.average && avg_count > 0) {
+    la::scale(w_avg, 1.0 / static_cast<double>(avg_count));
+    return LinearModel(std::move(w_avg),
+                       b_avg / static_cast<double>(avg_count));
+  }
+  return LinearModel(std::move(w), b);
+}
+
+TEST(SvmTest, FusedStepMatchesTwoPassReference) {
+  std::vector<std::pair<std::string, data::Dataset>> sets;
+  for (const std::size_t dim : {1, 7, 57}) {
+    util::Rng rng(100 + dim);
+    // Overlapping blobs: some steps violate the margin, some decay only.
+    sets.emplace_back("blobs d=" + std::to_string(dim),
+                      data::make_gaussian_blobs(60, dim, 1.5, rng));
+  }
+  {
+    // n = 1: the next row is the current row at every step.
+    data::Dataset one;
+    one.append({0.5, -2.0, 3.0}, -1);
+    sets.emplace_back("n=1", std::move(one));
+  }
+  {
+    data::Dataset two;
+    two.append({1.0, 0.25}, 1);
+    two.append({-0.75, 2.0}, -1);
+    sets.emplace_back("n=2", std::move(two));
+  }
+  {
+    data::Dataset one_class;
+    for (int i = 0; i < 9; ++i) {
+      one_class.append({static_cast<double>(i), 1.0, -0.5 * i}, 1);
+    }
+    sets.emplace_back("one class", std::move(one_class));
+  }
+  {
+    // All-zero rows: every score is exactly the bias.
+    data::Dataset zeros;
+    for (int i = 0; i < 8; ++i) {
+      zeros.append(la::Vector(5, 0.0), i % 3 == 0 ? -1 : 1);
+    }
+    sets.emplace_back("zero rows", std::move(zeros));
+  }
+
+  // Epochs 1, 2 and 25, averaging on and off, the default lambda and one
+  // whose decay is far from 1.
+  std::vector<SvmConfig> configs;
+  for (const std::size_t epochs : {1, 2, 25}) {
+    for (const bool average : {true, false}) {
+      for (const double lambda : {1e-4, 1e-2}) {
+        configs.push_back(
+            {.epochs = epochs, .lambda = lambda, .average = average});
+      }
+    }
+  }
+  for (const auto& [name, d] : sets) {
+    for (const SvmConfig& cfg : configs) {
+      for (const std::uint64_t seed : {3, 29, 4242}) {
+        SCOPED_TRACE(name + " epochs=" + std::to_string(cfg.epochs) +
+                     " average=" + std::to_string(cfg.average) +
+                     " lambda=" + std::to_string(cfg.lambda) +
+                     " seed=" + std::to_string(seed));
+        util::Rng fused_rng(seed);
+        util::Rng reference_rng(seed);
+        const LinearModel fused = SvmTrainer(cfg).train(d, fused_rng);
+        const LinearModel reference =
+            two_pass_reference(d, cfg, reference_rng);
+        ASSERT_EQ(fused.dim(), reference.dim());
+        for (std::size_t c = 0; c < fused.dim(); ++c) {
+          EXPECT_EQ(fused.weights()[c], reference.weights()[c]) << c;
+        }
+        EXPECT_EQ(fused.bias(), reference.bias());
+        // Both consumed the same draws.
+        EXPECT_EQ(fused_rng.uniform(), reference_rng.uniform());
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------- metrics.h

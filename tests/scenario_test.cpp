@@ -1044,6 +1044,12 @@ class CompareCliTest : public ::testing::Test {
     file << body;
     return path;
   }
+  /// A file of `bytes` zero bytes that takes no disk space.
+  std::string sparse_file(const std::string& name, std::uintmax_t bytes) {
+    const std::string path = write(name, "");
+    std::filesystem::resize_file(path, bytes);
+    return path;
+  }
   std::string dir_;
 };
 
@@ -1079,6 +1085,21 @@ TEST_F(CompareCliTest, CompareExitsZeroOnMatchOneOnDrift) {
   EXPECT_EQ(run_cli(parse_cli({"--compare", a, deep}), out3, err3), 1);
   EXPECT_NE(err3.str().find("nesting deeper than"), std::string::npos)
       << err3.str();
+
+  // A sparse file one byte over the input cap: one error line naming the
+  // file and the cap. At the cap it is read, and fails to parse.
+  const std::string huge = sparse_file("huge.json", kMaxInputBytes + 1);
+  std::ostringstream err4;
+  EXPECT_EQ(run_cli(parse_cli({"--compare", a, huge}), out3, err4), 1);
+  const std::string over = err4.str();
+  EXPECT_NE(over.find(huge + " is larger than the 64 MiB input cap"),
+            std::string::npos)
+      << over;
+  EXPECT_EQ(std::count(over.begin(), over.end(), '\n'), 1) << over;
+  const std::string at_cap = sparse_file("at_cap.json", kMaxInputBytes);
+  std::ostringstream err5;
+  EXPECT_EQ(run_cli(parse_cli({"--compare", a, at_cap}), out3, err5), 1);
+  EXPECT_EQ(err5.str().find("input cap"), std::string::npos) << err5.str();
 }
 
 TEST_F(CompareCliTest, UpdateBaselineAcceptsTheCandidate) {
@@ -1302,6 +1323,31 @@ TEST_F(ShardMergeTest, MergeValidationNamesTheBrokenInput) {
       std::invalid_argument);
   // The happy pair still merges (the fixture inputs were not consumed).
   EXPECT_NO_THROW((void)merge_partials({p0, p1}));
+
+  // pg_run --merge names an input over the size cap (a sparse file one
+  // byte over) in its one error line.
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("pg_merge_cap_" +
+       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+  std::filesystem::create_directories(dir);
+  const std::string p0_path = (dir / "shard-0.json").string();
+  {
+    std::ofstream file(p0_path);
+    write_json(run_scenario_shard(spec_, {0, 2}), file);
+  }
+  const std::string huge = (dir / "shard-1.json").string();
+  { std::ofstream file(huge); }
+  std::filesystem::resize_file(huge, kMaxInputBytes + 1);
+  std::ostringstream out;
+  std::ostringstream err;
+  EXPECT_EQ(run_cli(parse_cli({"--merge", p0_path, huge}), out, err), 1);
+  const std::string over = err.str();
+  EXPECT_NE(over.find(huge + " is larger than the 64 MiB input cap"),
+            std::string::npos)
+      << over;
+  EXPECT_EQ(std::count(over.begin(), over.end(), '\n'), 1) << over;
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(ShardMergeTest, ShardRequiresSweepAxesAndValidRange) {

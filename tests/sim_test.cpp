@@ -320,10 +320,11 @@ TEST(PureSweepTest, ProducesBothSeries) {
 
 TEST(PureSweepTest, StageTimersCountTheArmsRun) {
   const ExperimentConfig cfg = fast_config(11);
-  const std::array<const char*, 3> stages = {
-      "obs.stage.attack", "obs.stage.filter", "obs.stage.scale"};
+  const std::array<const char*, 4> stages = {
+      "obs.stage.attack", "obs.stage.filter", "obs.stage.scale",
+      "obs.stage.train"};
   const auto counts = [&stages] {
-    std::array<std::uint64_t, 3> out{};
+    std::array<std::uint64_t, 4> out{};
     for (std::size_t i = 0; i < stages.size(); ++i) {
       out[i] = stage_count(stages[i]);
     }
@@ -340,14 +341,18 @@ TEST(PureSweepTest, StageTimersCountTheArmsRun) {
   (void)run_pure_sweep(cold, grid, reps, nullptr, &cache);
   const auto after_cold = counts();
   // Each cell runs a clean and an attacked arm. Both arms filter when the
-  // cell's strength is above 0, and every arm standardizes; so does the
-  // clean baseline's one arm.
+  // cell's strength is above 0, and every arm standardizes and trains; so
+  // does the clean baseline's one arm. Each attack's depth search also
+  // trains one probe SVM per depth offset, four here.
   const auto filtered = static_cast<std::size_t>(
       std::count_if(grid.begin(), grid.end(), [](double p) { return p > 0.0; }));
+  const std::size_t arms = 2 * grid.size() * reps + 1;
+  const std::size_t probes = 4 * grid.size() * reps;
   if (kObs) {
     EXPECT_EQ(after_cold[0] - before[0], grid.size() * reps);
     EXPECT_EQ(after_cold[1] - before[1], 2 * filtered * reps);
-    EXPECT_EQ(after_cold[2] - before[2], 2 * grid.size() * reps + 1);
+    EXPECT_EQ(after_cold[2] - before[2], arms);
+    EXPECT_EQ(after_cold[3] - before[3], arms + probes);
   }
 
   // Warm: every cell and the baseline come from the cache.

@@ -2,9 +2,14 @@
 // CSV, tables, and error macros.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/env.h"
@@ -100,6 +105,64 @@ TEST(RngTest, UniformIndexZeroThrows) {
   EXPECT_THROW((void)rng.uniform_index(0), std::invalid_argument);
 }
 
+/// uniform_index before its one-division fast path: the rejection limit
+/// first, then draw until a draw falls below it. Counts every draw.
+std::uint64_t reference_uniform_index(Xoshiro256pp& gen, std::uint64_t n,
+                                      std::uint64_t& draws) {
+  const std::uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+  std::uint64_t x;
+  do {
+    x = gen.next();
+    ++draws;
+  } while (x >= limit);
+  return x % n;
+}
+
+TEST(RngTest, UniformIndexMatchesRejectionReference) {
+  constexpr std::uint64_t kTwo63 = std::uint64_t{1} << 63;
+  for (const std::uint64_t seed : {5, 77}) {
+    for (const std::uint64_t n :
+         {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{7},
+          std::uint64_t{1400}, (std::uint64_t{1} << 32) + 1, kTwo63,
+          kTwo63 + 1, UINT64_MAX - 1, UINT64_MAX}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " n " + std::to_string(n));
+      Rng rng(seed);
+      Xoshiro256pp reference(seed);
+      std::uint64_t draws = 0;
+      const int calls = 500;
+      for (int i = 0; i < calls; ++i) {
+        ASSERT_EQ(rng.uniform_index(n),
+                  reference_uniform_index(reference, n, draws));
+        // Both took the same number of generator steps: the full-range
+        // uniform_int is one raw draw.
+        ASSERT_EQ(rng.uniform_int(LLONG_MIN, LLONG_MAX),
+                  static_cast<long long>(reference.next()));
+      }
+      // 2^63 + 1 rejects draws from 2^63 + 1 up, about half of them, so
+      // the path that computes the limit runs.
+      if (n == kTwo63 + 1) {
+        EXPECT_GT(draws, calls + calls / 4);
+      }
+    }
+  }
+
+  // Three consecutive shuffles of 1,400 indices, as SGD draws its epochs.
+  Rng rng(9);
+  Xoshiro256pp reference(9);
+  std::vector<std::size_t> order(1400);
+  std::vector<std::size_t> expected(1400);
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = expected[i] = i;
+  std::uint64_t draws = 0;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    rng.shuffle(order);
+    for (std::size_t i = expected.size(); i > 1; --i) {
+      std::swap(expected[i - 1],
+                expected[reference_uniform_index(reference, i, draws)]);
+    }
+    ASSERT_EQ(order, expected) << "epoch " << epoch;
+  }
+}
+
 TEST(RngTest, UniformIntInclusiveBounds) {
   Rng rng(13);
   bool saw_lo = false;
@@ -113,6 +176,32 @@ TEST(RngTest, UniformIntInclusiveBounds) {
   }
   EXPECT_TRUE(saw_lo);
   EXPECT_TRUE(saw_hi);
+
+  // Spans above LLONG_MAX: 2^63 + 1 values, then all 2^64, which is one
+  // raw draw per call.
+  bool saw_low_half = false;
+  bool saw_high_half = false;
+  for (int i = 0; i < 200; ++i) {
+    const long long v = rng.uniform_int(-1, LLONG_MAX);
+    EXPECT_GE(v, -1);
+    saw_low_half |= (v < (1LL << 62));
+    saw_high_half |= (v >= (1LL << 62));
+  }
+  EXPECT_TRUE(saw_low_half);
+  EXPECT_TRUE(saw_high_half);
+
+  Rng full(21);
+  Xoshiro256pp raw(21);
+  bool saw_negative = false;
+  bool saw_positive = false;
+  for (int i = 0; i < 200; ++i) {
+    const long long v = full.uniform_int(LLONG_MIN, LLONG_MAX);
+    EXPECT_EQ(v, static_cast<long long>(raw.next()));
+    saw_negative |= (v < 0);
+    saw_positive |= (v > 0);
+  }
+  EXPECT_TRUE(saw_negative);
+  EXPECT_TRUE(saw_positive);
 }
 
 TEST(RngTest, NormalMomentsApproximatelyStandard) {
