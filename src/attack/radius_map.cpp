@@ -36,13 +36,4 @@ double ClassRadiusMap::radius_for_removal(int label,
   return g.distances.inverse(1.0 - removal_fraction);
 }
 
-double ClassRadiusMap::removal_for_radius(int label, double radius) const {
-  const auto& g = geometry(label);
-  return g.distances.survival(radius);
-}
-
-double ClassRadiusMap::boundary_radius(int label) const {
-  return geometry(label).distances.max();
-}
-
 }  // namespace pg::attack

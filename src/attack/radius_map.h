@@ -1,15 +1,12 @@
-// Radius <-> percentile transforms.
+// Removal fraction -> radius transform.
 //
 // The paper's game is stated in raw radii, but both Fig. 1's x-axis and
 // Algorithm 1's inputs are *fractions of data removed by the filter*.
 // ClassRadiusMap anchors the transform: for each class it holds the
 // empirical distribution of distances from clean training points to their
-// class centroid, so
-//   radius_for_removal(p)  = the (1-p)-quantile of distances
-//                            (a filter of strength p removes everything
-//                             beyond this radius), and
-//   removal_for_radius(r)  = the fraction of clean points beyond r.
-// The attacker uses the same map to place points "just inside" a filter of
+// class centroid, so radius_for_removal(p) is the (1-p)-quantile of those
+// distances (a filter of strength p removes everything beyond it). The
+// attacker uses the map to place points "just inside" a filter of
 // strength p, which is the paper's optimal pure attack.
 #pragma once
 
@@ -56,12 +53,6 @@ class ClassRadiusMap {
   /// clean points. removal_fraction in [0, 1].
   [[nodiscard]] double radius_for_removal(int label,
                                           double removal_fraction) const;
-
-  /// Fraction of the class's clean points farther than `radius`.
-  [[nodiscard]] double removal_for_radius(int label, double radius) const;
-
-  /// Largest clean distance in the class ("B", the boundary of the game).
-  [[nodiscard]] double boundary_radius(int label) const;
 
  private:
   std::vector<ClassGeometry> classes_;

@@ -1,8 +1,8 @@
 // The poisoning game of section 3, in removal-fraction coordinates.
 //
 // Attacker pure strategy: an allocation S_a = {[psi_i, n_i]} of N poison
-// points over placements psi_i in [0, 1] (see attack/mixed_attack.h for the
-// dataset-level realization). Defender pure strategy: a filter strength
+// points over placements psi_i in [0, 1] (attack::BoundaryAttack realizes
+// one placement on a dataset). Defender pure strategy: a filter strength
 // theta in [0, 1]. A point placed at psi survives the filter iff
 // theta <= psi, and the zero-sum payoff to the attacker is
 //     U_a(S_a, theta) = sum_{psi_i >= theta} n_i * E(psi_i) + Gamma(theta).

@@ -54,14 +54,4 @@ Dataset StandardScaler::transform(const Dataset& d) const {
   return Dataset(std::move(Z), d.labels());
 }
 
-la::Vector StandardScaler::inverse_transform(const la::Vector& z) const {
-  PG_CHECK(fitted(), "StandardScaler not fitted");
-  PG_CHECK(z.size() == mean_.size(), "StandardScaler: dimension mismatch");
-  la::Vector x(z.size());
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    x[i] = z[i] * scale_[i] + mean_[i];
-  }
-  return x;
-}
-
 }  // namespace pg::data

@@ -27,9 +27,6 @@ class StandardScaler {
   /// Transform every instance of a dataset (labels preserved).
   [[nodiscard]] Dataset transform(const Dataset& d) const;
 
-  /// Inverse transform of one standardized vector back to raw space.
-  [[nodiscard]] la::Vector inverse_transform(const la::Vector& z) const;
-
   [[nodiscard]] const la::Vector& mean() const noexcept { return mean_; }
   [[nodiscard]] const la::Vector& scale() const noexcept { return scale_; }
 

@@ -21,14 +21,6 @@ std::string DistanceFilter::name() const {
          centroid_method_name(config_.centroid.method) + ")";
 }
 
-double DistanceFilter::radius_for(const data::Dataset& train,
-                                  int label) const {
-  const la::Vector centroid = compute_centroid(train, label, config_.centroid);
-  const auto distances = train.distances_to(centroid, label);
-  PG_CHECK(!distances.empty(), "radius_for: class not present");
-  return util::quantile(distances, 1.0 - config_.removal_fraction);
-}
-
 FilterResult DistanceFilter::apply(const data::Dataset& train,
                                    util::Rng& /*rng*/) const {
   PG_CHECK(!train.empty(), "DistanceFilter: empty dataset");

@@ -45,10 +45,6 @@ class DistanceFilter final : public Filter {
     return config_;
   }
 
-  /// The filter radius used for a given class on a given dataset (exposed
-  /// for tests and for the best-response analysis).
-  [[nodiscard]] double radius_for(const data::Dataset& train, int label) const;
-
  private:
   DistanceFilterConfig config_;
   const attack::ClassRadiusMap* clean_geometry_;

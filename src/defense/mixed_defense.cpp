@@ -75,20 +75,4 @@ std::string MixedDefenseStrategy::describe(int precision) const {
   return os.str();
 }
 
-MixedDefenseFilter::MixedDefenseFilter(MixedDefenseStrategy strategy,
-                                       CentroidConfig centroid)
-    : strategy_(std::move(strategy)), centroid_(centroid) {}
-
-std::string MixedDefenseFilter::name() const {
-  return "mixed-distance" + strategy_.describe();
-}
-
-FilterResult MixedDefenseFilter::apply(const data::Dataset& train,
-                                       util::Rng& rng) const {
-  DistanceFilterConfig cfg;
-  cfg.removal_fraction = strategy_.sample(rng);
-  cfg.centroid = centroid_;
-  return DistanceFilter(cfg).apply(train, rng);
-}
-
 }  // namespace pg::defense

@@ -2,19 +2,18 @@
 //
 // This is the paper's central object -- the defender's equilibrium strategy
 // M_d. Each game the defender samples a removal fraction from the
-// distribution and applies the corresponding DistanceFilter, so an attacker
-// who knows the distribution (but not the draw) can no longer park poison
-// just inside a fixed radius. Algorithm 1 (core/equilibrium.h) produces
-// instances of this type.
+// distribution and applies the DistanceFilter of that strength, so an
+// attacker who knows the distribution (but not the draw) can no longer park
+// poison just inside a fixed radius. Algorithm 1 (core/equilibrium.h)
+// produces instances of this type, and sim::evaluate_mixed_defense
+// (sim/mixed_eval.h) measures one against an attacker at its support
+// boundaries.
 #pragma once
 
 #include <cstddef>
 #include <string>
 #include <vector>
 
-#include "defense/centroid.h"
-#include "defense/distance_filter.h"
-#include "defense/filter.h"
 #include "util/rng.h"
 
 namespace pg::defense {
@@ -60,26 +59,6 @@ class MixedDefenseStrategy {
  private:
   std::vector<double> fractions_;     // strictly increasing
   std::vector<double> probabilities_; // aligned with fractions_
-};
-
-/// Filter adapter: samples a strength from the mixed strategy, then applies
-/// a DistanceFilter of that strength.
-class MixedDefenseFilter final : public Filter {
- public:
-  MixedDefenseFilter(MixedDefenseStrategy strategy, CentroidConfig centroid);
-
-  [[nodiscard]] FilterResult apply(const data::Dataset& train,
-                                   util::Rng& rng) const override;
-
-  [[nodiscard]] std::string name() const override;
-
-  [[nodiscard]] const MixedDefenseStrategy& strategy() const noexcept {
-    return strategy_;
-  }
-
- private:
-  MixedDefenseStrategy strategy_;
-  CentroidConfig centroid_;
 };
 
 }  // namespace pg::defense

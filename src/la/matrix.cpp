@@ -73,19 +73,11 @@ void Matrix::append_row(const Vector& v) {
 // accumulator chains (hiding the FP add latency; each row's own order is
 // untouched), and matvec_transposed adds four rows into each output
 // element per load/store of it (still row-ascending, so the result is
-// bit-identical to the naive loop). PG_NO_VECTORIZE swaps back the
-// reference loops.
+// bit-identical to the naive loop, which
+// MatrixTest.FourRowKernelsMatchReferenceLoops checks for both kernels).
 Vector Matrix::matvec(const Vector& x) const {
   PG_CHECK(x.size() == cols_, "matvec: size mismatch");
   Vector out(rows_, 0.0);
-#ifdef PG_NO_VECTORIZE
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double s = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) s += row_ptr[c] * x[c];
-    out[r] = s;
-  }
-#else
   const double* base = data_.data();
   const double* px = x.data();
   std::size_t r = 0;
@@ -113,20 +105,12 @@ Vector Matrix::matvec(const Vector& x) const {
     for (std::size_t c = 0; c < cols_; ++c) s += row_ptr[c] * px[c];
     out[r] = s;
   }
-#endif
   return out;
 }
 
 Vector Matrix::matvec_transposed(const Vector& x) const {
   PG_CHECK(x.size() == rows_, "matvec_transposed: size mismatch");
   Vector out(cols_, 0.0);
-#ifdef PG_NO_VECTORIZE
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    const double xr = x[r];
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += row_ptr[c] * xr;
-  }
-#else
   const double* base = data_.data();
   const double* px = x.data();
   double* po = out.data();
@@ -151,7 +135,6 @@ Vector Matrix::matvec_transposed(const Vector& x) const {
     const double xr = px[r];
     for (std::size_t c = 0; c < cols_; ++c) po[c] += row_ptr[c] * xr;
   }
-#endif
   return out;
 }
 

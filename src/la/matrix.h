@@ -7,8 +7,7 @@
 //
 // The hot kernels (matvec, matvec_transposed) process four rows per pass
 // in matrix.cpp WITHOUT reordering any output element's floating-point
-// accumulation -- results are bit-identical to the naive loops (compile
-// with -DPG_NO_VECTORIZE to get those instead).
+// accumulation -- results are bit-identical to the naive loops.
 #pragma once
 
 #include <cstddef>

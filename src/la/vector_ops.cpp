@@ -11,11 +11,7 @@
 // deliberately keep one accumulator advancing left-to-right: SIMD-izing
 // a float reduction requires reassociation, and every consumer of these
 // kernels -- payoff cells, solver trajectories, golden baselines -- is
-// gated on bit-stable results. Defining PG_NO_VECTORIZE rebuilds every
-// restructured kernel in this file and matrix.cpp as its straightforward
-// reference loop; results are identical either way (the restructuring
-// never reorders floating-point arithmetic), the knob only exists to
-// isolate codegen when triaging a miscompile or a perf regression.
+// gated on bit-stable results.
 namespace pg::la {
 
 double dot(std::span<const double> a, std::span<const double> b) {

@@ -4,7 +4,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,23 +36,6 @@ std::string flag_value(const std::vector<std::string>& args, std::size_t& i,
                        const std::string& flag) {
   PG_CHECK(i + 1 < args.size(), flag + " requires a value");
   return args[++i];
-}
-
-/// The whole of an input file, up to kMaxInputBytes.
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PG_CHECK(static_cast<bool>(in), "cannot read " + path);
-  std::string text;
-  std::array<char, 1 << 16> chunk{};
-  while (in && text.size() < kMaxInputBytes) {
-    in.read(chunk.data(), static_cast<std::streamsize>(std::min(
-                              chunk.size(), kMaxInputBytes - text.size())));
-    text.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
-  }
-  PG_CHECK(in.peek() == std::ifstream::traits_type::eof(),
-           path + " is larger than the " +
-               std::to_string(kMaxInputBytes >> 20) + " MiB input cap");
-  return text;
 }
 
 /// Fail fast on an unwritable output path, BEFORE the run: opening for

@@ -5,11 +5,16 @@
 // in-memory streams without spawning a process.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
+#include <fstream>
 #include <iosfwd>
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "util/error.h"
 
 namespace pg::scenario {
 
@@ -82,8 +87,29 @@ inline constexpr int kExitMissingShards = 4;
 /// Largest file `pg_run` reads as input: a `--spec` file, a `--compare`
 /// or `--merge` artifact, a `--shard-exec` worker's partial. A larger
 /// one fails in one line that names it, after at most one byte past
-/// the cap has been read.
+/// the cap has been read. `pg_serve --request` and `pg_bench_serve
+/// --spec` read their spec files through the same cap.
 inline constexpr std::size_t kMaxInputBytes = std::size_t{64} << 20;
+
+/// The whole of an input file, up to kMaxInputBytes. Throws
+/// std::invalid_argument naming the path when it cannot be opened or is
+/// larger than the cap. Inline, so that pg_serve and pg_bench_serve can
+/// read spec files without linking the pg_run command logic.
+[[nodiscard]] inline std::string read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  PG_CHECK(static_cast<bool>(in), "cannot read " + path);
+  std::string text;
+  std::array<char, 1 << 16> chunk{};
+  while (in && text.size() < kMaxInputBytes) {
+    in.read(chunk.data(), static_cast<std::streamsize>(std::min(
+                              chunk.size(), kMaxInputBytes - text.size())));
+    text.append(chunk.data(), static_cast<std::size_t>(in.gcount()));
+  }
+  PG_CHECK(in.peek() == std::ifstream::traits_type::eof(),
+           path + " is larger than the " +
+               std::to_string(kMaxInputBytes >> 20) + " MiB input cap");
+  return text;
+}
 
 /// Parse argv (excluding argv[0]). Throws std::invalid_argument on
 /// unknown flags, missing flag values, or malformed --set syntax.

@@ -1,7 +1,6 @@
 #include "util/interp.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/error.h"
 
@@ -39,127 +38,12 @@ double PiecewiseLinear::operator()(double x) const {
   return ys_[i] + t * (ys_[i + 1] - ys_[i]);
 }
 
-double PiecewiseLinear::derivative(double x) const {
-  PG_CHECK(!xs_.empty(), "interpolant is empty");
-  if (x < xs_.front() || x > xs_.back()) return 0.0;
-  const std::size_t i = segment_of(x);
-  return (ys_[i + 1] - ys_[i]) / (xs_[i + 1] - xs_[i]);
-}
-
-double PiecewiseLinear::integral(double a, double b) const {
-  PG_CHECK(!xs_.empty(), "interpolant is empty");
-  PG_CHECK(a <= b, "integral requires a <= b");
-  // Integrate the clamped extension segment by segment.
-  auto value = [this](double x) { return (*this)(x); };
-  double total = 0.0;
-  // Left clamped region.
-  if (a < xs_.front()) {
-    const double hi = std::min(b, xs_.front());
-    total += (hi - a) * ys_.front();
-    a = hi;
-  }
-  // Interior segments.
-  while (a < std::min(b, xs_.back())) {
-    const std::size_t i = segment_of(a);
-    const double seg_end = std::min({b, xs_.back(), xs_[i + 1]});
-    total += 0.5 * (value(a) + value(seg_end)) * (seg_end - a);
-    a = seg_end;
-  }
-  // Right clamped region.
-  if (b > xs_.back()) {
-    total += (b - std::max(a, xs_.back())) * ys_.back();
-  }
-  return total;
-}
-
 double PiecewiseLinear::x_min() const {
   PG_CHECK(!xs_.empty(), "interpolant is empty");
   return xs_.front();
 }
 
 double PiecewiseLinear::x_max() const {
-  PG_CHECK(!xs_.empty(), "interpolant is empty");
-  return xs_.back();
-}
-
-MonotoneCubicSpline::MonotoneCubicSpline(std::vector<double> xs,
-                                         std::vector<double> ys)
-    : xs_(std::move(xs)), ys_(std::move(ys)) {
-  check_knots(xs_, ys_);
-  const std::size_t n = xs_.size();
-  std::vector<double> d(n - 1);  // secant slopes
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    d[i] = (ys_[i + 1] - ys_[i]) / (xs_[i + 1] - xs_[i]);
-  }
-  slopes_.assign(n, 0.0);
-  slopes_[0] = d[0];
-  slopes_[n - 1] = d[n - 2];
-  for (std::size_t i = 1; i + 1 < n; ++i) {
-    slopes_[i] = (d[i - 1] * d[i] <= 0.0) ? 0.0 : 0.5 * (d[i - 1] + d[i]);
-  }
-  // Fritsch-Carlson limiter: keep alpha^2 + beta^2 <= 9.
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (d[i] == 0.0) {
-      slopes_[i] = 0.0;
-      slopes_[i + 1] = 0.0;
-      continue;
-    }
-    const double alpha = slopes_[i] / d[i];
-    const double beta = slopes_[i + 1] / d[i];
-    const double s = alpha * alpha + beta * beta;
-    if (s > 9.0) {
-      const double tau = 3.0 / std::sqrt(s);
-      slopes_[i] = tau * alpha * d[i];
-      slopes_[i + 1] = tau * beta * d[i];
-    }
-  }
-}
-
-std::size_t MonotoneCubicSpline::segment_of(double x) const {
-  const auto it = std::upper_bound(xs_.begin(), xs_.end(), x);
-  if (it == xs_.begin()) return 0;
-  const auto i = static_cast<std::size_t>(it - xs_.begin()) - 1;
-  return std::min(i, xs_.size() - 2);
-}
-
-double MonotoneCubicSpline::operator()(double x) const {
-  PG_CHECK(!xs_.empty(), "interpolant is empty");
-  if (x <= xs_.front()) return ys_.front();
-  if (x >= xs_.back()) return ys_.back();
-  const std::size_t i = segment_of(x);
-  const double h = xs_[i + 1] - xs_[i];
-  const double t = (x - xs_[i]) / h;
-  const double t2 = t * t;
-  const double t3 = t2 * t;
-  const double h00 = 2 * t3 - 3 * t2 + 1;
-  const double h10 = t3 - 2 * t2 + t;
-  const double h01 = -2 * t3 + 3 * t2;
-  const double h11 = t3 - t2;
-  return h00 * ys_[i] + h10 * h * slopes_[i] + h01 * ys_[i + 1] +
-         h11 * h * slopes_[i + 1];
-}
-
-double MonotoneCubicSpline::derivative(double x) const {
-  PG_CHECK(!xs_.empty(), "interpolant is empty");
-  if (x < xs_.front() || x > xs_.back()) return 0.0;
-  const std::size_t i = segment_of(x);
-  const double h = xs_[i + 1] - xs_[i];
-  const double t = (x - xs_[i]) / h;
-  const double t2 = t * t;
-  const double dh00 = (6 * t2 - 6 * t) / h;
-  const double dh10 = (3 * t2 - 4 * t + 1);
-  const double dh01 = (-6 * t2 + 6 * t) / h;
-  const double dh11 = (3 * t2 - 2 * t);
-  return dh00 * ys_[i] + dh10 * slopes_[i] + dh01 * ys_[i + 1] +
-         dh11 * slopes_[i + 1];
-}
-
-double MonotoneCubicSpline::x_min() const {
-  PG_CHECK(!xs_.empty(), "interpolant is empty");
-  return xs_.front();
-}
-
-double MonotoneCubicSpline::x_max() const {
   PG_CHECK(!xs_.empty(), "interpolant is empty");
   return xs_.back();
 }

@@ -1,12 +1,7 @@
-// 1-D interpolation used to turn measured accuracy sweeps into the
-// continuous payoff curves E(p) and Gamma(p) consumed by Algorithm 1.
-//
-// Two interpolants are provided:
-//  * PiecewiseLinear   -- exact at knots, C0, cheap; the default for payoff
-//                         curves because it never overshoots measured data.
-//  * MonotoneCubicSpline -- Fritsch-Carlson C1 interpolant that preserves
-//                         monotonicity of the data; used when Algorithm 1's
-//                         finite-difference gradients benefit from smoothness.
+// 1-D piecewise-linear interpolation used to turn measured accuracy
+// sweeps into the continuous payoff curves E(p) and Gamma(p) consumed by
+// Algorithm 1. It is exact at the knots and never overshoots measured
+// data.
 #pragma once
 
 #include <cstddef>
@@ -26,14 +21,6 @@ class PiecewiseLinear {
 
   [[nodiscard]] double operator()(double x) const;
 
-  /// Derivative (slope of the containing segment; one-sided at knots,
-  /// zero outside the domain).
-  [[nodiscard]] double derivative(double x) const;
-
-  /// Exact integral of the interpolant over [a, b] (a <= b), with the
-  /// clamped extension outside the knot range.
-  [[nodiscard]] double integral(double a, double b) const;
-
   [[nodiscard]] std::size_t size() const noexcept { return xs_.size(); }
   [[nodiscard]] bool empty() const noexcept { return xs_.empty(); }
   [[nodiscard]] double x_min() const;
@@ -46,34 +33,6 @@ class PiecewiseLinear {
 
   std::vector<double> xs_;
   std::vector<double> ys_;
-};
-
-/// Fritsch-Carlson monotone cubic Hermite spline.
-///
-/// If the input ys are monotone, the interpolant is monotone (no
-/// overshoot), which keeps derived probabilities in Algorithm 1
-/// non-negative. Clamped (end-value) extrapolation like PiecewiseLinear.
-class MonotoneCubicSpline {
- public:
-  MonotoneCubicSpline() = default;
-
-  /// Requires xs.size() == ys.size() >= 2 and xs strictly increasing.
-  MonotoneCubicSpline(std::vector<double> xs, std::vector<double> ys);
-
-  [[nodiscard]] double operator()(double x) const;
-  [[nodiscard]] double derivative(double x) const;
-
-  [[nodiscard]] std::size_t size() const noexcept { return xs_.size(); }
-  [[nodiscard]] bool empty() const noexcept { return xs_.empty(); }
-  [[nodiscard]] double x_min() const;
-  [[nodiscard]] double x_max() const;
-
- private:
-  [[nodiscard]] std::size_t segment_of(double x) const;
-
-  std::vector<double> xs_;
-  std::vector<double> ys_;
-  std::vector<double> slopes_;  // Hermite tangent at each knot
 };
 
 }  // namespace pg::util

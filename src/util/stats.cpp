@@ -22,8 +22,6 @@ double variance(const std::vector<double>& v) {
   return s / static_cast<double>(v.size() - 1);
 }
 
-double stddev(const std::vector<double>& v) { return std::sqrt(variance(v)); }
-
 double median(std::vector<double> v) {
   PG_CHECK(!v.empty(), "median of empty vector");
   const std::size_t n = v.size();
@@ -48,16 +46,6 @@ double quantile(std::vector<double> v, double q) {
   return v[lo] + frac * (v[hi] - v[lo]);
 }
 
-double min_value(const std::vector<double>& v) {
-  PG_CHECK(!v.empty(), "min of empty vector");
-  return *std::min_element(v.begin(), v.end());
-}
-
-double max_value(const std::vector<double>& v) {
-  PG_CHECK(!v.empty(), "max of empty vector");
-  return *std::max_element(v.begin(), v.end());
-}
-
 EmpiricalCdf::EmpiricalCdf(std::vector<double> sample)
     : sorted_(std::move(sample)) {
   PG_CHECK(!sorted_.empty(), "EmpiricalCdf requires a non-empty sample");
@@ -78,30 +66,6 @@ double EmpiricalCdf::inverse(double q) const {
   const auto n = static_cast<double>(sorted_.size());
   const auto k = static_cast<std::size_t>(std::ceil(q * n));
   return sorted_[std::min(k == 0 ? 0 : k - 1, sorted_.size() - 1)];
-}
-
-double EmpiricalCdf::survival(double x) const { return 1.0 - (*this)(x); }
-
-double EmpiricalCdf::min() const {
-  PG_CHECK(!sorted_.empty(), "EmpiricalCdf is empty");
-  return sorted_.front();
-}
-
-double EmpiricalCdf::max() const {
-  PG_CHECK(!sorted_.empty(), "EmpiricalCdf is empty");
-  return sorted_.back();
-}
-
-Summary summarize(const std::vector<double>& v) {
-  PG_CHECK(!v.empty(), "summarize of empty vector");
-  Summary s;
-  s.count = v.size();
-  s.mean = mean(v);
-  s.stddev = v.size() >= 2 ? stddev(v) : 0.0;
-  s.min = min_value(v);
-  s.median = median(v);
-  s.max = max_value(v);
-  return s;
 }
 
 }  // namespace pg::util

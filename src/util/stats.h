@@ -17,19 +17,12 @@ namespace pg::util {
 /// Unbiased sample variance (n-1 denominator). Requires size >= 2.
 [[nodiscard]] double variance(const std::vector<double>& v);
 
-/// sqrt(variance).
-[[nodiscard]] double stddev(const std::vector<double>& v);
-
 /// Median (average of central pair for even sizes). Requires non-empty.
 [[nodiscard]] double median(std::vector<double> v);
 
 /// Linear-interpolated quantile (type 7, the numpy/R default).
 /// q in [0, 1]; requires non-empty input.
 [[nodiscard]] double quantile(std::vector<double> v, double q);
-
-/// Minimum / maximum. Require non-empty input.
-[[nodiscard]] double min_value(const std::vector<double>& v);
-[[nodiscard]] double max_value(const std::vector<double>& v);
 
 /// Empirical cumulative distribution function of a sample.
 ///
@@ -48,29 +41,11 @@ class EmpiricalCdf {
   /// Smallest sample value v with F(v) >= q, q in [0, 1].
   [[nodiscard]] double inverse(double q) const;
 
-  /// Fraction of the sample strictly greater than x.
-  [[nodiscard]] double survival(double x) const;
-
   [[nodiscard]] std::size_t size() const noexcept { return sorted_.size(); }
   [[nodiscard]] bool empty() const noexcept { return sorted_.empty(); }
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
 
  private:
   std::vector<double> sorted_;
 };
-
-/// Summary statistics bundle used by experiment reports.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-/// Compute a Summary. Requires non-empty input.
-[[nodiscard]] Summary summarize(const std::vector<double>& v);
 
 }  // namespace pg::util

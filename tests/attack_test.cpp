@@ -1,13 +1,12 @@
 // Unit and property tests for pg::attack -- radius maps, the boundary
-// attack, baselines, the gradient-refined attack and mixed strategies.
+// attack and the baselines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "attack/boundary_attack.h"
-#include "attack/gradient_attack.h"
 #include "attack/label_flip.h"
-#include "attack/mixed_attack.h"
 #include "attack/noise_attack.h"
 #include "attack/radius_map.h"
 #include "data/synthetic.h"
@@ -46,21 +45,19 @@ TEST(RadiusMapTest, RadiusDecreasesWithRemovalFraction) {
 }
 
 TEST(RadiusMapTest, RoundTripRemovalFraction) {
-  const ClassRadiusMap map(blobs(2000));
+  const auto d = blobs(2000);
+  const ClassRadiusMap map(d);
+  const auto dist = d.distances_to(map.geometry(1).centroid, 1);
   for (double p : {0.05, 0.1, 0.2, 0.3}) {
     const double r = map.radius_for_removal(1, p);
     // The fraction strictly beyond the radius is <= p (ties inside).
-    EXPECT_LE(map.removal_for_radius(1, r), p + 1e-9);
-    EXPECT_NEAR(map.removal_for_radius(1, r), p, 0.01);
+    const double beyond =
+        static_cast<double>(std::count_if(
+            dist.begin(), dist.end(), [r](double x) { return x > r; })) /
+        static_cast<double>(dist.size());
+    EXPECT_LE(beyond, p + 1e-9);
+    EXPECT_NEAR(beyond, p, 0.01);
   }
-}
-
-TEST(RadiusMapTest, BoundaryIsMaxDistance) {
-  const auto d = blobs();
-  const ClassRadiusMap map(d);
-  const auto dist = d.distances_to(d.class_coordinate_median(1), 1);
-  EXPECT_DOUBLE_EQ(map.boundary_radius(1),
-                   *std::max_element(dist.begin(), dist.end()));
 }
 
 TEST(RadiusMapTest, RequiresBothClasses) {
@@ -306,109 +303,6 @@ TEST(NoiseAttackTest, GeneratesBalancedNoise) {
 
 TEST(NoiseAttackTest, RejectsNonPositiveScale) {
   EXPECT_THROW(NoiseAttack({.scale = 0.0}), std::invalid_argument);
-}
-
-// ------------------------------------------------------- gradient_attack
-
-TEST(GradientAttackTest, RespectsRadiusConstraint) {
-  const auto d = blobs(300);
-  GradientAttackConfig cfg;
-  cfg.placement_fraction = 0.2;
-  cfg.outer_iters = 3;
-  util::Rng rng(13);
-  const auto poison = GradientAttack(cfg).generate(d, 20, rng);
-  const ClassRadiusMap map(d);
-  for (std::size_t i = 0; i < poison.size(); ++i) {
-    const int label = poison.label(i);
-    const double r =
-        la::distance(poison.instance(i), map.geometry(label).centroid);
-    EXPECT_LE(r, map.radius_for_removal(label, 0.2) + 1e-6);
-  }
-}
-
-TEST(GradientAttackTest, AtLeastRoughlyAsDamagingAsBoundary) {
-  // The refinement must not be dramatically weaker than its analytic seed
-  // (it verifies the paper's "optimal points sit at the boundary" claim).
-  const auto d = blobs(400, 14, 3.0);
-  util::Rng data_rng(15);
-  const auto test = data::make_gaussian_blobs(400, 5, 3.0, data_rng);
-
-  defense::PipelineConfig pcfg;
-  pcfg.svm.epochs = 40;
-  pcfg.standardize = false;
-  const defense::Pipeline pipeline(pcfg);
-
-  BoundaryAttackConfig bcfg;
-  bcfg.placement_fraction = 0.1;
-  const BoundaryAttack boundary(bcfg);
-  GradientAttackConfig gcfg;
-  gcfg.placement_fraction = 0.1;
-  gcfg.outer_iters = 3;
-  const GradientAttack gradient(gcfg);
-
-  util::Rng r1(16);
-  util::Rng r2(16);
-  const double acc_boundary =
-      pipeline.run(d, test, &boundary, 80, nullptr, r1).test_accuracy;
-  const double acc_gradient =
-      pipeline.run(d, test, &gradient, 80, nullptr, r2).test_accuracy;
-  EXPECT_LE(acc_gradient, acc_boundary + 0.10);
-}
-
-// ---------------------------------------------------------- mixed_attack
-
-TEST(MixedAttackTest, StrategyValidation) {
-  EXPECT_THROW(MixedAttackStrategy({0.1}, {0.9}), std::invalid_argument);
-  EXPECT_THROW(MixedAttackStrategy({0.1, 1.2}, {0.5, 0.5}),
-               std::invalid_argument);
-  EXPECT_THROW(MixedAttackStrategy({}, {}), std::invalid_argument);
-  EXPECT_NO_THROW(MixedAttackStrategy({0.1, 0.2}, {0.5, 0.5}));
-}
-
-TEST(MixedAttackTest, ExpectedAllocationSumsToBudget) {
-  const MixedAttackStrategy s({0.05, 0.15, 0.25}, {0.2, 0.3, 0.5});
-  const auto alloc = s.expected_allocation(100);
-  std::size_t total = 0;
-  for (const auto& a : alloc) total += a.count;
-  EXPECT_EQ(total, 100u);
-}
-
-TEST(MixedAttackTest, SampledAllocationSumsToBudget) {
-  const MixedAttackStrategy s({0.05, 0.25}, {0.5, 0.5});
-  util::Rng rng(17);
-  const auto alloc = s.sample_allocation(57, rng);
-  std::size_t total = 0;
-  for (const auto& a : alloc) total += a.count;
-  EXPECT_EQ(total, 57u);
-}
-
-TEST(MixedAttackTest, SampledAllocationFollowsProbabilities) {
-  const MixedAttackStrategy s({0.1, 0.2}, {0.8, 0.2});
-  util::Rng rng(18);
-  double at_first = 0.0;
-  const int trials = 200;
-  for (int t = 0; t < trials; ++t) {
-    for (const auto& a : s.sample_allocation(50, rng)) {
-      if (a.placement_fraction == 0.1) at_first += a.count;
-    }
-  }
-  EXPECT_NEAR(at_first / (trials * 50.0), 0.8, 0.03);
-}
-
-TEST(MixedAttackTest, GenerateAllocationPlacesCorrectCounts) {
-  const auto d = blobs();
-  util::Rng rng(19);
-  const auto poison = generate_allocation(
-      d, {{0.1, 7}, {0.3, 5}}, rng, 0.0, 0.0);
-  EXPECT_EQ(poison.size(), 12u);
-}
-
-TEST(MixedAttackTest, AdapterProducesBudget) {
-  const auto d = blobs();
-  const MixedAttack atk(MixedAttackStrategy({0.1, 0.2}, {0.5, 0.5}));
-  util::Rng rng(20);
-  EXPECT_EQ(atk.generate(d, 33, rng).size(), 33u);
-  EXPECT_NE(atk.name().find("mixed"), std::string::npos);
 }
 
 // Property sweep over placements: deeper placements are detected by

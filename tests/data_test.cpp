@@ -233,18 +233,6 @@ TEST(ScalerTest, StandardizesToZeroMeanUnitVar) {
   EXPECT_NEAR(util::variance({col0.begin(), col0.end()}), 1.0, 1e-12);
 }
 
-TEST(ScalerTest, InverseTransformRoundTrips) {
-  Dataset d;
-  d.append({1.0, -5.0}, 1);
-  d.append({3.0, 7.0}, -1);
-  StandardScaler s;
-  s.fit(d);
-  const la::Vector x{2.0, 1.0};
-  const la::Vector back = s.inverse_transform(s.transform(x));
-  EXPECT_NEAR(back[0], 2.0, 1e-12);
-  EXPECT_NEAR(back[1], 1.0, 1e-12);
-}
-
 TEST(ScalerTest, ConstantFeatureMapsToZero) {
   Dataset d;
   d.append({5.0, 1.0}, 1);
@@ -337,7 +325,8 @@ TEST(SpambaseLikeTest, HeavyTailedDistances) {
   util::Rng rng(11);
   const Dataset d = make_spambase_like(cfg, rng);
   const auto dist = d.distances_to(d.class_mean(1), 1);
-  EXPECT_GT(util::max_value(dist), 5.0 * util::median(dist));
+  EXPECT_GT(*std::max_element(dist.begin(), dist.end()),
+            5.0 * util::median(dist));
 }
 
 TEST(SpambaseLikeTest, ZeroSeparationRemovesSignal) {

@@ -133,24 +133,29 @@ TEST(DistanceFilterTest, ZeroStrengthKeepsEverything) {
 }
 
 TEST(DistanceFilterTest, RemovesFarthestPoints) {
-  const auto d = blobs(500, 6);
+  // With a kMean centroid, a row is kept exactly when its distance to its
+  // class mean is within the 0.75-quantile of that class's distances.
+  const auto d = blobs(1000, 10);
   DistanceFilterConfig cfg;
-  cfg.removal_fraction = 0.1;
+  cfg.removal_fraction = 0.25;
   cfg.centroid.method = CentroidMethod::kMean;
   util::Rng rng(7);
   const auto res = DistanceFilter(cfg).apply(d, rng);
-  // Every removed point must be farther from its class centroid than the
-  // farthest kept point of the same class... modulo quantile ties; test
-  // the weaker, exact property: removed distance > kept median distance.
-  for (int label : {1, -1}) {
-    const auto centroid = d.class_mean(label);
-    std::vector<double> kept_d = res.kept.distances_to(centroid, label);
-    const double kept_median = util::median(kept_d);
-    for (std::size_t i : res.removed_indices) {
-      if (d.label(i) != label) continue;
-      EXPECT_GT(la::distance(d.instance(i), centroid), kept_median);
-    }
+  const la::Vector mean_pos = d.class_mean(1);
+  const la::Vector mean_neg = d.class_mean(-1);
+  const double radius_pos = util::quantile(d.distances_to(mean_pos, 1), 0.75);
+  const double radius_neg = util::quantile(d.distances_to(mean_neg, -1), 0.75);
+  std::vector<std::size_t> want_removed;
+  std::vector<std::size_t> want_kept;
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    const bool pos = d.label(i) == 1;
+    const double dist = la::distance(d.instance(i), pos ? mean_pos : mean_neg);
+    const bool within = dist <= (pos ? radius_pos : radius_neg);
+    (within ? want_kept : want_removed).push_back(i);
   }
+  EXPECT_EQ(res.removed_indices, want_removed);
+  EXPECT_EQ(res.kept.features().data(), d.select(want_kept).features().data());
+  EXPECT_EQ(res.kept.labels(), d.select(want_kept).labels());
 }
 
 TEST(DistanceFilterTest, FiltersPerClass) {
@@ -173,17 +178,6 @@ TEST(DistanceFilterTest, FiltersPerClass) {
   }
   EXPECT_NEAR(static_cast<double>(removed_pos), static_cast<double>(removed_neg),
               20.0);
-}
-
-TEST(DistanceFilterTest, RadiusForMatchesQuantile) {
-  const auto d = blobs(1000, 10);
-  DistanceFilterConfig cfg;
-  cfg.removal_fraction = 0.25;
-  cfg.centroid.method = CentroidMethod::kMean;
-  const DistanceFilter f(cfg);
-  const double r = f.radius_for(d, 1);
-  const auto dist = d.distances_to(d.class_mean(1), 1);
-  EXPECT_NEAR(r, util::quantile(dist, 0.75), 1e-9);
 }
 
 TEST(DistanceFilterTest, CleanGeometryKeepsTheSameRows) {
@@ -418,20 +412,6 @@ TEST(MixedDefenseTest, DescribeContainsSupport) {
   const std::string text = s.describe();
   EXPECT_NE(text.find("5.8%"), std::string::npos);
   EXPECT_NE(text.find("51.2%"), std::string::npos);
-}
-
-TEST(MixedDefenseFilterTest, AppliesSampledStrength) {
-  const auto d = blobs(500, 22);
-  const MixedDefenseFilter f(MixedDefenseStrategy({0.1, 0.4}, {0.5, 0.5}),
-                             CentroidConfig{});
-  // Over many draws the removed fraction must average ~0.25.
-  double removed = 0.0;
-  const int reps = 40;
-  for (int i = 0; i < reps; ++i) {
-    util::Rng rng(100 + i);
-    removed += f.apply(d, rng).removed_fraction(d.size());
-  }
-  EXPECT_NEAR(removed / reps, 0.25, 0.05);
 }
 
 // ---------------------------------------------------------------- pipeline

@@ -126,6 +126,55 @@ TEST(MatrixTest, MatvecAndTransposedMatvec) {
   EXPECT_EQ(m.matvec_transposed({1.0, 1.0, 1.0}), (Vector{9.0, 12.0}));
 }
 
+TEST(MatrixTest, FourRowKernelsMatchReferenceLoops) {
+  // Both kernels process four rows per pass, yet every output element must
+  // be the naive loop's sum bit for bit. Entries of either sign span 1e-8
+  // to 1e8 in magnitude, so a reordered sum would round differently.
+  util::Rng rng(57);
+  const auto entry = [&rng] {
+    const double magnitude = std::pow(10.0, rng.uniform(-8.0, 8.0));
+    return rng.uniform() < 0.5 ? -magnitude : magnitude;
+  };
+  const auto check = [&](std::size_t rows, std::size_t cols) {
+    Matrix m(rows, cols);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) m(r, c) = entry();
+    }
+    Vector x(cols);
+    Vector y(rows);
+    for (double& v : x) v = entry();
+    for (double& v : y) v = entry();
+
+    Vector want(rows, 0.0);
+    Vector want_transposed(cols, 0.0);
+    for (std::size_t r = 0; r < rows; ++r) {
+      double s = 0.0;
+      for (std::size_t c = 0; c < cols; ++c) s += m(r, c) * x[c];
+      want[r] = s;
+    }
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        want_transposed[c] += m(r, c) * y[r];
+      }
+    }
+
+    const Vector got = m.matvec(x);
+    const Vector got_transposed = m.matvec_transposed(y);
+    for (std::size_t r = 0; r < rows; ++r) {
+      EXPECT_EQ(got[r], want[r]) << rows << "x" << cols << " row " << r;
+    }
+    for (std::size_t c = 0; c < cols; ++c) {
+      EXPECT_EQ(got_transposed[c], want_transposed[c])
+          << rows << "x" << cols << " column " << c;
+    }
+  };
+  for (std::size_t rows = 1; rows <= 9; ++rows) {
+    for (std::size_t cols = 1; cols <= 9; ++cols) check(rows, cols);
+    check(rows, 57);
+  }
+  check(1400, 57);
+}
+
 TEST(MatrixTest, TransposeInvolution) {
   const Matrix m = Matrix::from_rows({{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}});
   const Matrix mt = m.transposed();

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <climits>
-#include <cmath>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
@@ -364,25 +363,6 @@ TEST(PiecewiseLinearTest, ClampedOutsideDomain) {
   EXPECT_DOUBLE_EQ(f(3.0), 20.0);
 }
 
-TEST(PiecewiseLinearTest, DerivativeOfSegments) {
-  PiecewiseLinear f({0.0, 1.0, 3.0}, {0.0, 2.0, 0.0});
-  EXPECT_DOUBLE_EQ(f.derivative(0.5), 2.0);
-  EXPECT_DOUBLE_EQ(f.derivative(2.0), -1.0);
-  EXPECT_DOUBLE_EQ(f.derivative(-1.0), 0.0);
-  EXPECT_DOUBLE_EQ(f.derivative(4.0), 0.0);
-}
-
-TEST(PiecewiseLinearTest, IntegralExactForTriangle) {
-  PiecewiseLinear f({0.0, 1.0, 2.0}, {0.0, 1.0, 0.0});
-  EXPECT_NEAR(f.integral(0.0, 2.0), 1.0, 1e-12);
-  EXPECT_NEAR(f.integral(0.0, 1.0), 0.5, 1e-12);
-}
-
-TEST(PiecewiseLinearTest, IntegralWithClampedTails) {
-  PiecewiseLinear f({0.0, 1.0}, {2.0, 2.0});
-  EXPECT_NEAR(f.integral(-1.0, 2.0), 6.0, 1e-12);
-}
-
 TEST(PiecewiseLinearTest, RejectsNonIncreasingKnots) {
   EXPECT_THROW(PiecewiseLinear({0.0, 0.0}, {1.0, 2.0}),
                std::invalid_argument);
@@ -399,43 +379,12 @@ TEST(PiecewiseLinearTest, RejectsSingleKnot) {
   EXPECT_THROW(PiecewiseLinear({0.0}, {1.0}), std::invalid_argument);
 }
 
-TEST(MonotoneCubicTest, ExactAtKnots) {
-  MonotoneCubicSpline f({0.0, 1.0, 2.0, 3.0}, {0.0, 1.0, 4.0, 9.0});
-  for (double x : {0.0, 1.0, 2.0, 3.0}) {
-    EXPECT_NEAR(f(x), x * x, 1e-12);
-  }
-}
-
-TEST(MonotoneCubicTest, PreservesMonotonicity) {
-  // Data with a sharp step; a natural cubic would overshoot here.
-  MonotoneCubicSpline f({0.0, 1.0, 2.0, 3.0}, {0.0, 0.0, 5.0, 5.0});
-  double prev = f(0.0);
-  for (double x = 0.01; x <= 3.0; x += 0.01) {
-    const double y = f(x);
-    EXPECT_GE(y, prev - 1e-12) << "non-monotone at x=" << x;
-    prev = y;
-  }
-}
-
-TEST(MonotoneCubicTest, ClampedOutsideDomain) {
-  MonotoneCubicSpline f({0.0, 1.0}, {3.0, 4.0});
-  EXPECT_DOUBLE_EQ(f(-1.0), 3.0);
-  EXPECT_DOUBLE_EQ(f(2.0), 4.0);
-}
-
-TEST(MonotoneCubicTest, DerivativeSignMatchesData) {
-  MonotoneCubicSpline f({0.0, 1.0, 2.0}, {0.0, 2.0, 3.0});
-  EXPECT_GE(f.derivative(0.5), 0.0);
-  EXPECT_GE(f.derivative(1.5), 0.0);
-}
-
 // ---------------------------------------------------------------- stats.h
 
 TEST(StatsTest, MeanAndVariance) {
   const std::vector<double> v{1.0, 2.0, 3.0, 4.0};
   EXPECT_DOUBLE_EQ(mean(v), 2.5);
   EXPECT_NEAR(variance(v), 5.0 / 3.0, 1e-12);
-  EXPECT_NEAR(stddev(v), std::sqrt(5.0 / 3.0), 1e-12);
 }
 
 TEST(StatsTest, MedianOddAndEven) {
@@ -483,30 +432,15 @@ TEST(EmpiricalCdfTest, InverseIsLeftInverse) {
   EXPECT_DOUBLE_EQ(cdf.inverse(0.34), 3.0);
 }
 
-TEST(EmpiricalCdfTest, SurvivalComplement) {
-  EmpiricalCdf cdf({1.0, 2.0, 3.0, 4.0});
-  EXPECT_DOUBLE_EQ(cdf.survival(2.0), 0.5);
-  EXPECT_DOUBLE_EQ(cdf.survival(0.0), 1.0);
-}
-
 TEST(EmpiricalCdfTest, InverseSurvivalRoundTrip) {
   // For the radius<->percentile maps: inverse(1-p) must keep exactly the
   // (1-p) mass at or below the returned radius.
   EmpiricalCdf cdf({1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
   for (double p : {0.1, 0.2, 0.3, 0.5}) {
     const double r = cdf.inverse(1.0 - p);
-    EXPECT_NEAR(cdf.survival(r), p, 0.10001);
-    EXPECT_LE(cdf.survival(r), p + 1e-12);
+    EXPECT_NEAR(1.0 - cdf(r), p, 0.10001);
+    EXPECT_LE(1.0 - cdf(r), p + 1e-12);
   }
-}
-
-TEST(SummaryTest, AllFieldsPopulated) {
-  const Summary s = summarize({1.0, 5.0, 3.0});
-  EXPECT_EQ(s.count, 3u);
-  EXPECT_DOUBLE_EQ(s.mean, 3.0);
-  EXPECT_DOUBLE_EQ(s.min, 1.0);
-  EXPECT_DOUBLE_EQ(s.median, 3.0);
-  EXPECT_DOUBLE_EQ(s.max, 5.0);
 }
 
 // ------------------------------------------------------------------ csv.h

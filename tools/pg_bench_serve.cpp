@@ -26,6 +26,7 @@
 #include <utility>
 #include <vector>
 
+#include "scenario/cli.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -139,14 +140,9 @@ int main(int argc, char** argv) {
   try {
     const Options options = parse_args(args);
 
-    std::string spec_text = kDefaultSpec;
-    if (!options.spec_file.empty()) {
-      std::ifstream in(options.spec_file, std::ios::binary);
-      PG_CHECK(static_cast<bool>(in), "cannot read " + options.spec_file);
-      std::ostringstream text;
-      text << in.rdbuf();
-      spec_text = text.str();
-    }
+    const std::string spec_text =
+        options.spec_file.empty() ? std::string(kDefaultSpec)
+                                  : pg::scenario::read_file(options.spec_file);
 
     // Self-host unless pointed at a live daemon.
     RemoveDirOnExit cache_dir_cleanup;

@@ -19,11 +19,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "robust/faultpoint.h"
+#include "scenario/cli.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -73,14 +73,6 @@ std::string usage() {
       "                        (default 0 = wait forever)\n"
       "  --out-file PATH       write the response envelope there\n"
       "  exit codes: 0 ok, 1 local error, 2 usage, 3 server-side error\n";
-}
-
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  PG_CHECK(static_cast<bool>(in), "cannot read " + path);
-  std::ostringstream text;
-  text << in.rdbuf();
-  return text.str();
 }
 
 std::size_t parse_size(const std::string& value, const std::string& flag) {
@@ -182,9 +174,10 @@ int run_client(const CliOptions& options) {
   const pg::serve::Client::Response response =
       options.ping
           ? pg::serve::Client::ping_retry(options.serve.socket_path, policy)
-          : pg::serve::Client::request_retry(options.serve.socket_path,
-                                             read_file(options.request_file),
-                                             policy, options.meta);
+          : pg::serve::Client::request_retry(
+                options.serve.socket_path,
+                pg::scenario::read_file(options.request_file), policy,
+                options.meta);
   if (!options.out_file.empty()) {
     std::ofstream out(options.out_file, std::ios::trunc);
     PG_CHECK(static_cast<bool>(out),
