@@ -1,12 +1,12 @@
 // Crash-safe whole-file writes: temp + fsync + rename.
 //
-// Every JSON/binary artifact the project emits (result out-files, shard
-// partials, metrics snapshots, traces, payoff-cache shards) goes through
+// Every JSON/binary artifact the project emits (result out-files,
+// metrics snapshots, traces, payoff-cache shards) goes through
 // atomic_write_file, so a reader can NEVER observe a torn file at the
 // final path: either the old content is still there, or the complete new
 // content is. A writer killed mid-write leaves only a `<path>.tmp.<pid>`
-// temp file -- which loaders never look at, and which a retried worker
-// never collides with (the pid is in the name).
+// temp file -- which loaders never look at, and which another process
+// writing the same path never collides with (the pid is in the name).
 #pragma once
 
 #include <cstdint>
@@ -24,8 +24,8 @@ namespace pg::robust {
 /// dies leaving only the temp (proving the no-torn-file guarantee),
 /// `short-write` truncates the payload to half and then renames anyway
 /// (simulating a non-atomic legacy writer or filesystem corruption, to
-/// exercise loaders' torn-read handling). By convention `arg` carries
-/// the shard index; 0 elsewhere.
+/// exercise loaders' torn-read handling). `arg` carries the payoff-cache
+/// shard id at the cache.store site; 0 elsewhere.
 void atomic_write_file(const std::string& path, std::string_view content,
                        std::string_view site = "artifact.write",
                        std::uint64_t arg = 0);

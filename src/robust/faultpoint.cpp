@@ -21,9 +21,9 @@ struct Rule {
   enum class Action { kCrash, kThrow, kDelay, kShortWrite };
   Action action = Action::kThrow;
   std::uint64_t delay_ms = 0;
-  enum class Trigger { kAlways, kNth, kFromNth, kProb, kAttempt };
+  enum class Trigger { kAlways, kNth, kFromNth, kProb };
   Trigger trigger = Trigger::kAlways;
-  std::uint64_t n = 0;      // kNth / kFromNth / kAttempt
+  std::uint64_t n = 0;      // kNth / kFromNth
   double prob = 0.0;        // kProb
   std::uint64_t seed = 0;   // kProb
   std::uint64_t hits = 0;   // matching hits so far, this process
@@ -32,10 +32,9 @@ struct Rule {
 
 // One mutex guards the table for both configure() swaps and armed-path
 // evaluation. Fault points live on cold paths (file writes, request
-// framing, worker startup), and the unarmed fast path never gets here.
+// framing), and the unarmed fast path never gets here.
 std::mutex g_mutex;
 std::vector<Rule> g_rules;
-std::atomic<std::uint64_t> g_attempt{0};
 
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
@@ -128,9 +127,6 @@ Rule parse_entry(const std::string& entry) {
         rule.prob > 1.0) {
       bad_entry(entry, "probability must be in [0,1], got '" + prob + "'");
     }
-  } else if (trigger[0] == 'a') {
-    rule.trigger = Rule::Trigger::kAttempt;
-    rule.n = parse_u64(trigger.substr(1), entry, "attempt");
   } else if (trigger.back() == '+') {
     rule.trigger = Rule::Trigger::kFromNth;
     rule.n = parse_u64(trigger.substr(0, trigger.size() - 1), entry,
@@ -176,9 +172,6 @@ FaultHit faultpoint_slow(std::string_view site, std::uint64_t arg) {
           fire = static_cast<double>(draw >> 11) * 0x1.0p-53 < rule.prob;
           break;
         }
-        case Rule::Trigger::kAttempt:
-          fire = g_attempt.load(std::memory_order_relaxed) == rule.n;
-          break;
       }
       if (fire) {
         snapshot = rule;
@@ -190,8 +183,7 @@ FaultHit faultpoint_slow(std::string_view site, std::uint64_t arg) {
   if (fired == nullptr) return {};
 
   // Record the trigger BEFORE acting: throw/delay/short-write survive to
-  // be snapshotted; a crash loses its counter with the process (the
-  // orchestrator's obs.shard.retried is the durable record there).
+  // be snapshotted; a crash loses its counter with the process.
   obs::counter("obs.fault.triggered").add(1);
   obs::counter("obs.fault." + std::string(site)).add(1);
 
@@ -238,14 +230,6 @@ void reset() {
   std::lock_guard<std::mutex> lock(g_mutex);
   g_rules.clear();
   detail::g_armed.store(false, std::memory_order_relaxed);
-}
-
-void set_attempt(std::uint64_t attempt) noexcept {
-  g_attempt.store(attempt, std::memory_order_relaxed);
-}
-
-std::uint64_t attempt() noexcept {
-  return g_attempt.load(std::memory_order_relaxed);
 }
 
 }  // namespace pg::robust

@@ -1,10 +1,10 @@
 // Deterministic fault injection: always compiled, zero-cost when idle.
 //
 // A fault POINT is a named call site at a place that can really fail --
-// a cache shard store, an artifact write, a socket read, a shard worker
-// coming up. Unarmed (the default), faultpoint() is one relaxed atomic
-// load and nothing else: no counters, no allocation, no branch beyond
-// the flag check. Armed via PG_FAULTS / `pg_run --fault`, a matching
+// a cache shard load or store, an artifact write, a socket read.
+// Unarmed (the default), faultpoint() is one relaxed atomic load and
+// nothing else: no counters, no allocation, no branch beyond the flag
+// check. Armed via PG_FAULTS / `pg_run --fault`, a matching
 // site executes its injected ACTION, and `obs.fault.*` counters record
 // every trigger (obs.fault.triggered plus obs.fault.<site>).
 //
@@ -28,25 +28,20 @@
 //              pP[/SEED]    each hit fires independently with
 //                           probability P in [0,1]; deterministic in
 //                           (SEED, site, hit index) via SplitMix64
-//              aK           every hit fires, but only while the process
-//                           fault attempt == K (the shard-retry
-//                           orchestrator sets the attempt in relaunched
-//                           workers; 0 everywhere else) -- so
-//                           `shard.worker.start[1]:crash@a0` kills shard
-//                           1's first launch and lets its retry live
 //
 //     arg      an optional numeric selector matched against the
-//              faultpoint's `arg` (by convention the shard index; 0
-//              when the site has no natural argument)
+//              faultpoint's `arg` (the payoff-cache shard id at the
+//              cache.load/cache.store sites; 0 when the site has no
+//              natural argument)
 //
 // Examples:
 //     PG_FAULTS=cache.store:short-write
-//     PG_FAULTS=shard.worker.start[1]:crash@a0
+//     PG_FAULTS=artifact.out:crash
 //     PG_FAULTS=serve.write:throw@1,cache.load:delay=50@p0.5/7
 //
-// Determinism: hit counters are per-rule and per-process (forked shard
-// workers inherit a COPY at fork time), probability draws hash the seed,
-// site, and hit index -- two identically-armed runs inject identically.
+// Determinism: hit counters are per-rule and per-process, probability
+// draws hash the seed, site, and hit index -- two identically-armed runs
+// inject identically.
 // configure() replaces the whole rule table; reset() disarms.
 #pragma once
 
@@ -100,10 +95,5 @@ void configure_from_env();
 
 /// Disarm and clear every rule and hit counter.
 void reset();
-
-/// The process fault attempt consulted by `aK` triggers. The shard-exec
-/// orchestrator sets it (post-fork) to the worker's relaunch count.
-void set_attempt(std::uint64_t attempt) noexcept;
-[[nodiscard]] std::uint64_t attempt() noexcept;
 
 }  // namespace pg::robust

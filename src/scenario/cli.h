@@ -39,31 +39,10 @@ struct CliOptions {
   /// registry is reset for the run). --trace desugars to a trace=PATH
   /// override and lives in `overrides`.
   std::string metrics_out;
-
-  // ---- distributed sweep sharding -------------------------------------
-  /// --shard i/N: run the deterministic stride {i, i+N, ...} of the
-  /// sweep grid and emit a partial artifact. shard_total == 0 = off.
-  std::size_t shard_index = 0;
-  std::size_t shard_total = 0;
-  /// --shard-exec N: single-machine orchestrator -- fork N worker
-  /// processes (each running one shard over the shared cache dir), wait,
-  /// merge in-process, write the merged artifact to --out-file. 0 = off.
-  std::size_t shard_exec = 0;
-  /// --shard-retries K: with --shard-exec, relaunch a failed worker
-  /// (nonzero exit, killed by a signal, or a missing/unparseable partial)
-  /// up to K more times with exponential backoff + jitter before giving
-  /// up. Only the failed shards relaunch; the merged result is
-  /// unaffected because partials are deterministic per shard. 0 = the
-  /// historical fail-fast behavior.
-  std::size_t shard_retries = 0;
   /// --fault SITE:ACTION[@TRIGGER] entries (repeatable), applied as the
   /// process fault table before the run -- the CLI twin of $PG_FAULTS
   /// (flags win; see src/robust/faultpoint.h for the grammar).
   std::vector<std::string> faults;
-  /// --merge a.json b.json ...: stitch shard partials into the canonical
-  /// merged result (the trailing non-flag arguments after --merge).
-  bool merge = false;
-  std::vector<std::string> merge_inputs;
 
   // ---- --compare mode (mutually exclusive with running a scenario) ----
   bool compare = false;
@@ -77,18 +56,11 @@ struct CliOptions {
   bool with_telemetry = false;
 };
 
-/// Exit code for `--merge` when the inputs are valid, mutually
-/// consistent partials of one sweep but some shards are absent. Paired
-/// with the machine-readable `missing_shards=i,j,...` stdout line so a
-/// retry wrapper can relaunch exactly those shards; every other merge
-/// failure stays generic exit 1.
-inline constexpr int kExitMissingShards = 4;
-
-/// Largest file `pg_run` reads as input: a `--spec` file, a `--compare`
-/// or `--merge` artifact, a `--shard-exec` worker's partial. A larger
-/// one fails in one line that names it, after at most one byte past
-/// the cap has been read. `pg_serve --request` and `pg_bench_serve
-/// --spec` read their spec files through the same cap.
+/// Largest file `pg_run` reads as input: a `--spec` file or a
+/// `--compare` artifact. A larger one fails in one line that names it,
+/// after at most one byte past the cap has been read. `pg_serve
+/// --request` and `pg_bench_serve --spec` read their spec files through
+/// the same cap.
 inline constexpr std::size_t kMaxInputBytes = std::size_t{64} << 20;
 
 /// The whole of an input file, up to kMaxInputBytes. Throws

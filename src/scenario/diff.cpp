@@ -269,48 +269,6 @@ class Differ {
                  b.kind == JsonValue::Kind::kObject,
              "--compare inputs must be JSON objects written by the JSON "
              "result sink");
-    // Shard partials (pg_run --shard i/N) unwrap like serve envelopes:
-    // the shard identity must agree, then the covered "result" bodies
-    // compare as ordinary runs. A partial against a full artifact is a
-    // refusal with the fix spelled out, not a wall of missing-row noise.
-    const JsonValue* a_partial = a.find("partial");
-    const JsonValue* b_partial = b.find("partial");
-    if (a_partial != nullptr || b_partial != nullptr) {
-      PG_CHECK(a_partial != nullptr && b_partial != nullptr &&
-                   a_partial->kind == JsonValue::Kind::kObject &&
-                   b_partial->kind == JsonValue::Kind::kObject,
-               "--compare inputs disagree: one is a shard partial, the "
-               "other is not (stitch partials with pg_run --merge first)");
-      for (const char* key : {"shard", "total_shards", "grid_size"}) {
-        const JsonValue* x = a_partial->find(key);
-        const JsonValue* y = b_partial->find(key);
-        if (x != nullptr && y != nullptr) {
-          compare_value(std::string("partial/") + key, *x, *y);
-        }
-      }
-      const JsonValue* a_covered = a_partial->find("covered");
-      const JsonValue* b_covered = b_partial->find("covered");
-      if (a_covered != nullptr && b_covered != nullptr &&
-          a_covered->kind == JsonValue::Kind::kArray &&
-          b_covered->kind == JsonValue::Kind::kArray) {
-        if (a_covered->items.size() != b_covered->items.size()) {
-          add(DiffKind::kShape, "partial/covered",
-              std::to_string(a_covered->items.size()) + " indices",
-              std::to_string(b_covered->items.size()) + " indices");
-        } else {
-          for (std::size_t i = 0; i < a_covered->items.size(); ++i) {
-            compare_value("partial/covered[" + std::to_string(i) + "]",
-                          a_covered->items[i], b_covered->items[i]);
-          }
-        }
-      }
-      const JsonValue* a_run = a.find("result");
-      const JsonValue* b_run = b.find("result");
-      PG_CHECK(a_run != nullptr && b_run != nullptr,
-               "--compare: shard partial has no \"result\" member");
-      compare_artifact(*a_run, *b_run);
-      return;
-    }
     const bool a_single = a.find("scenario") != nullptr;
     const bool b_single = b.find("scenario") != nullptr;
     if (a_single || b_single) {

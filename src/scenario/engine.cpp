@@ -6,7 +6,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
-#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -682,7 +681,7 @@ void run_micro_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   result.tables.push_back(std::move(table));
 }
 
-// Service-health scenario: snapshot the PROCESS's serve/fault/shard
+// Service-health scenario: snapshot the PROCESS's serve/fault/cache
 // counters into a telemetry table. Submitted to a pg_serve daemon it
 // reports the daemon's own live counters (queue depth, errors, pings,
 // retries) without submitting real work; run standalone it pins the
@@ -703,7 +702,6 @@ void run_serve_metrics_scenario(const ScenarioSpec& spec,
   for (const auto& m : obs::snapshot_metrics()) {
     const bool service = m.name.rfind("obs.serve.", 0) == 0 ||
                          m.name.rfind("obs.fault.", 0) == 0 ||
-                         m.name.rfind("obs.shard.", 0) == 0 ||
                          m.name.rfind("obs.cache.quarantined", 0) == 0;
     if (!service) continue;
     const char* kind = m.kind == obs::MetricSnapshot::Kind::kTimer
@@ -915,12 +913,8 @@ RunnerFn runner_for(const std::string& kind) {
 /// drain).
 ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
                                  runtime::Executor* exec, ShardStore& store,
-                                 bool spill,
-                                 const ShardRequest* shard = nullptr) {
+                                 bool spill) {
   const SweepPlan plan(spec);  // parses + type-checks every sweep clause
-  PG_CHECK(shard == nullptr || !plan.empty(),
-           "--shard requires sweep axes (a single point has nothing to "
-           "partition)");
 
   // Validate every kind the run will dispatch BEFORE any work: the base
   // kind, or -- when `kind` itself is a swept axis -- each axis value.
@@ -956,26 +950,6 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
     } else {
       result.sweep_axes = plan.axis_keys();
       result.add_metric("sweep_points", plan.size());
-      // Covered plan indices: the whole grid, or -- on a shard run -- the
-      // deterministic stride {i, i+N, ...}. The stride depends only on
-      // the plan, so N workers launched with the same spec partition the
-      // grid without talking to each other.
-      std::vector<std::size_t> covered;
-      if (shard != nullptr) {
-        covered = plan.shard_indices(shard->index, shard->total);
-        obs::gauge("obs.shard.index").record(shard->index);
-        obs::gauge("obs.shard.total").record(shard->total);
-        obs::counter("obs.shard.points_run").add(covered.size());
-        result.partial.shard = shard->index;
-        result.partial.total_shards = shard->total;
-        result.partial.grid_size = plan.size();
-        // The merge's cross-shard consistency key: every worker of one
-        // sweep resolves to the same spec, hence the same canonical text.
-        result.partial.spec_text = spec.to_text();
-      } else {
-        covered.resize(plan.size());
-        for (std::size_t i = 0; i < covered.size(); ++i) covered[i] = i;
-      }
       // POINT-PARALLEL GRID: independent grid points dispatch concurrently
       // through the nested executor (each point's inner loops still fan
       // out -- payoff cells use parallel_for_nested, so one late point can
@@ -985,48 +959,32 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
       // bundle only memoizes content-keyed values -- so results cannot
       // depend on scheduling, and the serial merge below folds them in
       // plan order regardless of completion order.
-      std::vector<ScenarioResult> points(covered.size());
+      std::vector<ScenarioResult> points(plan.size());
       runtime::parallel_for_nested(
-          exec, 0, covered.size(), 1, [&](std::size_t slot) {
-            const std::size_t i = covered[slot];
+          exec, 0, plan.size(), 1, [&](std::size_t i) {
             obs::Span point_span("grid_point_" + std::to_string(i), "grid");
             static obs::Timer& wall = obs::timer("obs.engine.point_wall");
             static obs::Timer& cpu = obs::timer("obs.engine.point_cpu");
             const obs::ScopedTimer wall_timer(wall);
             const std::uint64_t cpu_start = thread_cpu_ns();
             const ScenarioSpec child = plan.child(i);
-            points[slot].spec = child;
+            points[i].spec = child;
             if (child.threads != spec.threads) {
               // `threads` is itself a swept axis: this point gets its own
               // executor (results are thread-count-invariant, so the grid
               // stays bit-identical either way).
               const auto child_exec = sim::make_executor(child.threads);
               runner_for(child.kind)(child, child_exec.get(), bundle,
-                                     points[slot]);
+                                     points[i]);
             } else {
-              runner_for(child.kind)(child, exec, bundle, points[slot]);
+              runner_for(child.kind)(child, exec, bundle, points[i]);
             }
             cpu.record_ns(thread_cpu_ns() - cpu_start);
           });
-      for (std::size_t slot = 0; slot < covered.size(); ++slot) {
-        merge_sweep_point(plan.coordinates(covered[slot]), points[slot],
-                          result);
+      for (std::size_t i = 0; i < plan.size(); ++i) {
+        merge_sweep_point(plan.coordinates(i), points[i], result);
       }
-      if (shard != nullptr) {
-        // Keep every covered point's RAW output in the envelope: the
-        // merge replays it through the same fold above, so the stitched
-        // artifact is value-identical to a single-process run. Aggregates
-        // are NOT computed here -- they need the full grid and are
-        // recomputed at merge time.
-        result.partial.points.reserve(covered.size());
-        for (std::size_t slot = 0; slot < covered.size(); ++slot) {
-          result.partial.points.push_back({covered[slot],
-                                           std::move(points[slot].metrics),
-                                           std::move(points[slot].tables)});
-        }
-      } else {
-        add_sweep_aggregates(spec, result);
-      }
+      add_sweep_aggregates(spec, result);
     }
     bundle.finish(result.cache, spill);
   }
@@ -1039,11 +997,11 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
   return result;
 }
 
-/// The standalone lifecycle shared by run_scenario and
-/// run_scenario_shard: own executor, own shard store, own observability
-/// window, spill on completion.
-ScenarioResult run_scenario_standalone(const ScenarioSpec& spec,
-                                       const ShardRequest* shard) {
+}  // namespace
+
+/// The standalone lifecycle: own executor, own shard store, own
+/// observability window, spill on completion.
+ScenarioResult run_scenario(const ScenarioSpec& spec) {
   // Observability lifecycle: reset the registry when this run will report
   // metrics (so the snapshot describes THIS run, not the process), and
   // arm the tracer when a trace path is set. Both are pure observers --
@@ -1058,7 +1016,7 @@ ScenarioResult run_scenario_standalone(const ScenarioSpec& spec,
   ShardStore store(spec.use_cache, cache_dir, spec.cache_max_bytes);
 
   ScenarioResult result =
-      run_scenario_impl(spec, exec.get(), store, /*spill=*/true, shard);
+      run_scenario_impl(spec, exec.get(), store, /*spill=*/true);
 
   // Flush the trace AFTER the run so the file includes every span. A
   // failing trace write throws past the result -- the CLI pre-checks
@@ -1073,17 +1031,6 @@ ScenarioResult run_scenario_standalone(const ScenarioSpec& spec,
   return result;
 }
 
-}  // namespace
-
-ScenarioResult run_scenario(const ScenarioSpec& spec) {
-  return run_scenario_standalone(spec, nullptr);
-}
-
-ScenarioResult run_scenario_shard(const ScenarioSpec& spec,
-                                  const ShardRequest& shard) {
-  return run_scenario_standalone(spec, &shard);
-}
-
 Value coordinate_value(const std::string& text) {
   if (!text.empty()) {
     char* end = nullptr;
@@ -1094,8 +1041,7 @@ Value coordinate_value(const std::string& text) {
       // the shortest-roundtrip double form. Everything else strtod
       // happens to accept -- inf/nan spellings, hex (0x10), padded
       // digits (007), exponent aliases (1e3) -- stays the string the
-      // spec text spelled, so JSON cells stay valid and merge keys
-      // round-trip exactly.
+      // spec text spelled, so JSON cells stay valid.
       const bool integer_form =
           v == std::floor(v) && std::abs(v) < 9.007199254740992e15 &&
           text == std::to_string(static_cast<long long>(v));
@@ -1117,278 +1063,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, EngineContext& context) {
            "shared context (the owner controls the tracer)");
   return run_scenario_impl(spec, context.executor, *context.shards,
                            /*spill=*/false);
-}
-
-// --------------------------------------------------------- shard merging
-
-namespace {
-
-/// Reconstruct a Value from its partial-envelope JSON form (the exact
-/// encoding result.cpp's write_exact_value produces).
-Value value_from_json(const JsonValue& v, const std::string& where) {
-  switch (v.kind) {
-    case JsonValue::Kind::kNumber: return Value(v.number);
-    case JsonValue::Kind::kString: return Value(v.text);
-    case JsonValue::Kind::kObject: {
-      const JsonValue* nf = v.find("nf");
-      PG_CHECK(nf != nullptr && nf->kind == JsonValue::Kind::kString,
-               "merge: " + where + ": unexpected object cell");
-      if (nf->text == "inf") {
-        return Value(std::numeric_limits<double>::infinity());
-      }
-      if (nf->text == "-inf") {
-        return Value(-std::numeric_limits<double>::infinity());
-      }
-      PG_CHECK(nf->text == "nan", "merge: " + where +
-                                      ": unknown non-finite tag '" +
-                                      nf->text + "'");
-      return Value(std::numeric_limits<double>::quiet_NaN());
-    }
-    case JsonValue::Kind::kNull:
-      // Defensive: the DISPLAY sink's stand-in for a non-finite number
-      // (partials tag them instead, but accept a hand-carried artifact).
-      return Value(std::numeric_limits<double>::quiet_NaN());
-    default:
-      PG_CHECK(false, "merge: " + where + ": cell is not a scalar value");
-  }
-  return Value();
-}
-
-/// Required non-negative integer member of a partial envelope.
-std::size_t size_member(const JsonValue& obj, const char* key,
-                        const std::string& label) {
-  const JsonValue* v = obj.find(key);
-  PG_CHECK(v != nullptr && v->kind == JsonValue::Kind::kNumber &&
-               v->number >= 0.0 && v->number == std::floor(v->number),
-           "merge: " + label + ": partial envelope needs a non-negative "
-           "integer \"" + std::string(key) + "\"");
-  return static_cast<std::size_t>(v->number);
-}
-
-/// One covered point of one shard, reconstructed as the raw per-point
-/// ScenarioResult surface merge_sweep_point consumes.
-ScenarioResult point_from_json(const JsonValue& point,
-                               const std::string& where) {
-  ScenarioResult out;
-  const JsonValue* metrics = point.find("metrics");
-  PG_CHECK(metrics != nullptr && metrics->kind == JsonValue::Kind::kObject,
-           "merge: " + where + ": point has no metrics object");
-  for (const auto& [name, value] : metrics->members) {
-    out.metrics.emplace_back(name,
-                             value_from_json(value, where + "/" + name));
-  }
-  const JsonValue* tables = point.find("tables");
-  PG_CHECK(tables != nullptr && tables->kind == JsonValue::Kind::kArray,
-           "merge: " + where + ": point has no tables array");
-  for (const JsonValue& tj : tables->items) {
-    PG_CHECK(tj.kind == JsonValue::Kind::kObject,
-             "merge: " + where + ": malformed table");
-    const JsonValue* name = tj.find("name");
-    const JsonValue* columns = tj.find("columns");
-    const JsonValue* rows = tj.find("rows");
-    PG_CHECK(name != nullptr && name->kind == JsonValue::Kind::kString &&
-                 columns != nullptr &&
-                 columns->kind == JsonValue::Kind::kArray &&
-                 rows != nullptr && rows->kind == JsonValue::Kind::kArray,
-             "merge: " + where + ": malformed table");
-    ResultTable table;
-    table.name = name->text;
-    for (const JsonValue& c : columns->items) {
-      PG_CHECK(c.kind == JsonValue::Kind::kString,
-               "merge: " + where + ": non-string column name");
-      table.columns.push_back(c.text);
-    }
-    for (const JsonValue& row : rows->items) {
-      PG_CHECK(row.kind == JsonValue::Kind::kArray &&
-                   row.items.size() == table.columns.size(),
-               "merge: " + where + "/" + table.name + ": row width mismatch");
-      std::vector<Value> cells;
-      cells.reserve(row.items.size());
-      for (const JsonValue& cell : row.items) {
-        cells.push_back(value_from_json(cell, where + "/" + table.name));
-      }
-      table.rows.push_back(std::move(cells));
-    }
-    out.tables.push_back(std::move(table));
-  }
-  return out;
-}
-
-}  // namespace
-
-ScenarioResult merge_partials(
-    const std::vector<std::pair<std::string, JsonValue>>& partials) {
-  PG_CHECK(!partials.empty(), "merge: no partial artifacts given");
-
-  // Pass 1 -- validate every envelope and index shards. Everything is
-  // checked BEFORE any stitching, so a bad input is a clean one-line
-  // error naming the offending artifact, never a half-merged result.
-  std::size_t total = 0;
-  std::size_t grid = 0;
-  std::string spec_text;
-  std::map<std::size_t, const JsonValue*> shard_points;  // shard -> points[]
-  std::map<std::size_t, std::string> shard_labels;
-  for (const auto& [label, artifact] : partials) {
-    PG_CHECK(artifact.kind == JsonValue::Kind::kObject,
-             "merge: " + label + ": not a JSON object");
-    const JsonValue* schema = artifact.find("schema_version");
-    PG_CHECK(schema != nullptr &&
-                 schema->kind == JsonValue::Kind::kNumber &&
-                 schema->number == serve::kSchemaVersion,
-             "merge: " + label + ": missing or unsupported schema_version "
-             "(expected " + std::to_string(serve::kSchemaVersion) + ")");
-    const JsonValue* partial = artifact.find("partial");
-    PG_CHECK(partial != nullptr &&
-                 partial->kind == JsonValue::Kind::kObject,
-             "merge: " + label + " is not a shard partial (produce inputs "
-             "with pg_run --shard i/N --out json)");
-    const std::size_t shard = size_member(*partial, "shard", label);
-    const std::size_t this_total = size_member(*partial, "total_shards",
-                                               label);
-    const std::size_t this_grid = size_member(*partial, "grid_size", label);
-    PG_CHECK(this_total >= 1 && shard < this_total,
-             "merge: " + label + ": shard " + std::to_string(shard) +
-                 "/" + std::to_string(this_total) + " is out of range");
-    const JsonValue* st = partial->find("spec_text");
-    PG_CHECK(st != nullptr && st->kind == JsonValue::Kind::kString,
-             "merge: " + label + ": partial envelope has no spec_text");
-    if (shard_points.empty()) {
-      total = this_total;
-      grid = this_grid;
-      spec_text = st->text;
-    } else {
-      PG_CHECK(this_total == total,
-               "merge: " + label + " declares " +
-                   std::to_string(this_total) + " total shard(s), other "
-                   "partials declare " + std::to_string(total));
-      PG_CHECK(this_grid == grid,
-               "merge: " + label + " declares a grid of " +
-                   std::to_string(this_grid) + " point(s), other partials "
-                   "declare " + std::to_string(grid));
-      PG_CHECK(st->text == spec_text,
-               "merge: " + label + ": spec text differs from the other "
-               "partials (these are not shards of one sweep)");
-    }
-    const auto [it, inserted] = shard_points.emplace(
-        shard, partial->find("points"));
-    PG_CHECK(inserted, "merge: shard " + std::to_string(shard) +
-                           " appears twice (" + shard_labels[shard] +
-                           " and " + label + ")");
-    shard_labels[shard] = label;
-
-    const JsonValue* points = it->second;
-    const JsonValue* covered = partial->find("covered");
-    PG_CHECK(points != nullptr && points->kind == JsonValue::Kind::kArray &&
-                 covered != nullptr &&
-                 covered->kind == JsonValue::Kind::kArray &&
-                 covered->items.size() == points->items.size(),
-             "merge: " + label + ": malformed covered/points arrays");
-    // Each shard must cover EXACTLY its stride {shard, shard+total, ...}:
-    // a worker launched with different flags (or a truncated artifact)
-    // fails here, not as silent grid holes.
-    std::size_t expect = shard;
-    for (std::size_t p = 0; p < points->items.size(); ++p) {
-      const double c = covered->items[p].kind == JsonValue::Kind::kNumber
-                           ? covered->items[p].number
-                           : -1.0;
-      const std::size_t index = size_member(points->items[p], "index",
-                                            label);
-      PG_CHECK(c == static_cast<double>(expect) && index == expect &&
-                   expect < grid,
-               "merge: " + label + ": covered indices do not match the "
-               "shard " + std::to_string(shard) + "/" +
-                   std::to_string(total) + " stride at position " +
-                   std::to_string(p));
-      expect += total;
-    }
-    PG_CHECK(expect >= grid,
-             "merge: " + label + ": covers " +
-                 std::to_string(points->items.size()) + " point(s) but its "
-                 "stride has more; the partial is truncated");
-  }
-  if (shard_points.size() != total) {
-    std::string missing;
-    std::vector<std::size_t> missing_indices;
-    for (std::size_t s = 0; s < total; ++s) {
-      if (shard_points.count(s) == 0) {
-        if (!missing.empty()) missing += ", ";
-        missing += std::to_string(s);
-        missing_indices.push_back(s);
-      }
-    }
-    // Typed, not PG_CHECK: the CLI turns this into the machine-readable
-    // missing_shards= line + exit 4 a retry wrapper keys off.
-    throw MissingShardsError(
-        "merge: " + std::to_string(shard_points.size()) + " of " +
-            std::to_string(total) + " shard(s) present; missing shard(s): " +
-            missing,
-        std::move(missing_indices));
-  }
-
-  // Pass 2 -- rebuild the plan from the shared spec text and replay every
-  // point through the SAME merge fold a single-process run uses, in plan
-  // order, then recompute aggregates over the full grid.
-  const ScenarioSpec spec = ScenarioSpec::parse(spec_text);
-  const SweepPlan plan(spec);
-  PG_CHECK(plan.size() == grid,
-           "merge: spec text expands to " + std::to_string(plan.size()) +
-               " grid point(s) but the partials declare " +
-               std::to_string(grid));
-
-  ScenarioResult merged;
-  merged.spec = spec;
-  merged.sweep_axes = plan.axis_keys();
-  merged.add_metric("sweep_points", plan.size());
-  std::vector<std::size_t> cursor(total, 0);
-  for (std::size_t i = 0; i < grid; ++i) {
-    const std::size_t shard = i % total;
-    const std::string where =
-        shard_labels[shard] + "[" + std::to_string(i) + "]";
-    const ScenarioResult point =
-        point_from_json(shard_points[shard]->items[cursor[shard]++], where);
-    merge_sweep_point(plan.coordinates(i), point, merged);
-  }
-  add_sweep_aggregates(spec, merged);
-
-  // Cache traffic is additive across workers (each ran its own window
-  // over the shared directory); the differ excludes it, but the summed
-  // report keeps `--merge` output honest for human readers.
-  for (const auto& [label, artifact] : partials) {
-    (void)label;
-    const JsonValue* run = artifact.find("result");
-    if (run == nullptr) continue;
-    const JsonValue* cache = run->find("cache");
-    if (cache == nullptr || cache->kind != JsonValue::Kind::kObject) continue;
-    const auto num = [&](const char* key) -> std::size_t {
-      const JsonValue* v = cache->find(key);
-      return v != nullptr && v->kind == JsonValue::Kind::kNumber
-                 ? static_cast<std::size_t>(v->number)
-                 : 0;
-    };
-    const auto flag = [&](const char* key) {
-      const JsonValue* v = cache->find(key);
-      return v != nullptr && v->kind == JsonValue::Kind::kBool && v->boolean;
-    };
-    merged.cache.enabled = merged.cache.enabled || flag("enabled");
-    merged.cache.disk_enabled = merged.cache.disk_enabled ||
-                                flag("disk_enabled");
-    if (merged.cache.disk_dir.empty()) {
-      if (const JsonValue* dir = cache->find("disk_dir");
-          dir != nullptr && dir->kind == JsonValue::Kind::kString) {
-        merged.cache.disk_dir = dir->text;
-      }
-    }
-    merged.cache.shards += num("shards");
-    merged.cache.cells_total += num("cells_total");
-    merged.cache.cells_retrained += num("cells_retrained");
-    merged.cache.cache_hits += num("cache_hits");
-    merged.cache.disk_entries_loaded += num("disk_entries_loaded");
-    merged.cache.disk_entries_saved += num("disk_entries_saved");
-    merged.cache.disk_shards_evicted += num("disk_shards_evicted");
-    merged.cache.disk_max_bytes = std::max<std::uint64_t>(
-        merged.cache.disk_max_bytes, num("disk_max_bytes"));
-  }
-  return merged;
 }
 
 }  // namespace pg::scenario

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <ostream>
-#include <sstream>
 
 #include "obs/metrics.h"
 #include "serve/protocol.h"
@@ -38,72 +37,6 @@ void write_json_value(const Value& v, std::ostream& out) {
   }
 }
 
-/// Bit-exact cell encoding for partial (shard) envelopes. The plain
-/// sink maps non-finite numbers to JSON null -- fine for display, fatal
-/// for a merge that must reconstruct the exact Value a runner produced.
-/// Partials therefore tag non-finite cells as {"nf": "inf"|"-inf"|"nan"};
-/// finite numbers and strings round-trip through the normal forms
-/// (shortest-exact decimal / escaped string) already.
-void write_exact_value(const Value& v, std::ostream& out) {
-  if (v.is_number() && (std::isnan(v.number()) || std::isinf(v.number()))) {
-    out << "{\"nf\": \"" << format_number(v.number()) << "\"}";
-    return;
-  }
-  write_json_value(v, out);
-}
-
-/// The partial block of a shard artifact: identity (shard/total/grid),
-/// covered plan indices, the resolved base spec text (the merge's
-/// cross-shard consistency key), and every covered point's raw output.
-void write_partial_block(const ShardEnvelope& partial, std::ostream& out) {
-  out << "  \"partial\": {\n";
-  out << "    \"shard\": " << partial.shard << ",\n";
-  out << "    \"total_shards\": " << partial.total_shards << ",\n";
-  out << "    \"grid_size\": " << partial.grid_size << ",\n";
-  out << "    \"covered\": [";
-  for (std::size_t i = 0; i < partial.points.size(); ++i) {
-    if (i > 0) out << ", ";
-    out << partial.points[i].index;
-  }
-  out << "],\n";
-  out << "    \"spec_text\": \"" << json_escape(partial.spec_text) << "\",\n";
-  out << "    \"points\": [";
-  for (std::size_t p = 0; p < partial.points.size(); ++p) {
-    const PartialPoint& point = partial.points[p];
-    if (p > 0) out << ",";
-    out << "\n      {\"index\": " << point.index << ", \"metrics\": {";
-    for (std::size_t i = 0; i < point.metrics.size(); ++i) {
-      if (i > 0) out << ", ";
-      out << '"' << json_escape(point.metrics[i].first) << "\": ";
-      write_exact_value(point.metrics[i].second, out);
-    }
-    out << "}, \"tables\": [";
-    for (std::size_t t = 0; t < point.tables.size(); ++t) {
-      const ResultTable& table = point.tables[t];
-      if (t > 0) out << ", ";
-      out << "{\"name\": \"" << json_escape(table.name)
-          << "\", \"columns\": [";
-      for (std::size_t c = 0; c < table.columns.size(); ++c) {
-        if (c > 0) out << ", ";
-        out << '"' << json_escape(table.columns[c]) << '"';
-      }
-      out << "], \"rows\": [";
-      for (std::size_t r = 0; r < table.rows.size(); ++r) {
-        if (r > 0) out << ", ";
-        out << "[";
-        for (std::size_t c = 0; c < table.rows[r].size(); ++c) {
-          if (c > 0) out << ", ";
-          write_exact_value(table.rows[r][c], out);
-        }
-        out << "]";
-      }
-      out << "]}";
-    }
-    out << "]}";
-  }
-  out << "\n    ]\n  },\n";
-}
-
 std::string csv_escape(const std::string& s) {
   if (s.find_first_of(",\"\n") == std::string::npos) return s;
   std::string out = "\"";
@@ -127,11 +60,7 @@ void ResultTable::add_row(std::vector<Value> row) {
   rows.push_back(std::move(row));
 }
 
-namespace {
-
-/// The ordinary (non-partial) JSON document; write_json embeds it as the
-/// "result" member when the run is a shard partial.
-void write_json_run(const ScenarioResult& result, std::ostream& out) {
+void write_json(const ScenarioResult& result, std::ostream& out) {
   out << "{\n";
   // Contract for downstream tooling (CI artifacts, cross-PR perf
   // trajectories): the member set at each version only GROWS -- a bump
@@ -200,36 +129,8 @@ void write_json_run(const ScenarioResult& result, std::ostream& out) {
   out << "\n  ]\n}\n";
 }
 
-}  // namespace
-
-void write_json(const ScenarioResult& result, std::ostream& out) {
-  if (!result.partial.active()) {
-    write_json_run(result, out);
-    return;
-  }
-  // Shard partial: wrap the normal document in an envelope carrying the
-  // shard identity + raw per-point data, under the SAME schema_version
-  // (grow-only contract; `pg_run --compare` unwraps this the way it
-  // unwraps serve response envelopes, and `pg_run --merge` consumes it).
-  out << "{\n";
-  out << "  \"schema_version\": " << serve::kSchemaVersion << ",\n";
-  write_partial_block(result.partial, out);
-  out << "  \"result\": ";
-  std::ostringstream body;
-  write_json_run(result, body);
-  std::string text = body.str();
-  while (!text.empty() && text.back() == '\n') text.pop_back();
-  out << text << "\n}\n";
-}
-
 void write_csv(const ScenarioResult& result, std::ostream& out) {
   out << "# scenario," << csv_escape(result.spec.name) << "\n";
-  if (result.partial.active()) {
-    out << "# shard," << result.partial.shard << "/"
-        << result.partial.total_shards << ",points,"
-        << result.partial.points.size() << ",grid_size,"
-        << result.partial.grid_size << "\n";
-  }
   if (!result.sweep_axes.empty()) {
     out << "# sweep_axes";
     for (const std::string& axis : result.sweep_axes) {
@@ -273,12 +174,6 @@ void write_text(const ScenarioResult& result, std::ostream& out) {
       << " ===\n";
   out << "scenario: " << result.spec.name << " (kind " << result.spec.kind
       << ")\n";
-  if (result.partial.active()) {
-    out << "shard: " << result.partial.shard << "/"
-        << result.partial.total_shards << " (" << result.partial.points.size()
-        << " of " << result.partial.grid_size
-        << " grid points; merge partials with pg_run --merge)\n";
-  }
   out << "executor threads: " << result.executor_threads << "\n";
   if (!result.sweep_axes.empty()) {
     out << "sweep axes:";

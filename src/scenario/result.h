@@ -77,33 +77,6 @@ struct CacheReport {
   std::size_t disk_shards_evicted = 0;
 };
 
-/// One grid point's raw output inside a shard's partial envelope: the
-/// point's PLAN index plus its un-merged metrics and tables, exactly as
-/// the runner produced them. The merge entry point replays these through
-/// the same merge_sweep_point fold a single-process run uses, so the
-/// stitched artifact is value-identical to never having sharded at all.
-struct PartialPoint {
-  std::size_t index = 0;
-  std::vector<std::pair<std::string, Value>> metrics;
-  std::vector<ResultTable> tables;
-};
-
-/// The shard identity a `pg_run --shard i/N` partial carries: which
-/// stride of which grid this artifact covers, plus the per-point raw
-/// data the merge reconstructs from. `spec_text` is the resolved base
-/// spec's canonical text -- identical across every shard of one sweep,
-/// and the merge's cross-shard consistency check. Inactive
-/// (total_shards == 0) on ordinary runs.
-struct ShardEnvelope {
-  std::size_t shard = 0;
-  std::size_t total_shards = 0;  // 0 = not a partial
-  std::size_t grid_size = 0;     // full plan size, not this shard's share
-  std::string spec_text;
-  std::vector<PartialPoint> points;  // ascending plan index
-
-  [[nodiscard]] bool active() const noexcept { return total_shards > 0; }
-};
-
 struct ScenarioResult {
   ScenarioSpec spec;
   std::size_t executor_threads = 0;
@@ -117,10 +90,6 @@ struct ScenarioResult {
   std::vector<std::pair<std::string, Value>> metrics;
   std::vector<ResultTable> tables;
   CacheReport cache;
-  /// `--shard i/N` runs only: shard identity + per-point raw data. When
-  /// active, the JSON sink wraps the normal body in a partial envelope
-  /// (under the same schema_version) that `pg_run --merge` consumes.
-  ShardEnvelope partial;
 
   void add_metric(std::string key, Value value) {
     metrics.emplace_back(std::move(key), std::move(value));
@@ -150,8 +119,7 @@ void append_metrics_tables(ScenarioResult& result);
 /// Write the metrics snapshot as a small standalone JSON document:
 /// {"schema_version": 1, "scenario": ..., "metrics": [{name, kind,
 /// count, total_ms, mean_ms, min_ms, max_ms}, ...]}. This is the
-/// `pg_run --metrics-out FILE` payload and the format committed under
-/// bench/snapshots/.
+/// `pg_run --metrics-out FILE` payload.
 void write_metrics_json(const std::string& scenario, std::ostream& out);
 
 }  // namespace pg::scenario

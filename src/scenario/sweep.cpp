@@ -172,18 +172,6 @@ std::vector<std::pair<std::string, std::string>> SweepPlan::coordinates(
   return coords;
 }
 
-std::vector<std::size_t> SweepPlan::shard_indices(std::size_t shard,
-                                                  std::size_t total) const {
-  PG_CHECK(total > 0, "shard: total shard count must be >= 1");
-  PG_CHECK(shard < total, "shard: index " + std::to_string(shard) +
-                              " out of range for " + std::to_string(total) +
-                              " shard(s)");
-  std::vector<std::size_t> covered;
-  if (total > 0) covered.reserve(size_ / total + 1);
-  for (std::size_t i = shard; i < size_; i += total) covered.push_back(i);
-  return covered;
-}
-
 ScenarioSpec SweepPlan::child(std::size_t index) const {
   ScenarioSpec spec = base_;
   for (const auto& [key, value] : coordinates(index)) {

@@ -73,17 +73,6 @@ class SweepPlan {
   [[nodiscard]] std::vector<std::pair<std::string, std::string>> coordinates(
       std::size_t index) const;
 
-  /// Deterministic shard stride for distributed execution: the PLAN
-  /// indices {shard, shard + total, shard + 2*total, ...} below size(),
-  /// ascending. Shards are a partition of the grid by construction --
-  /// every index belongs to exactly one shard (index % total) -- and the
-  /// assignment depends only on the plan, never on completion order, so
-  /// any worker can recompute any shard's coverage. A shard past the
-  /// grid (shard >= size()) is legitimately empty. Throws on total == 0
-  /// or shard >= total.
-  [[nodiscard]] std::vector<std::size_t> shard_indices(
-      std::size_t shard, std::size_t total) const;
-
   /// The base spec with coordinates(index) applied and sweeps cleared.
   [[nodiscard]] ScenarioSpec child(std::size_t index) const;
 

@@ -1,8 +1,11 @@
 // Precondition checking helpers shared by all poisongame libraries.
 //
 // Public API functions validate their arguments with PG_CHECK (throws
-// std::invalid_argument) so misuse is reported eagerly; internal invariants
-// use PG_ASSERT (throws std::logic_error) so broken library state is never
+// std::invalid_argument) so misuse is reported eagerly. Its message is
+// what a user reads -- `pg_run` prints it as `error: <message>` -- so it
+// carries the message alone, never the C++ condition or the source path.
+// Internal invariants use PG_ASSERT (throws std::logic_error naming the
+// condition and its source line) so broken library state is never
 // silently ignored, even in release builds.
 #pragma once
 
@@ -12,14 +15,8 @@
 
 namespace pg::util {
 
-[[noreturn]] inline void throw_invalid_argument(const std::string& expr,
-                                                const std::string& file,
-                                                int line,
-                                                const std::string& msg) {
-  std::ostringstream os;
-  os << "precondition failed: " << expr << " at " << file << ":" << line;
-  if (!msg.empty()) os << " (" << msg << ")";
-  throw std::invalid_argument(os.str());
+[[noreturn]] inline void throw_invalid_argument(const std::string& msg) {
+  throw std::invalid_argument(msg);
 }
 
 [[noreturn]] inline void throw_logic_error(const std::string& expr,
@@ -34,10 +31,9 @@ namespace pg::util {
 
 }  // namespace pg::util
 
-#define PG_CHECK(cond, msg)                                               \
-  do {                                                                    \
-    if (!(cond))                                                          \
-      ::pg::util::throw_invalid_argument(#cond, __FILE__, __LINE__, msg); \
+#define PG_CHECK(cond, msg)                                \
+  do {                                                     \
+    if (!(cond)) ::pg::util::throw_invalid_argument(msg);  \
   } while (false)
 
 #define PG_ASSERT(cond, msg)                                          \

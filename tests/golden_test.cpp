@@ -28,7 +28,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "scenario/diff.h"
@@ -107,83 +106,6 @@ TEST(GoldenTest, ResultsMatchCommittedBaselines) {
         << "(intentional? refresh with pg_run --compare "
         << json_path.string() << " <new.json> --update-baseline)";
   }
-}
-
-// Distributed sharding must not be observable in the results: the
-// committed sweep_grid baseline, a fresh single-process run, and a 3-way
-// sharded run stitched with merge_partials all have to agree -- the
-// sharded-vs-single comparison at tolerance 0 (bit-identity on one
-// machine), the committed-baseline comparison at the usual cross-
-// environment tolerance.
-TEST(GoldenTest, ThreeWayShardMergeMatchesSingleProcessRun) {
-  const std::filesystem::path spec_path =
-      std::filesystem::path(PG_GOLDEN_DIR) / "sweep_grid.spec";
-  ScenarioSpec spec = ScenarioSpec::parse(read_file(spec_path));
-  const std::string cache_dir =
-      (std::filesystem::temp_directory_path() /
-       ("pg_golden_shard_" +
-        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
-          .string();
-  std::filesystem::remove_all(cache_dir);
-  spec.cache_dir = cache_dir;  // all three shards share one cache dir
-
-  constexpr std::size_t kShards = 3;
-  std::vector<std::pair<std::string, JsonValue>> partials;
-  for (std::size_t i = 0; i < kShards; ++i) {
-    const ScenarioResult part = run_scenario_shard(spec, {i, kShards});
-    EXPECT_TRUE(part.partial.active());
-    EXPECT_EQ(part.partial.shard, i);
-    EXPECT_EQ(part.partial.total_shards, kShards);
-    std::ostringstream json;
-    write_json(part, json);
-    partials.emplace_back("shard-" + std::to_string(i),
-                          parse_json(json.str()));
-  }
-  const ScenarioResult merged = merge_partials(partials);
-
-  std::ostringstream merged_json;
-  write_json(merged, merged_json);
-  const JsonValue candidate = parse_json(merged_json.str());
-
-  // Bit-identity against a fresh single-process run of the same spec.
-  const ScenarioResult full = run_scenario(spec);
-  std::ostringstream full_json;
-  write_json(full, full_json);
-  {
-    DiffOptions exact;
-    exact.tolerance = 0.0;
-    const ResultDiff diff =
-        diff_results(parse_json(full_json.str()), candidate, exact);
-    std::ostringstream report;
-    write_diff_report(diff, exact, report);
-    EXPECT_TRUE(diff.clean())
-        << "3-way sharded merge drifted from the single-process run:\n"
-        << report.str();
-  }
-
-  // And the merged artifact still matches the committed baseline.
-  {
-    std::filesystem::path json_path = spec_path;
-    json_path.replace_extension(".json");
-    DiffOptions options;
-    options.tolerance = kTolerance;
-    const ResultDiff diff =
-        diff_results(parse_json(read_file(json_path)), candidate, options);
-    std::ostringstream report;
-    write_diff_report(diff, options, report);
-    EXPECT_TRUE(diff.clean())
-        << "3-way sharded merge drifted from the committed baseline:\n"
-        << report.str();
-  }
-
-  // The shards populated the shared cache dir; a warm re-run of one
-  // shard reuses the published retrains instead of recomputing them.
-  const ScenarioResult warm = run_scenario_shard(spec, {1, kShards});
-  EXPECT_EQ(warm.cache.cells_retrained, 0u)
-      << "warm shard re-run over the shared cache dir must reuse "
-         "published cells";
-  EXPECT_GT(warm.cache.disk_entries_loaded, 0u);
-  std::filesystem::remove_all(cache_dir);
 }
 
 }  // namespace

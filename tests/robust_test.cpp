@@ -1,9 +1,7 @@
 // Fault-tolerance suite: the deterministic fault-injection grammar, the
-// crash-safe atomic file writer, disk-cache quarantine, the --shard-exec
-// retry orchestrator (a worker SIGKILLed mid-write must not change the
-// merged numbers), --merge's machine-readable missing-shards contract,
-// and serve-layer resilience (ping health checks, client retry across an
-// injected response-write fault).
+// crash-safe atomic file writer, disk-cache quarantine, and serve-layer
+// resilience (ping health checks, client retry across an injected
+// response-write fault).
 //
 // Every test arms rules through robust::configure and disarms in a
 // guard's destructor, so the suite leaves the process fault-free for
@@ -21,7 +19,6 @@
 #include <random>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -29,11 +26,6 @@
 #include "robust/faultpoint.h"
 #include "runtime/payoff_disk_cache.h"
 #include "runtime/payoff_evaluator.h"
-#include "scenario/cli.h"
-#include "scenario/diff.h"
-#include "scenario/engine.h"
-#include "scenario/result.h"
-#include "scenario/spec.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -114,15 +106,6 @@ TEST(FaultPointTest, ArgSelectorScopesTheRule) {
   EXPECT_THROW(robust::faultpoint("t.arg", 2), robust::InjectedFault);
 }
 
-TEST(FaultPointTest, AttemptTriggerGatesOnRetryNumber) {
-  const FaultGuard guard("t.attempt:throw@a0");
-  robust::set_attempt(0);
-  EXPECT_THROW(robust::faultpoint("t.attempt"), robust::InjectedFault);
-  robust::set_attempt(1);  // the relaunch: same rule, no longer armed
-  EXPECT_NO_THROW(robust::faultpoint("t.attempt"));
-  robust::set_attempt(0);
-}
-
 TEST(FaultPointTest, ProbabilityIsSeededAndDeterministic) {
   const auto pattern = [] {
     std::vector<bool> fired;
@@ -167,6 +150,7 @@ TEST(FaultPointTest, MalformedEntriesAreRejected) {
   EXPECT_THROW(robust::configure("x:throw@0"), std::invalid_argument);
   EXPECT_THROW(robust::configure("x[a]:throw"), std::invalid_argument);
   EXPECT_THROW(robust::configure("x:delay=abc"), std::invalid_argument);
+  EXPECT_THROW(robust::configure("x:throw@a0"), std::invalid_argument);
   // A failed configure must not leave the process armed.
   EXPECT_FALSE(robust::armed());
 }
@@ -269,151 +253,6 @@ TEST(DiskCacheQuarantineTest, InjectedShortWriteStoreDegradesNextRunCold) {
   runtime::PayoffCache fresh;
   EXPECT_EQ(cache.load(9, fresh), 0u);
   EXPECT_TRUE(std::filesystem::exists(cache.shard_path(9) + ".corrupt"));
-  std::filesystem::remove_all(dir);
-}
-
-// --------------------------------------------------- shard-exec chaos
-
-/// A small but real two-axis sweep (4 plan points), the chaos twin of
-/// tests/golden/sweep_grid.spec.
-std::string chaos_spec_text() {
-  return
-      "name = chaos_grid\n"
-      "kind = pure_sweep\n"
-      "description = chaos harness grid\n"
-      "seed = 9\n"
-      "instances = 140\n"
-      "epochs = 8\n"
-      "train_fraction = 0.7\n"
-      "poison_fraction = 0.2\n"
-      "class_separation = 1\n"
-      "real_corpus = false\n"
-      "sweep_steps = 2\n"
-      "replications = 1\n"
-      "sweep = epochs=6..10:2; seed=1,2\n"
-      "attacks = boundary,label_flip\n"
-      "defenses = distance,knn\n"
-      "threads = 1\n"
-      "use_cache = true\n";
-}
-
-TEST(ShardExecChaosTest, WorkerKilledMidWriteIsRetriedAndMergeIsExact) {
-  const std::string dir = fresh_dir("pg_robust_shardexec");
-  const std::string spec_path = dir + "/chaos.spec";
-  write_file(spec_path, chaos_spec_text());
-
-  // Kill worker 1 inside its partial's atomic write, FIRST launch only
-  // (@a0): the retry -- stamped attempt 1 -- runs clean. The crash lands
-  // between write and rename, so the parent sees a missing partial plus
-  // a SIGKILLed child.
-  const FaultGuard guard("artifact.partial[1]:crash@a0");
-
-  scenario::CliOptions sharded;
-  sharded.spec_file = spec_path;
-  sharded.shard_exec = 3;
-  sharded.shard_retries = 2;
-  sharded.out_format = "json";
-  sharded.out_file = dir + "/merged.json";
-  sharded.overrides.emplace_back("cache_dir", dir + "/cache");
-  std::ostringstream out;
-  std::ostringstream err;
-  ASSERT_EQ(scenario::run_cli(sharded, out, err), 0) << err.str();
-  EXPECT_NE(err.str().find("killed by signal 9"), std::string::npos)
-      << err.str();
-  EXPECT_NE(err.str().find("retrying 1 shard(s)"), std::string::npos)
-      << err.str();
-
-  // Tolerance 0 against a single-process run of the same spec: the
-  // injected crash and the retry must be invisible in the numbers.
-  scenario::CliOptions single;
-  single.spec_file = spec_path;
-  single.out_format = "json";
-  single.out_file = dir + "/single.json";
-  single.overrides.emplace_back("cache_dir", dir + "/cache_single");
-  std::ostringstream out2;
-  std::ostringstream err2;
-  ASSERT_EQ(scenario::run_cli(single, out2, err2), 0) << err2.str();
-
-  scenario::DiffOptions exact;
-  exact.tolerance = 0.0;
-  const scenario::ResultDiff diff = scenario::diff_results(
-      scenario::parse_json(read_file(single.out_file)),
-      scenario::parse_json(read_file(sharded.out_file)), exact);
-  std::ostringstream report;
-  scenario::write_diff_report(diff, exact, report);
-  EXPECT_TRUE(diff.clean()) << report.str();
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ShardExecChaosTest, ExhaustedRetriesFailPermanentlyWithCleanError) {
-  const std::string dir = fresh_dir("pg_robust_permanent");
-  const std::string spec_path = dir + "/chaos.spec";
-  write_file(spec_path, chaos_spec_text());
-
-  // No attempt gate: shard 2's startup crashes on EVERY launch.
-  const FaultGuard guard("shard.worker.start[2]:crash");
-  scenario::CliOptions sharded;
-  sharded.spec_file = spec_path;
-  sharded.shard_exec = 3;
-  sharded.shard_retries = 1;
-  sharded.out_format = "json";
-  sharded.out_file = dir + "/merged.json";
-  sharded.overrides.emplace_back("cache_dir", dir + "/cache");
-  std::ostringstream out;
-  std::ostringstream err;
-  EXPECT_EQ(scenario::run_cli(sharded, out, err), 1);
-  EXPECT_NE(err.str().find("shard(s) 2 failed permanently after 1 retry"),
-            std::string::npos)
-      << err.str();
-  EXPECT_FALSE(std::filesystem::exists(sharded.out_file));
-  std::filesystem::remove_all(dir);
-}
-
-// ----------------------------------------------------- merge contract
-
-TEST(MergeChaosTest, MissingShardsAreMachineReadableWithExitFour) {
-  const std::string dir = fresh_dir("pg_robust_merge");
-  const scenario::ScenarioSpec spec =
-      scenario::ScenarioSpec::parse(chaos_spec_text());
-  std::vector<std::string> paths;
-  for (const std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    const scenario::ScenarioResult part =
-        scenario::run_scenario_shard(spec, {i, 3});
-    std::ostringstream json;
-    scenario::write_json(part, json);
-    paths.push_back(dir + "/part-" + std::to_string(i) + ".json");
-    write_file(paths.back(), json.str());
-  }
-  scenario::CliOptions merge;
-  merge.merge = true;
-  merge.merge_inputs = paths;  // shard 1 absent
-  std::ostringstream out;
-  std::ostringstream err;
-  EXPECT_EQ(scenario::run_cli(merge, out, err), scenario::kExitMissingShards);
-  EXPECT_NE(out.str().find("missing_shards=1\n"), std::string::npos)
-      << out.str();
-  EXPECT_NE(err.str().find("missing shard(s): 1"), std::string::npos)
-      << err.str();
-
-  // A torn partial names its likely cause instead of a bare parse error.
-  const std::string partial_bytes = read_file(paths[0]);
-  write_file(paths[0], partial_bytes.substr(0, partial_bytes.size() / 2));
-  std::ostringstream out2;
-  std::ostringstream err2;
-  EXPECT_EQ(scenario::run_cli(merge, out2, err2), 1);
-  EXPECT_NE(err2.str().find("truncated or torn write"), std::string::npos)
-      << err2.str();
-
-  // So does a partial nested too deep to parse (it used to overflow the
-  // stack).
-  std::string deep;
-  for (int i = 0; i < 500'000; ++i) deep += "{\"a\":";
-  write_file(paths[0], deep);
-  std::ostringstream out3;
-  std::ostringstream err3;
-  EXPECT_EQ(scenario::run_cli(merge, out3, err3), 1);
-  EXPECT_NE(err3.str().find("nesting deeper than"), std::string::npos)
-      << err3.str();
   std::filesystem::remove_all(dir);
 }
 

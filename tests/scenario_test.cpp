@@ -14,6 +14,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "runtime/executor.h"
@@ -166,6 +167,22 @@ TEST(CliTest, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW(parse_cli({"--out", "xml"}), std::invalid_argument);
   EXPECT_THROW(parse_cli({"--kernel", "simd"}), std::invalid_argument);
+  // Removed flags must fail as unknown arguments, not be ignored.
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"shard", "0/2"},
+           {"shard-exec", "2"},
+           {"shard-retries", "1"},
+           {"merge", "a.json"}}) {
+    try {
+      (void)parse_cli({"--" + flag, value});
+      ADD_FAILURE() << "--" << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown argument: --" + flag +
+                    " (pg_run --help lists the options)");
+    }
+  }
 }
 
 TEST(CliTest, ListShowsTheCatalog) {
@@ -1079,6 +1096,7 @@ TEST_F(CompareCliTest, CompareExitsZeroOnMatchOneOnDrift) {
   EXPECT_EQ(run_cli(parse_cli({"--compare", a, dir_ + "/nope.json"}), out3,
                     err3),
             1);
+  EXPECT_EQ(err3.str(), "error: cannot read " + dir_ + "/nope.json\n");
   const std::string junk = write("junk.json", "not json at all");
   EXPECT_EQ(run_cli(parse_cli({"--compare", a, junk}), out3, err3), 1);
   const std::string deep = write("deep.json", std::string(2'000'000, '['));
@@ -1177,7 +1195,7 @@ TEST_F(DiskCacheScenarioTest, CacheMaxBytesCapsTheDirectory) {
   EXPECT_LE(after, 1u);
 }
 
-// --------------------------------------------- distributed sweep sharding
+// ------------------------------------------------------ sweep coordinates
 
 TEST(CoordinateValueTest, OnlyCanonicalGridRenderingsAreNumeric) {
   // Numeric: exactly the two forms format_grid_value emits -- plain
@@ -1197,216 +1215,6 @@ TEST(CoordinateValueTest, OnlyCanonicalGridRenderingsAreNumeric) {
     EXPECT_FALSE(v.is_number()) << "'" << text << "' must stay a string";
     EXPECT_EQ(v.render(), text);
   }
-}
-
-TEST(CliTest, ShardFlagValidation) {
-  const CliOptions sharded =
-      parse_cli({"--scenario", "fig1", "--shard", "2/5"});
-  EXPECT_EQ(sharded.shard_index, 2u);
-  EXPECT_EQ(sharded.shard_total, 5u);
-
-  // Malformed i/N fails at parse time, before any compute.
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "3"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "a/b"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "1/"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "/3"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "-1/3"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "1/0"}),
-               std::invalid_argument);
-  // index >= N: the stride would be empty for every worker's intent.
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "3/3"}),
-               std::invalid_argument);
-
-  // Mode exclusions, all fail-fast in parse_cli.
-  EXPECT_THROW(parse_cli({"--merge", "a.json", "--scenario", "fig1"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--merge"}), std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--compare", "a.json", "b.json", "--shard", "0/2"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard", "0/2",
-                          "--shard-exec", "2", "--out-file", "x.json"}),
-               std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard-exec", "2"}),
-               std::invalid_argument);  // needs --out-file
-  EXPECT_THROW(parse_cli({"--scenario", "fig1", "--shard-exec", "0",
-                          "--out-file", "x.json"}),
-               std::invalid_argument);
-
-  // --merge collects its trailing non-flag inputs.
-  const CliOptions merge = parse_cli({"--merge", "a.json", "b.json"});
-  EXPECT_TRUE(merge.merge);
-  EXPECT_EQ(merge.merge_inputs,
-            (std::vector<std::string>{"a.json", "b.json"}));
-}
-
-class ShardMergeTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    spec_ = tiny_spec("pure_sweep");
-    spec_.add_sweep("epochs=10..20:3");
-    spec_.add_sweep("seed=1,2");
-  }
-
-  // Run one shard and round-trip it through the JSON partial artifact,
-  // exactly what a worker process hands to --merge.
-  std::pair<std::string, JsonValue> partial(std::size_t i, std::size_t n) {
-    const ScenarioResult part = run_scenario_shard(spec_, {i, n});
-    std::ostringstream json;
-    write_json(part, json);
-    return {"shard-" + std::to_string(i), parse_json(json.str())};
-  }
-
-  ScenarioSpec spec_;
-};
-
-TEST_F(ShardMergeTest, TwoWayShardMergeIsBitIdenticalToFullRun) {
-  const ScenarioResult merged = merge_partials({partial(0, 2), partial(1, 2)});
-  std::ostringstream merged_json;
-  write_json(merged, merged_json);
-
-  const ScenarioResult full = run_scenario(spec_);
-  std::ostringstream full_json;
-  write_json(full, full_json);
-
-  DiffOptions exact;  // tolerance 0: same machine, same bits
-  const ResultDiff diff = diff_results(parse_json(full_json.str()),
-                                       parse_json(merged_json.str()), exact);
-  std::ostringstream report;
-  write_diff_report(diff, exact, report);
-  EXPECT_TRUE(diff.clean()) << report.str();
-  EXPECT_FALSE(merged.partial.active());
-  EXPECT_EQ(merged.sweep_axes, full.sweep_axes);
-}
-
-TEST_F(ShardMergeTest, MergeValidationNamesTheBrokenInput) {
-  const auto p0 = partial(0, 2);
-  const auto p1 = partial(1, 2);
-
-  // Duplicate shard index.
-  EXPECT_THROW((void)merge_partials({p0, p0}), std::invalid_argument);
-  // Missing shard: the one validation failure a retry wrapper can fix,
-  // so it throws the typed error carrying the absent indices (pg_run
-  // --merge turns it into `missing_shards=...` + exit 4).
-  try {
-    (void)merge_partials({p0});
-    FAIL() << "expected MissingShardsError";
-  } catch (const MissingShardsError& e) {
-    EXPECT_EQ(e.missing, std::vector<std::size_t>{1});
-  }
-  // A plain (non-partial) artifact in the mix.
-  const ScenarioResult full = run_scenario(spec_);
-  std::ostringstream full_json;
-  write_json(full, full_json);
-  EXPECT_THROW(
-      (void)merge_partials({p0, {"full", parse_json(full_json.str())}}),
-      std::invalid_argument);
-  // Shards of DIFFERENT runs: same stride shape, different spec text.
-  ScenarioSpec other = spec_;
-  other.epochs = 21;
-  const ScenarioResult foreign = run_scenario_shard(other, {1, 2});
-  std::ostringstream foreign_json;
-  write_json(foreign, foreign_json);
-  EXPECT_THROW(
-      (void)merge_partials({p0, {"foreign", parse_json(foreign_json.str())}}),
-      std::invalid_argument);
-  // Shards of mismatched fan-outs.
-  const ScenarioResult third = run_scenario_shard(spec_, {1, 3});
-  std::ostringstream third_json;
-  write_json(third, third_json);
-  EXPECT_THROW(
-      (void)merge_partials({p0, {"of-three", parse_json(third_json.str())}}),
-      std::invalid_argument);
-  // The happy pair still merges (the fixture inputs were not consumed).
-  EXPECT_NO_THROW((void)merge_partials({p0, p1}));
-
-  // pg_run --merge names an input over the size cap (a sparse file one
-  // byte over) in its one error line.
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() /
-      ("pg_merge_cap_" +
-       std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
-  std::filesystem::create_directories(dir);
-  const std::string p0_path = (dir / "shard-0.json").string();
-  {
-    std::ofstream file(p0_path);
-    write_json(run_scenario_shard(spec_, {0, 2}), file);
-  }
-  const std::string huge = (dir / "shard-1.json").string();
-  { std::ofstream file(huge); }
-  std::filesystem::resize_file(huge, kMaxInputBytes + 1);
-  std::ostringstream out;
-  std::ostringstream err;
-  EXPECT_EQ(run_cli(parse_cli({"--merge", p0_path, huge}), out, err), 1);
-  const std::string over = err.str();
-  EXPECT_NE(over.find(huge + " is larger than the 64 MiB input cap"),
-            std::string::npos)
-      << over;
-  EXPECT_EQ(std::count(over.begin(), over.end(), '\n'), 1) << over;
-  std::filesystem::remove_all(dir);
-}
-
-TEST_F(ShardMergeTest, ShardRequiresSweepAxesAndValidRange) {
-  EXPECT_THROW((void)run_scenario_shard(spec_, {2, 2}),
-               std::invalid_argument);
-  EXPECT_THROW((void)run_scenario_shard(spec_, {0, 0}),
-               std::invalid_argument);
-  ScenarioSpec no_axes = tiny_spec("pure_sweep");
-  EXPECT_THROW((void)run_scenario_shard(no_axes, {0, 2}),
-               std::invalid_argument);
-  // More shards than grid points: the surplus worker (index past the
-  // 6-point grid) runs an EMPTY stride (legal -- merge still demands
-  // all N partials).
-  const ScenarioResult idle = run_scenario_shard(spec_, {6, 7});
-  EXPECT_TRUE(idle.partial.active());
-  EXPECT_TRUE(idle.partial.points.empty());
-}
-
-TEST_F(DiskCacheScenarioTest, ShardExecForksWorkersAndMergesTheirPartials) {
-  // Drive the full orchestrator through run_cli: fork 2 workers over a
-  // shared cache dir, wait, merge in-process, write the merged artifact.
-  std::filesystem::create_directories(dir_);
-  const std::string spec_path = dir_ + "/spec.txt";
-  {
-    ScenarioSpec spec = tiny_spec("pure_sweep");
-    spec.add_sweep("epochs=10..20:3");
-    spec.cache_dir = dir_ + "/cache";
-    std::ofstream out(spec_path);
-    out << spec.to_text();
-  }
-  const std::string merged_path = dir_ + "/merged.json";
-  std::ostringstream out;
-  std::ostringstream err;
-  const int rc = run_cli(parse_cli({"--spec", spec_path, "--shard-exec", "2",
-                                    "--out", "json", "--out-file",
-                                    merged_path}),
-                         out, err);
-  ASSERT_EQ(rc, 0) << err.str();
-  EXPECT_TRUE(std::filesystem::exists(merged_path));
-  // The per-worker partials stay on disk for triage.
-  EXPECT_TRUE(std::filesystem::exists(merged_path + ".shard-0"));
-  EXPECT_TRUE(std::filesystem::exists(merged_path + ".shard-1"));
-
-  // The merged artifact is value-identical to a direct run of the spec.
-  std::ifstream spec_in(spec_path);
-  std::ostringstream spec_text;
-  spec_text << spec_in.rdbuf();
-  const ScenarioResult full = run_scenario(ScenarioSpec::parse(spec_text.str()));
-  std::ostringstream full_json;
-  write_json(full, full_json);
-  std::ifstream merged_in(merged_path);
-  std::ostringstream merged_json;
-  merged_json << merged_in.rdbuf();
-  DiffOptions exact;
-  const ResultDiff diff = diff_results(parse_json(full_json.str()),
-                                       parse_json(merged_json.str()), exact);
-  std::ostringstream report;
-  write_diff_report(diff, exact, report);
-  EXPECT_TRUE(diff.clean()) << report.str();
 }
 
 }  // namespace

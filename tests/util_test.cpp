@@ -37,14 +37,12 @@ TEST(ErrorTest, AssertThrowsLogicError) {
   EXPECT_THROW(PG_ASSERT(false, "broken"), std::logic_error);
 }
 
-TEST(ErrorTest, MessageContainsExpressionAndNote) {
+TEST(ErrorTest, CheckMessageIsTheNoteAlone) {
   try {
     PG_CHECK(1 == 2, "the note");
     FAIL() << "expected throw";
   } catch (const std::invalid_argument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("1 == 2"), std::string::npos);
-    EXPECT_NE(msg.find("the note"), std::string::npos);
+    EXPECT_STREQ(e.what(), "the note");
   }
 }
 

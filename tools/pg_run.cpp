@@ -8,10 +8,6 @@
 // result sink (text, JSON, CSV), and `--compare` diffs two JSON result
 // artifacts for regression triage (exit 1 past `--tolerance`; the
 // tests/golden/ baselines are maintained with `--update-baseline`).
-// Sweeps also shard across processes: `--shard i/N` runs a deterministic
-// stride of the grid and emits a partial artifact, `--merge` stitches
-// the N partials back into the canonical result, and `--shard-exec N`
-// forks N local workers over one shared cache dir and merges for you.
 // See src/scenario/ for the engine.
 #include <iostream>
 #include <string>
@@ -25,8 +21,7 @@ int main(int argc, char** argv) {
   pg::scenario::CliOptions options;
   try {
     // $PG_FAULTS arms the deterministic fault-injection table for this
-    // process AND every worker --shard-exec forks (inherited across
-    // fork); --fault flags replace it inside run_cli.
+    // process; --fault flags replace it inside run_cli.
     pg::robust::configure_from_env();
     options = pg::scenario::parse_cli(args);
   } catch (const std::exception& e) {
