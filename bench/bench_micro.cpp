@@ -2,11 +2,9 @@
 // training, attack generation, sanitization filters, the simplex solver,
 // Algorithm 1, and the core kernels they sit on.
 //
-// This is the one bench that keeps its own harness (google-benchmark owns
-// main and the timing loop); the registered "micro" scenario
-// (`pg_run --scenario micro`) covers the engine-native subset -- grid
-// fill and solver speedup_vs_serial with the bit-identity assertion --
-// for environments without libbenchmark.
+// google-benchmark owns main and the timing loop here. These benches
+// time one kernel at a time; paper-scale end-to-end and per-layer timing
+// is perfbench/'s job (see perfbench/README.md).
 #include <benchmark/benchmark.h>
 
 #include <atomic>

@@ -109,9 +109,9 @@ class Gauge {
 };
 
 /// Duration accumulator: count, total, min, max in nanoseconds, sharded
-/// like Counter. The summary (not a full histogram) is what the
-/// committed BENCH_* snapshots track; min/max bound the distribution
-/// well enough to spot a stall without per-event storage.
+/// like Counter. The summary (not a full histogram) is what a metrics
+/// snapshot reports; min/max bound the distribution well enough to spot
+/// a stall without per-event storage.
 class Timer {
  public:
   struct Stats {

@@ -53,7 +53,7 @@ std::uint64_t fnv1a(std::string_view text) {
 }
 
 [[noreturn]] void bad_entry(const std::string& entry, const std::string& why) {
-  throw std::invalid_argument("PG_FAULTS: bad entry '" + entry + "': " + why);
+  throw std::invalid_argument("bad entry '" + entry + "': " + why);
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& entry,
@@ -140,6 +140,26 @@ Rule parse_entry(const std::string& entry) {
   return rule;
 }
 
+/// Every entry of `spec`, parsed. A malformed one throws, its message
+/// prefixed with `source`: the variable or flag the spec came from.
+std::vector<Rule> parse_rules(const std::string& spec,
+                              const std::string& source) {
+  std::vector<Rule> rules;
+  std::size_t begin = 0;
+  while (begin <= spec.size()) {
+    std::size_t end = spec.find(',', begin);
+    if (end == std::string::npos) end = spec.size();
+    const std::string entry = spec.substr(begin, end - begin);
+    try {
+      if (!entry.empty()) rules.push_back(parse_entry(entry));
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(source + ": " + e.what());
+    }
+    begin = end + 1;
+  }
+  return rules;
+}
+
 }  // namespace
 
 namespace detail {
@@ -206,16 +226,12 @@ FaultHit faultpoint_slow(std::string_view site, std::uint64_t arg) {
 
 }  // namespace detail
 
+void validate(const std::string& spec, const std::string& source) {
+  (void)parse_rules(spec, source);
+}
+
 void configure(const std::string& spec) {
-  std::vector<Rule> rules;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    std::size_t end = spec.find(',', begin);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(begin, end - begin);
-    if (!entry.empty()) rules.push_back(parse_entry(entry));
-    begin = end + 1;
-  }
+  std::vector<Rule> rules = parse_rules(spec, "PG_FAULTS");
   std::lock_guard<std::mutex> lock(g_mutex);
   g_rules = std::move(rules);
   detail::g_armed.store(!g_rules.empty(), std::memory_order_relaxed);

@@ -86,8 +86,13 @@ inline FaultHit faultpoint(std::string_view site, std::uint64_t arg = 0) {
 
 /// Parse `spec` (the PG_FAULTS grammar above) and REPLACE the process
 /// rule table; an empty spec disarms. Throws std::invalid_argument on a
-/// malformed entry, naming it.
+/// malformed entry, naming it after a `PG_FAULTS:` prefix.
 void configure(const std::string& spec);
+
+/// Check `spec` against the grammar without arming anything. Throws
+/// like configure(), but prefixed with `source` (e.g. `--fault`), so a
+/// usage error names the input it came from.
+void validate(const std::string& spec, const std::string& source);
 
 /// configure() from $PG_FAULTS; unset/empty leaves the table untouched
 /// (so a test-armed process is not disarmed by an innocent call).

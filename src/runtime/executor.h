@@ -13,17 +13,17 @@
 // effort) is rethrown on the calling thread after all chunks finish or
 // abandon; the executor remains usable afterwards.
 //
-// NESTED SCHEDULING: parallel_for called from inside one of the pool's
-// own tasks runs inline (the cheap, always-safe choice for fine-grained
-// solver loops). parallel_for_nested instead dispatches its chunks onto
-// the SAME work-stealing pool even from a worker thread: the chunks are
-// depth-tagged one level below the caller, the caller runs the first
-// chunk itself and help-drains tasks at least that deep while joining,
-// so the join can neither deadlock (its own chunks are always eligible
-// to run on the joining thread) nor be diverted into an unbounded
-// outer-level task. Coarse inner loops -- payoff cells under a sweep
-// point, grid points under the scenario engine -- use it to share one
-// pool across nesting levels.
+// NESTED SCHEDULING: every loop in the library is coarse (a grid point,
+// a retrain-priced payoff cell, a whole row of analytic cells, a
+// defense-ablation pipeline run), so parallel_for dispatches onto the
+// SAME work-stealing pool even when it is called from inside one of the
+// pool's own tasks: the chunks are depth-tagged one level below the
+// caller, the caller runs the first chunk itself and help-drains tasks
+// at least that deep while joining, so the join can neither deadlock
+// (its own chunks are always eligible to run on the joining thread) nor
+// be diverted into an unbounded outer-level task. Grid points under the
+// scenario engine and the payoff cells under each point share one pool
+// this way.
 #pragma once
 
 #include <cstddef>
@@ -41,24 +41,13 @@ class Executor {
   [[nodiscard]] virtual std::size_t concurrency() const noexcept = 0;
 
   /// Blocking loop: calls fn(i) exactly once for every i in [begin, end),
-  /// dispatching contiguous chunks of `grain` indices as tasks. grain == 0
-  /// is treated as 1. Exceptions from fn propagate to the caller.
+  /// dispatching contiguous chunks of `grain` indices as tasks, also when
+  /// called from inside one of this executor's own tasks (see the file
+  /// comment). grain == 0 is treated as 1. Exceptions from fn propagate
+  /// to the caller.
   virtual void parallel_for(std::size_t begin, std::size_t end,
                             std::size_t grain,
                             const std::function<void(std::size_t)>& fn) = 0;
-
-  /// Nesting-aware variant: identical contract, but a call issued from
-  /// inside one of this executor's own tasks still dispatches chunks to
-  /// the shared pool (depth-tagged; see the file comment) instead of
-  /// collapsing inline. Use it for coarse loop bodies that are worth
-  /// spreading across idle workers even mid-task; keep plain parallel_for
-  /// for fine-grained per-iteration loops. Executors without a pool run
-  /// it as plain parallel_for.
-  virtual void parallel_for_nested(std::size_t begin, std::size_t end,
-                                   std::size_t grain,
-                                   const std::function<void(std::size_t)>& fn) {
-    parallel_for(begin, end, grain, fn);
-  }
 };
 
 /// Runs every index inline on the calling thread, in order.
@@ -71,12 +60,11 @@ class SerialExecutor final : public Executor {
 
 /// Dispatches chunks onto a fixed-size work-stealing ThreadPool owned by
 /// the executor. The calling thread participates: it runs the first chunk
-/// itself and helps drain queued chunks while waiting, so even a two-chunk
-/// loop (e.g. one solver iteration's row scan + column scan) overlaps.
-/// Reentrancy-safe: a parallel_for issued from inside one of this
-/// executor's own loop bodies runs inline on the calling worker instead
-/// of deadlocking on the saturated pool; parallel_for_nested dispatches
-/// even then (depth-tagged, help-first join -- see the file comment).
+/// itself and helps drain queued chunks while waiting, so even a
+/// two-chunk loop overlaps. Reentrancy-safe: a parallel_for issued from
+/// inside one of this executor's own loop bodies dispatches too, with a
+/// depth-tagged, help-first join that cannot deadlock on the saturated
+/// pool (see the file comment).
 class ThreadPoolExecutor final : public Executor {
  public:
   /// 0 threads means default_thread_count().
@@ -87,14 +75,8 @@ class ThreadPoolExecutor final : public Executor {
   }
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t)>& fn) override;
-  void parallel_for_nested(
-      std::size_t begin, std::size_t end, std::size_t grain,
-      const std::function<void(std::size_t)>& fn) override;
 
  private:
-  void dispatch(std::size_t begin, std::size_t end, std::size_t grain,
-                std::size_t chunks, const std::function<void(std::size_t)>& fn);
-
   ThreadPool pool_;
 };
 
@@ -111,13 +93,6 @@ inline void parallel_for(Executor* executor, std::size_t begin,
                          std::size_t end, std::size_t grain,
                          const std::function<void(std::size_t)>& fn) {
   executor_or_serial(executor).parallel_for(begin, end, grain, fn);
-}
-
-/// Free-function form of the nesting-aware loop.
-inline void parallel_for_nested(Executor* executor, std::size_t begin,
-                                std::size_t end, std::size_t grain,
-                                const std::function<void(std::size_t)>& fn) {
-  executor_or_serial(executor).parallel_for_nested(begin, end, grain, fn);
 }
 
 }  // namespace pg::runtime

@@ -171,7 +171,7 @@ std::vector<double> PayoffEvaluator::evaluate_cells(std::size_t count,
   // even when this evaluator runs inside an outer pool task -- a sweep
   // point under the scenario engine's point-parallel grid -- its cells
   // still fan out to idle workers instead of serializing on one.
-  executor_.parallel_for_nested(0, count, grain_, [&](std::size_t i) {
+  executor_.parallel_for(0, count, grain_, [&](std::size_t i) {
     if (!key) {
       values[i] = cell(i);
       computed_.fetch_add(1, std::memory_order_relaxed);

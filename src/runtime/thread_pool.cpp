@@ -10,9 +10,10 @@ namespace pg::runtime {
 
 namespace {
 /// How many yield rounds a worker polls the deques before sleeping on the
-/// condition variable. Solver loops issue one parallel_for per iteration,
-/// microseconds apart; a short spin keeps workers hot across that gap
-/// without burning meaningful CPU when the pool is genuinely idle.
+/// condition variable. Back-to-back loops (one evaluation's cells, then
+/// the next's) arrive close together; a short spin keeps workers hot
+/// across that gap without burning meaningful CPU when the pool is
+/// genuinely idle.
 constexpr int kSpinRounds = 64;
 
 /// Static span name per task nesting depth: depth is almost always 1 or

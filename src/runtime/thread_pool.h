@@ -4,21 +4,21 @@
 // knows nothing about loops, RNG streams, or payoffs -- it just runs
 // std::function<void()> tasks on a fixed set of threads. Completion
 // tracking, chunking, and exception propagation live in executor.h, where
-// the blocking parallel_for is implemented.
+// the blocking parallel_for is declared.
 //
 // Scheduling: every submission is pushed onto one worker's deque
 // (round-robin). A worker pops its own deque LIFO (newest chunk is the
 // cache-hottest) and, when it runs dry, steals FIFO from the other
 // workers' deques, so a burst of heterogeneous tasks -- cheap closed-form
-// cells next to retrain-priced ones, or uneven solver chunks -- cannot
+// cells next to retrain-priced ones, or uneven grid points -- cannot
 // strand work behind one slow worker. A thread blocked on completion can
 // help through try_run_one() instead of sleeping. Workers spin briefly
-// before sleeping so fork-join cadences (one parallel_for per solver
-// iteration) do not pay a wake-up on every beat.
+// before sleeping so back-to-back loops (a sweep's cells, then the next
+// evaluation's) do not pay a wake-up each time.
 //
 // NESTING / DEPTH TAGS: every task carries a nesting depth (outer sweep
-// points at depth 1, the cell or solver chunks they spawn at depth 2,
-// and so on). Workers take any task, but a thread that is BLOCKED
+// points at depth 1, the payoff-cell chunks they spawn at depth 2, and
+// so on). Workers take any task, but a thread that is BLOCKED
 // joining its own tasks helps through try_run_one(min_depth) with the
 // depth of the tasks it waits for -- so it only picks up work at least
 // that deep. This is what makes nested fork-join safe AND bounded: the

@@ -58,7 +58,6 @@ int run_compare(const CliOptions& options, std::ostream& out,
 
   DiffOptions diff_options;
   diff_options.tolerance = options.tolerance;
-  diff_options.ignore_timing = !options.with_timing;
   diff_options.ignore_telemetry = !options.with_telemetry;
   const ResultDiff diff = diff_results(baseline, candidate, diff_options);
 
@@ -122,8 +121,6 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
                    "'");
     } else if (arg == "--update-baseline") {
       options.update_baseline = true;
-    } else if (arg == "--with-timing") {
-      options.with_timing = true;
     } else if (arg == "--with-telemetry") {
       options.with_telemetry = true;
     } else if (arg == "--cache-max-bytes") {
@@ -146,6 +143,7 @@ CliOptions parse_cli(const std::vector<std::string>& args) {
       options.overrides.emplace_back("metrics", "true");
     } else if (arg == "--fault") {
       options.faults.push_back(flag_value(args, i, arg));
+      robust::validate(options.faults.back(), arg);
     } else {
       PG_CHECK(false, "unknown argument: " + arg +
                           " (pg_run --help lists the options)");
@@ -201,7 +199,6 @@ std::string cli_usage() {
       "compare options (regression triage; exits 1 past tolerance):\n"
       "  --tolerance T       accept |a-b| <= T or relative delta <= T\n"
       "  --update-baseline   overwrite A.json with B.json when they differ\n"
-      "  --with-timing       also compare _ms/_seconds wall-clock values\n"
       "  --with-telemetry    also compare telemetry* tables and obs.*\n"
       "                    metric keys (skipped by default)\n"
       "\n"

@@ -39,9 +39,10 @@ struct CliOptions {
   /// registry is reset for the run). --trace desugars to a trace=PATH
   /// override and lives in `overrides`.
   std::string metrics_out;
-  /// --fault SITE:ACTION[@TRIGGER] entries (repeatable), applied as the
-  /// process fault table before the run -- the CLI twin of $PG_FAULTS
-  /// (flags win; see src/robust/faultpoint.h for the grammar).
+  /// --fault SITE:ACTION[@TRIGGER] entries (repeatable), checked by
+  /// parse_cli and applied as the process fault table before the run --
+  /// the CLI twin of $PG_FAULTS (flags win; see src/robust/faultpoint.h
+  /// for the grammar).
   std::vector<std::string> faults;
 
   // ---- --compare mode (mutually exclusive with running a scenario) ----
@@ -50,7 +51,6 @@ struct CliOptions {
   std::string compare_candidate;
   double tolerance = 0.0;         // --tolerance t (abs OR rel per value)
   bool update_baseline = false;   // --update-baseline: accept the drift
-  bool with_timing = false;       // --with-timing: compare _ms/_seconds too
   /// --with-telemetry: also compare telemetry* tables and obs.* metric
   /// keys (skipped by default -- their values are scheduling-dependent).
   bool with_telemetry = false;
@@ -59,14 +59,13 @@ struct CliOptions {
 /// Largest file `pg_run` reads as input: a `--spec` file or a
 /// `--compare` artifact. A larger one fails in one line that names it,
 /// after at most one byte past the cap has been read. `pg_serve
-/// --request` and `pg_bench_serve --spec` read their spec files through
-/// the same cap.
+/// --request` reads its spec file through the same cap.
 inline constexpr std::size_t kMaxInputBytes = std::size_t{64} << 20;
 
 /// The whole of an input file, up to kMaxInputBytes. Throws
 /// std::invalid_argument naming the path when it cannot be opened or is
-/// larger than the cap. Inline, so that pg_serve and pg_bench_serve can
-/// read spec files without linking the pg_run command logic.
+/// larger than the cap. Inline, so that pg_serve can read spec files
+/// without linking the pg_run command logic.
 [[nodiscard]] inline std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   PG_CHECK(static_cast<bool>(in), "cannot read " + path);
@@ -84,7 +83,8 @@ inline constexpr std::size_t kMaxInputBytes = std::size_t{64} << 20;
 }
 
 /// Parse argv (excluding argv[0]). Throws std::invalid_argument on
-/// unknown flags, missing flag values, or malformed --set syntax.
+/// unknown flags, missing flag values, malformed --set syntax, or a
+/// --fault entry outside the fault grammar.
 [[nodiscard]] CliOptions parse_cli(const std::vector<std::string>& args);
 
 [[nodiscard]] std::string cli_usage();

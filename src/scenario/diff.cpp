@@ -389,7 +389,7 @@ class Differ {
       return;
     }
     for (const auto& [key, value] : a->members) {
-      if (options_.ignore_timing && timing_name(key)) continue;
+      if (timing_name(key)) continue;
       if (options_.ignore_telemetry && telemetry_metric_name(key)) continue;
       const JsonValue* other = b->find(key);
       if (other == nullptr) {
@@ -399,7 +399,7 @@ class Differ {
       compare_value(run + "/metrics/" + key, value, *other);
     }
     for (const auto& [key, value] : b->members) {
-      if (options_.ignore_timing && timing_name(key)) continue;
+      if (timing_name(key)) continue;
       if (options_.ignore_telemetry && telemetry_metric_name(key)) continue;
       if (a->find(key) == nullptr) {
         add(DiffKind::kExtra, run + "/metrics/" + key, "", render(value));
@@ -578,16 +578,13 @@ class Differ {
       if (metric_column < row->items.size() &&
           row->items[metric_column].kind == JsonValue::Kind::kString) {
         const std::string& metric = row->items[metric_column].text;
-        if (options_.ignore_timing && timing_name(metric)) continue;
+        if (timing_name(metric)) continue;
         if (options_.ignore_telemetry && telemetry_metric_name(metric)) {
           continue;
         }
       }
       for (std::size_t c = 0; c < row->items.size(); ++c) {
-        if (options_.ignore_timing && c < columns.size() &&
-            timing_name(columns[c])) {
-          continue;
-        }
+        if (c < columns.size() && timing_name(columns[c])) continue;
         const std::string cell_location =
             location + "[" + pretty(key) + "]/" +
             (c < columns.size() ? columns[c] : std::to_string(c));

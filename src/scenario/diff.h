@@ -16,13 +16,14 @@
 // measurements in it. Duplicate keys fall back to occurrence order, so
 // two runs of the same spec always align row-for-row.
 //
-// Non-deterministic fields are excluded by default: wall-clock columns
-// and metrics (names ending `_ms`/`_seconds`, or containing `speedup` --
-// a ratio of wall-clock times), `elapsed_seconds`, executor `threads`,
-// the `cache` traffic block, and rows of the merged `sweep_metrics`
-// table whose metric name is itself a timing name. What
-// remains is exactly the bit-stable surface the engine guarantees, so
-// `--compare` at tolerance 0 is a true regression check.
+// Non-deterministic fields are never compared: wall-clock columns and
+// metrics (names ending `_ms`/`_seconds`, or containing `speedup` -- a
+// ratio of wall-clock times), `elapsed_seconds`, executor `threads`, the
+// `cache` traffic block, and rows of the merged `sweep_metrics` table
+// whose metric name is itself a timing name. Telemetry is excluded by
+// default too (DiffOptions::ignore_telemetry). What remains is exactly
+// the bit-stable surface the engine guarantees, so `--compare` at
+// tolerance 0 is a true regression check.
 //
 // The JsonValue loader is a minimal strict JSON reader (objects, arrays,
 // strings, numbers, literals) sufficient for the sink's own output; it
@@ -59,10 +60,6 @@ struct DiffOptions {
   /// A numeric pair matches when |a-b| <= tolerance OR the relative
   /// delta |a-b| / max(|a|,|b|) <= tolerance. 0 demands bit-equality.
   double tolerance = 0.0;
-  /// Skip wall-clock values (see file comment). On by default; turning
-  /// it off compares timings too (useful for perf triage, never for
-  /// regression gating).
-  bool ignore_timing = true;
   /// Skip telemetry output: tables whose name starts with "telemetry"
   /// (the metrics-registry dumps and solver convergence samples), metric
   /// keys starting with "obs.", and merged sweep_metrics rows naming

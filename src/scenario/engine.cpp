@@ -46,7 +46,6 @@
 #include "sim/pure_sweep.h"
 #include "sim/support_sweep.h"
 #include "sim/transfer.h"
-#include "serve/protocol.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -618,12 +617,10 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
     }
   }
   std::vector<std::array<double, 3>> cells(cell_specs.size());
-  runtime::parallel_for_nested(exec, 0, cell_specs.size(), 1,
-                               [&](std::size_t i) {
-                                 const Cell& c = cell_specs[i];
-                                 cells[i] = run_cell(c.atk, c.filter,
-                                                     c.defense_name, c.salt);
-                               });
+  runtime::parallel_for(exec, 0, cell_specs.size(), 1, [&](std::size_t i) {
+    const Cell& c = cell_specs[i];
+    cells[i] = run_cell(c.atk, c.filter, c.defense_name, c.salt);
+  });
 
   ResultTable comparison{"defense_comparison",
                          {"attack", "defense", "accuracy",
@@ -640,81 +637,6 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
   }
   result.tables.push_back(std::move(comparison));
   bundle.add_cells(retrained.load(), hits.load());
-}
-
-// ------------------------------------------------------------------ micro
-// Engine-native micro kernel (the subset of bench_micro that does not
-// need the google-benchmark harness): the payoff grid fill's speedup.
-void run_micro_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
-                        CacheBundle& bundle, ScenarioResult& result) {
-  (void)bundle;
-  PG_CHECK(spec.timing_reps >= 1, "timing_reps must be >= 1");
-  ResultTable table{"kernels",
-                    {"kernel", "serial_ms", "parallel_ms",
-                     "speedup_vs_serial"},
-                    {}};
-
-  const auto timed = [&](const auto& fn) {
-    double best = 1e300;
-    for (std::size_t r = 0; r < spec.timing_reps; ++r) {
-      util::Stopwatch w;
-      fn();
-      best = std::min(best, w.elapsed_ms());
-    }
-    return best;
-  };
-
-  {
-    const core::PoisoningGame game(
-        core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100);
-    la::Matrix serial_grid;
-    la::Matrix parallel_grid;
-    const double serial_ms = timed(
-        [&] { serial_grid = game.discretize(256, 256, nullptr).payoff(); });
-    const double parallel_ms =
-        timed([&] { parallel_grid = game.discretize(256, 256, exec).payoff(); });
-    PG_ASSERT(serial_grid.data() == parallel_grid.data(),
-              "parallel payoff grid broke bit-identity");
-    table.add_row({"discretize_256", serial_ms, parallel_ms,
-                   serial_ms / parallel_ms});
-  }
-  result.tables.push_back(std::move(table));
-}
-
-// Service-health scenario: snapshot the PROCESS's serve/fault/cache
-// counters into a telemetry table. Submitted to a pg_serve daemon it
-// reports the daemon's own live counters (queue depth, errors, pings,
-// retries) without submitting real work; run standalone it pins the
-// stable identity surface -- protocol and schema versions -- which is
-// what the golden baseline compares (the counter VALUES are
-// scheduling-dependent telemetry, excluded by table name and obs.-prefix
-// like every other telemetry surface).
-void run_serve_metrics_scenario(const ScenarioSpec& spec,
-                                runtime::Executor* exec, CacheBundle& bundle,
-                                ScenarioResult& result) {
-  (void)spec;
-  (void)exec;
-  (void)bundle;
-  result.add_metric("protocol_major", serve::kProtocolMajor);
-  result.add_metric("protocol_minor", serve::kProtocolMinor);
-  result.add_metric("schema_version", serve::kSchemaVersion);
-  ResultTable table{"telemetry_serve", {"metric", "kind", "value"}, {}};
-  for (const auto& m : obs::snapshot_metrics()) {
-    const bool service = m.name.rfind("obs.serve.", 0) == 0 ||
-                         m.name.rfind("obs.fault.", 0) == 0 ||
-                         m.name.rfind("obs.cache.quarantined", 0) == 0;
-    if (!service) continue;
-    const char* kind = m.kind == obs::MetricSnapshot::Kind::kTimer
-                           ? "timer"
-                           : (m.kind == obs::MetricSnapshot::Kind::kGauge
-                                  ? "gauge"
-                                  : "counter");
-    table.add_row({m.name, kind, m.count});
-  }
-  // The row count is health data too, but it varies with process
-  // history; the obs. prefix keeps it out of baseline comparison.
-  result.add_metric("obs.serve.metrics_reported", table.rows.size());
-  result.tables.push_back(std::move(table));
 }
 
 // ------------------------------------------------------------ sweep grids
@@ -899,8 +821,6 @@ RunnerFn runner_for(const std::string& kind) {
   if (kind == "transfer") return &run_transfer_scenario;
   if (kind == "solver_ablation") return &run_solver_ablation_scenario;
   if (kind == "defense_ablation") return &run_defense_ablation_scenario;
-  if (kind == "micro") return &run_micro_scenario;
-  if (kind == "serve_metrics") return &run_serve_metrics_scenario;
   PG_CHECK(false, "unknown scenario kind: " + kind);
   return nullptr;  // unreachable
 }
@@ -951,36 +871,26 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
       result.sweep_axes = plan.axis_keys();
       result.add_metric("sweep_points", plan.size());
       // POINT-PARALLEL GRID: independent grid points dispatch concurrently
-      // through the nested executor (each point's inner loops still fan
-      // out -- payoff cells use parallel_for_nested, so one late point can
-      // spread across the whole pool). Each point computes into its own
-      // slot; every point's randomness derives from its child spec's seed
+      // on the executor (each point's inner loops still fan out onto the
+      // same pool, so one late point can spread across all of it). Each
+      // point computes into its own slot; every point's randomness
+      // derives from its child spec's seed
       // (RngStreamFactory streams inside the runners), and the shared
       // bundle only memoizes content-keyed values -- so results cannot
       // depend on scheduling, and the serial merge below folds them in
       // plan order regardless of completion order.
       std::vector<ScenarioResult> points(plan.size());
-      runtime::parallel_for_nested(
-          exec, 0, plan.size(), 1, [&](std::size_t i) {
-            obs::Span point_span("grid_point_" + std::to_string(i), "grid");
-            static obs::Timer& wall = obs::timer("obs.engine.point_wall");
-            static obs::Timer& cpu = obs::timer("obs.engine.point_cpu");
-            const obs::ScopedTimer wall_timer(wall);
-            const std::uint64_t cpu_start = thread_cpu_ns();
-            const ScenarioSpec child = plan.child(i);
-            points[i].spec = child;
-            if (child.threads != spec.threads) {
-              // `threads` is itself a swept axis: this point gets its own
-              // executor (results are thread-count-invariant, so the grid
-              // stays bit-identical either way).
-              const auto child_exec = sim::make_executor(child.threads);
-              runner_for(child.kind)(child, child_exec.get(), bundle,
-                                     points[i]);
-            } else {
-              runner_for(child.kind)(child, exec, bundle, points[i]);
-            }
-            cpu.record_ns(thread_cpu_ns() - cpu_start);
-          });
+      runtime::parallel_for(exec, 0, plan.size(), 1, [&](std::size_t i) {
+        obs::Span point_span("grid_point_" + std::to_string(i), "grid");
+        static obs::Timer& wall = obs::timer("obs.engine.point_wall");
+        static obs::Timer& cpu = obs::timer("obs.engine.point_cpu");
+        const obs::ScopedTimer wall_timer(wall);
+        const std::uint64_t cpu_start = thread_cpu_ns();
+        const ScenarioSpec child = plan.child(i);
+        points[i].spec = child;
+        runner_for(child.kind)(child, exec, bundle, points[i]);
+        cpu.record_ns(thread_cpu_ns() - cpu_start);
+      });
       for (std::size_t i = 0; i < plan.size(); ++i) {
         merge_sweep_point(plan.coordinates(i), points[i], result);
       }

@@ -81,30 +81,12 @@ ScenarioSpec make_defense_ablation() {
   return spec;
 }
 
-ScenarioSpec make_micro() {
-  ScenarioSpec spec;
-  spec.name = "micro";
-  spec.kind = "micro";
-  spec.description = "Micro kernel: payoff grid speedup_vs_serial";
-  spec.timing_reps = 1;
-  return spec;
-}
-
-ScenarioSpec make_serve_metrics() {
-  ScenarioSpec spec;
-  spec.name = "serve_metrics";
-  spec.kind = "serve_metrics";
-  spec.description =
-      "Service health: serve/fault/retry counters + protocol versions";
-  return spec;
-}
-
 }  // namespace
 
 ScenarioRegistry::ScenarioRegistry()
     : entries_{make_fig1(), make_table1(), make_prop1(), make_nsweep(),
                make_transfer(), make_solver_ablation(),
-               make_defense_ablation(), make_micro(), make_serve_metrics()} {}
+               make_defense_ablation()} {}
 
 const ScenarioRegistry& ScenarioRegistry::instance() {
   static const ScenarioRegistry registry;

@@ -1,5 +1,6 @@
 #include "scenario/spec.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <sstream>
 #include <type_traits>
@@ -110,7 +111,6 @@ const std::vector<Field>& field_table() {
       PG_SPEC_FIELD(solver_grid),
       PG_SPEC_FIELD(solver_iterations),
       PG_SPEC_FIELD(lp_pricing),
-      PG_SPEC_FIELD(timing_reps),
       PG_SPEC_FIELD(threads),
       PG_SPEC_FIELD(use_cache),
       PG_SPEC_FIELD(cache_dir),
@@ -151,9 +151,13 @@ std::uint64_t parse_u64(const std::string& key, const std::string& value) {
            "ScenarioSpec " + key + ": expected a non-negative integer, got '" +
                value + "'");
   char* end = nullptr;
+  errno = 0;
   const unsigned long long parsed = std::strtoull(v.c_str(), &end, 10);
   PG_CHECK(end != nullptr && *end == '\0',
            "ScenarioSpec " + key + ": malformed integer '" + value + "'");
+  PG_CHECK(errno != ERANGE, "ScenarioSpec " + key + ": '" + value +
+                                "' is out of range (max " +
+                                std::to_string(parsed) + ")");
   return parsed;
 }
 

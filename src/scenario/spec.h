@@ -28,8 +28,7 @@ struct ScenarioSpec {
   // ---- identity ------------------------------------------------------
   std::string name = "custom";
   /// Engine dispatch key: pure_sweep | mixed_table | pure_ne |
-  /// support_sweep | transfer | solver_ablation | defense_ablation |
-  /// micro | serve_metrics.
+  /// support_sweep | transfer | solver_ablation | defense_ablation.
   std::string kind;
   std::string description;
 
@@ -76,7 +75,6 @@ struct ScenarioSpec {
   std::size_t solver_grid = 128;
   std::size_t solver_iterations = 20000;
   std::string lp_pricing = "bland";  // or "dantzig" (see game/lp.h)
-  std::size_t timing_reps = 3;  // best-of repetitions for timed kernels
 
   // ---- execution -----------------------------------------------------
   std::size_t threads = 0;  // 0 = all cores, 1 = serial

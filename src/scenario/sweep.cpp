@@ -59,13 +59,13 @@ SweepAxis parse_sweep_clause(const std::string& clause) {
   PG_CHECK(!axis.key.empty(), "sweep clause '" + clause + "': empty key");
   PG_CHECK(axis.key != "sweep",
            "sweep clause '" + clause + "': sweep axes cannot be nested");
-  // The cache envelope (one shared CacheBundle serves the whole grid)
-  // and the display-only identity fields are resolved ONCE per run, so
-  // an axis over them could never take effect -- reject it instead of
-  // emitting a mislabeled grid. (`threads` and `kind` DO vary per
-  // point; the engine handles both.)
-  for (const char* fixed : {"use_cache", "cache_dir", "cache_max_bytes",
-                            "name", "description"}) {
+  // The executor width and the cache envelope (one executor and one
+  // shared CacheBundle serve the whole grid) and the display-only
+  // identity fields are resolved ONCE per run, so an axis over them
+  // could never take effect -- reject it instead of emitting a
+  // mislabeled grid. (`kind` DOES vary per point.)
+  for (const char* fixed : {"threads", "use_cache", "cache_dir",
+                            "cache_max_bytes", "name", "description"}) {
     PG_CHECK(axis.key != fixed,
              "sweep clause '" + clause + "': '" + fixed +
                  "' is fixed for the whole run and cannot be swept");

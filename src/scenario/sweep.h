@@ -25,8 +25,8 @@
 // clauses, unknown keys, zero-value lists, and values the named field
 // rejects all throw std::invalid_argument at parse/plan time -- never a
 // silent default at run time. Keys that are resolved once for the whole
-// run (the cache envelope, name/description) are rejected as axes too:
-// an axis that cannot take effect would only mislabel the grid.
+// run (`threads`, the cache envelope, name/description) are rejected as
+// axes too: an axis that cannot take effect would only mislabel the grid.
 #pragma once
 
 #include <cstddef>

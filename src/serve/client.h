@@ -1,8 +1,7 @@
 // Minimal blocking client for the pg_serve protocol, shared by the
-// pg_serve tool's client mode, the pg_bench_serve load generator, and
-// serve_test. One Client is one AF_UNIX connection; request() frames a
-// spec, blocks for the response, and hands back the parsed header plus
-// the envelope body. NOT thread-safe -- concurrent load uses one Client
+// pg_serve tool's client mode and the serve and robust tests. One Client
+// is one AF_UNIX connection; request() frames a spec, blocks for the
+// response, and hands back the parsed header plus the envelope body. NOT thread-safe -- concurrent load uses one Client
 // per thread (connections are cheap; the server multiplexes them onto
 // its shared executor anyway).
 #pragma once

@@ -16,10 +16,10 @@
 // version-prefixed). `minor` only ever ADDS header keys; parsers ignore
 // keys they do not know, so old servers interoperate with newer-minor
 // clients. kSchemaVersion is the one number covering every JSON artifact
-// the project emits -- the result sink, the metrics snapshot, the bench
-// snapshots, and the response envelope all quote it -- and follows the
-// result sink's grow-only rule: members are only added at a fixed
-// version; a bump means something was renamed, retyped, or removed.
+// the project emits -- the result sink, the metrics snapshot and the
+// response envelope all quote it -- and follows the result sink's
+// grow-only rule: members are only added at a fixed version; a bump
+// means something was renamed, retyped, or removed.
 //
 // Scheduling: `priority` is the request's nesting depth in the server's
 // admission queue -- the same convention as the runtime's depth-tagged
@@ -41,7 +41,7 @@ inline constexpr int kProtocolMajor = 1;
 /// History: 1 added the body-less `ping` health-check frame.
 inline constexpr int kProtocolMinor = 1;
 /// Schema number shared by every JSON artifact (result sink, metrics
-/// snapshot, bench snapshots, response envelope). Grow-only.
+/// snapshot, response envelope). Grow-only.
 inline constexpr int kSchemaVersion = 1;
 
 /// Longest accepted header line (either direction), newline included.

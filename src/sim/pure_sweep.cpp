@@ -142,7 +142,7 @@ PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
   const runtime::RngStreamFactory streams(ctx.config.seed);
   const std::size_t cells = grid.size() * replications;
   std::vector<SweepCell> out(cells);
-  runtime::parallel_for_nested(executor, 0, cells, 1, [&](std::size_t c) {
+  runtime::parallel_for(executor, 0, cells, 1, [&](std::size_t c) {
     obs::Span span("sweep_cell", "payoff");
     const std::size_t gi = c / replications;
     const std::size_t rep = c % replications;

@@ -280,6 +280,11 @@ class ServeChaosTest : public ::testing::Test {
     std::filesystem::remove_all(dir_, ec);
   }
 
+  /// A request body that computes little: prop1's kind on a toy corpus.
+  static constexpr const char* kTinySpec =
+      "name = tiny\nkind = pure_ne\ninstances = 240\nepochs = 8\n"
+      "replications = 1\nsweep_steps = 3\nreal_corpus = false\n";
+
   std::string dir_;
   serve::ServeOptions options_;
   std::unique_ptr<serve::ScenarioServer> server_;
@@ -311,8 +316,8 @@ TEST_F(ServeChaosTest, ClientRetrySurvivesAnInjectedResponseWriteFault) {
   serve::Client::RetryPolicy policy;
   policy.attempts = 3;
   policy.backoff_ms = 10;
-  const serve::Client::Response response = serve::Client::request_retry(
-      options_.socket_path, "name = health\nkind = serve_metrics\n", policy);
+  const serve::Client::Response response =
+      serve::Client::request_retry(options_.socket_path, kTinySpec, policy);
   EXPECT_TRUE(response.ok()) << response.body;
 }
 
@@ -321,10 +326,9 @@ TEST_F(ServeChaosTest, SingleAttemptPolicyRethrowsTheTransportError) {
   const FaultGuard guard("serve.write:throw");
   serve::Client::RetryPolicy policy;
   policy.attempts = 1;
-  EXPECT_THROW(serve::Client::request_retry(
-                   options_.socket_path,
-                   "name = health\nkind = serve_metrics\n", policy),
-               std::runtime_error);
+  EXPECT_THROW(
+      serve::Client::request_retry(options_.socket_path, kTinySpec, policy),
+      std::runtime_error);
 }
 
 }  // namespace

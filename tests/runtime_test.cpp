@@ -165,21 +165,6 @@ TEST(ExecutorTest, SerialExceptionPropagatesToo) {
                std::invalid_argument);
 }
 
-TEST(ExecutorTest, NestedParallelForRunsInlineInsteadOfDeadlocking) {
-  // A loop body calling parallel_for on its OWN executor must not wait on
-  // sub-chunks that could only run on already-blocked workers; the nested
-  // call runs inline on the worker.
-  runtime::ThreadPoolExecutor exec(2);
-  std::vector<std::atomic<int>> hits(8 * 8);
-  exec.parallel_for(0, 8, 1, [&](std::size_t i) {
-    exec.parallel_for(0, 8, 1,
-                      [&](std::size_t j) { hits[i * 8 + j].fetch_add(1); });
-  });
-  for (std::size_t k = 0; k < hits.size(); ++k) {
-    EXPECT_EQ(hits[k].load(), 1) << "cell " << k;
-  }
-}
-
 TEST(ExecutorTest, CallerChunkExceptionPropagates) {
   // The calling thread runs chunk 0 itself (caller participation); a
   // throw there must propagate exactly like a worker-chunk throw, after
@@ -760,8 +745,8 @@ TEST(NestedParallelTest, NestedLoopsCoverEveryIndexUnderExhaustion) {
   constexpr std::size_t kOuter = 8;
   constexpr std::size_t kInner = 8;
   std::vector<std::atomic<int>> hits(kOuter * kInner);
-  exec.parallel_for_nested(0, kOuter, 1, [&](std::size_t o) {
-    exec.parallel_for_nested(0, kInner, 1, [&](std::size_t i) {
+  exec.parallel_for(0, kOuter, 1, [&](std::size_t o) {
+    exec.parallel_for(0, kInner, 1, [&](std::size_t i) {
       hits[o * kInner + i].fetch_add(1, std::memory_order_relaxed);
     });
   });
@@ -773,10 +758,9 @@ TEST(NestedParallelTest, NestedLoopsCoverEveryIndexUnderExhaustion) {
 TEST(NestedParallelTest, ThreeLevelNestingTerminates) {
   runtime::ThreadPoolExecutor exec(4);
   std::atomic<int> leaves{0};
-  exec.parallel_for_nested(0, 4, 1, [&](std::size_t) {
-    exec.parallel_for_nested(0, 4, 1, [&](std::size_t) {
-      exec.parallel_for_nested(0, 4, 1,
-                               [&](std::size_t) { leaves.fetch_add(1); });
+  exec.parallel_for(0, 4, 1, [&](std::size_t) {
+    exec.parallel_for(0, 4, 1, [&](std::size_t) {
+      exec.parallel_for(0, 4, 1, [&](std::size_t) { leaves.fetch_add(1); });
     });
   });
   EXPECT_EQ(leaves.load(), 64);
@@ -784,20 +768,15 @@ TEST(NestedParallelTest, ThreeLevelNestingTerminates) {
 
 TEST(NestedParallelTest, InnerExceptionPropagatesThroughOuterJoin) {
   runtime::ThreadPoolExecutor exec(4);
-  EXPECT_THROW(
-      exec.parallel_for_nested(0, 4, 1,
-                               [&](std::size_t o) {
-                                 exec.parallel_for_nested(
-                                     0, 4, 1, [&](std::size_t i) {
-                                       if (o == 2 && i == 3) {
-                                         throw std::runtime_error("inner");
-                                       }
-                                     });
-                               }),
-      std::runtime_error);
+  const auto outer = [&](std::size_t o) {
+    exec.parallel_for(0, 4, 1, [&](std::size_t i) {
+      if (o == 2 && i == 3) throw std::runtime_error("inner");
+    });
+  };
+  EXPECT_THROW(exec.parallel_for(0, 4, 1, outer), std::runtime_error);
   // The executor stays usable after a failed nested loop.
   std::atomic<int> count{0};
-  exec.parallel_for_nested(0, 8, 1, [&](std::size_t) { count.fetch_add(1); });
+  exec.parallel_for(0, 8, 1, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);
 }
 
@@ -810,8 +789,8 @@ TEST(NestedParallelTest, NestedGridBitIdenticalAcrossThreadCounts) {
     constexpr std::size_t kInner = 16;
     const runtime::RngStreamFactory streams(1234);
     std::vector<double> cells(kOuter * kInner, 0.0);
-    exec.parallel_for_nested(0, kOuter, 1, [&](std::size_t o) {
-      exec.parallel_for_nested(0, kInner, 1, [&](std::size_t i) {
+    exec.parallel_for(0, kOuter, 1, [&](std::size_t o) {
+      exec.parallel_for(0, kInner, 1, [&](std::size_t i) {
         util::Rng rng = streams.stream(o, i);
         double acc = 0.0;
         for (int k = 0; k < 50; ++k) acc += rng.normal();

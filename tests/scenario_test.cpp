@@ -84,9 +84,17 @@ TEST(SpecTest, RejectsUnknownKeysAndMalformedValues) {
   EXPECT_THROW(spec.set("sweep_max", "zero point four"),
                std::invalid_argument);
   EXPECT_THROW(spec.set("use_cache", "maybe"), std::invalid_argument);
-  // Keys of the deleted batched path: a stale spec naming them fails.
+  // Keys of deleted code paths: a stale spec naming them fails.
   EXPECT_THROW(spec.set("kernel", "reference"), std::invalid_argument);
   EXPECT_THROW(spec.set("simd", "sse2"), std::invalid_argument);
+  EXPECT_THROW(spec.set("timing_reps", "3"), std::invalid_argument);
+  // Integers past 2^64-1 fail instead of saturating to the maximum.
+  EXPECT_THROW(spec.set("seed", "18446744073709551616"),
+               std::invalid_argument);
+  EXPECT_THROW(ScenarioSpec::parse("seed = 99999999999999999999\n"),
+               std::invalid_argument);
+  spec.set("seed", "18446744073709551615");
+  EXPECT_EQ(spec.seed, 18446744073709551615ULL);
   EXPECT_THROW(ScenarioSpec::parse("a line without separator\n"),
                std::invalid_argument);
   EXPECT_THROW((void)spec.get("no_such_knob"), std::invalid_argument);
@@ -96,7 +104,7 @@ TEST(SpecTest, KeysCoverEveryFieldBothWays) {
   // get/set agree for every advertised key: set(key, get(key)) is a
   // no-op, so the table has no write-only or read-only entries.
   ScenarioSpec spec;
-  spec.kind = "micro";
+  spec.kind = "pure_ne";
   for (const std::string& key : ScenarioSpec::keys()) {
     ScenarioSpec copy = spec;
     copy.set(key, spec.get(key));
@@ -108,10 +116,12 @@ TEST(SpecTest, KeysCoverEveryFieldBothWays) {
 
 TEST(RegistryTest, ListsEveryLegacyScenario) {
   const auto& registry = ScenarioRegistry::instance();
-  EXPECT_GE(registry.entries().size(), 8u);
-  for (const char* name :
-       {"fig1", "table1", "prop1", "nsweep", "transfer", "solver_ablation",
-        "defense_ablation", "micro"}) {
+  // Exactly the seven paper scenarios, in catalog order.
+  const std::vector<std::string> paper = {
+      "fig1",     "table1",          "prop1",           "nsweep",
+      "transfer", "solver_ablation", "defense_ablation"};
+  EXPECT_EQ(registry.names(), paper);
+  for (const std::string& name : paper) {
     EXPECT_TRUE(registry.contains(name)) << name;
     const ScenarioSpec spec = registry.make(name);
     EXPECT_EQ(spec.name, name);
@@ -168,21 +178,31 @@ TEST(CliTest, RejectsBadInput) {
   EXPECT_THROW(parse_cli({"--out", "xml"}), std::invalid_argument);
   EXPECT_THROW(parse_cli({"--kernel", "simd"}), std::invalid_argument);
   // Removed flags must fail as unknown arguments, not be ignored.
-  for (const auto& [flag, value] :
-       std::vector<std::pair<std::string, std::string>>{
-           {"shard", "0/2"},
-           {"shard-exec", "2"},
-           {"shard-retries", "1"},
-           {"merge", "a.json"}}) {
+  for (const std::vector<std::string>& args :
+       std::vector<std::vector<std::string>>{{"--shard", "0/2"},
+                                             {"--shard-exec", "2"},
+                                             {"--shard-retries", "1"},
+                                             {"--merge", "a.json"},
+                                             {"--with-timing"}}) {
     try {
-      (void)parse_cli({"--" + flag, value});
-      ADD_FAILURE() << "--" << flag << " was accepted";
+      (void)parse_cli(args);
+      ADD_FAILURE() << args[0] << " was accepted";
     } catch (const std::invalid_argument& e) {
       EXPECT_EQ(std::string(e.what()),
-                "unknown argument: --" + flag +
+                "unknown argument: " + args[0] +
                     " (pg_run --help lists the options)");
     }
   }
+  // A malformed --fault entry is a usage error at parse time, named by
+  // the flag it came from.
+  try {
+    (void)parse_cli({"--list", "--fault", "x:throw@a0"});
+    ADD_FAILURE() << "a malformed --fault was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_EQ(what.rfind("--fault: bad entry 'x:throw@a0'", 0), 0u) << what;
+  }
+  EXPECT_NO_THROW((void)parse_cli({"--fault", "artifact.out:throw@2"}));
 }
 
 TEST(CliTest, ListShowsTheCatalog) {
@@ -289,8 +309,11 @@ std::vector<std::string> comparable_cells(const ScenarioResult& result) {
 }
 
 TEST(EngineTest, RejectsUnknownKind) {
-  ScenarioSpec spec = tiny_spec("no_such_kind");
-  EXPECT_THROW((void)run_scenario(spec), std::invalid_argument);
+  // The deleted perf and service kinds are unknown too.
+  for (const char* kind : {"no_such_kind", "micro", "serve_metrics"}) {
+    const ScenarioSpec spec = tiny_spec(kind);
+    EXPECT_THROW((void)run_scenario(spec), std::invalid_argument) << kind;
+  }
 }
 
 TEST(EngineTest, PureSweepMatchesDirectLibraryPath) {
@@ -502,8 +525,8 @@ TEST(SweepTest, RejectsMalformedClausesLoudly) {
   // Run-wide envelope keys can never vary per point: reject, don't emit
   // a mislabeled grid.
   for (const char* fixed :
-       {"use_cache=true,false", "cache_dir=a,b", "cache_max_bytes=1,2",
-        "name=a,b", "description=a,b"}) {
+       {"threads=1,3", "use_cache=true,false", "cache_dir=a,b",
+        "cache_max_bytes=1,2", "name=a,b", "description=a,b"}) {
     EXPECT_THROW((void)parse_sweep_clause(fixed), std::invalid_argument)
         << fixed;
   }
@@ -734,26 +757,6 @@ TEST(EngineTest, TwoAxisSweepRunsAsOneGrid) {
   }
 }
 
-TEST(EngineTest, SweepingThreadsStaysBitIdentical) {
-  ScenarioSpec spec = tiny_spec("pure_sweep");
-  spec.add_sweep("threads=1,3");
-  const ScenarioResult grid = run_scenario(spec);
-  // The two points differ ONLY in their coordinate column.
-  const ResultTable* table = nullptr;
-  for (const ResultTable& t : grid.tables) {
-    if (t.name == "pure_sweep") table = &t;
-  }
-  ASSERT_NE(table, nullptr);
-  const std::size_t half = table->rows.size() / 2;
-  ASSERT_EQ(table->rows.size(), 2 * half);
-  for (std::size_t r = 0; r < half; ++r) {
-    for (std::size_t c = 1; c < table->columns.size(); ++c) {
-      EXPECT_EQ(table->rows[r][c].render(),
-                table->rows[r + half][c].render());
-    }
-  }
-}
-
 TEST(EngineTest, PointParallelGridBitIdenticalAcrossThreadCounts) {
   // The whole grid dispatches point-parallel on the nested executor; the
   // merged artifact must be bit-identical at 1/2/4 threads, with rows in
@@ -936,11 +939,6 @@ TEST(DiffTest, IdenticalResultsAreCleanAndTimingIsIgnored) {
   EXPECT_TRUE(diff.clean());
   EXPECT_GT(diff.values_compared, 0u);
   EXPECT_EQ(diff.values_compared, diff.values_matched);
-
-  // With timing included the _ms drift surfaces.
-  DiffOptions with_timing;
-  with_timing.ignore_timing = false;
-  EXPECT_FALSE(diff_results(a, b, with_timing).clean());
 }
 
 TEST(DiffTest, ToleranceGatesDriftBothWays) {

@@ -129,9 +129,9 @@ TEST(RequestOptionsTest, RejectsAmbiguousAndEmptySources) {
 
 // ----------------------------------------------------------- live server
 
-/// Shrinks a registry spec so all nine scenarios round-trip in test
-/// time; values must match between the served and direct runs, which is
-/// all the equality assertions need.
+/// Shrinks a registry spec so every scenario round-trips in test time;
+/// values must match between the served and direct runs, which is all
+/// the equality assertions need.
 scenario::ScenarioSpec shrink(scenario::ScenarioSpec spec) {
   spec.set("instances", "240");
   spec.set("epochs", "8");
@@ -142,7 +142,6 @@ scenario::ScenarioSpec shrink(scenario::ScenarioSpec spec) {
   spec.set("support_max", "2");
   spec.set("solver_grid", "24");
   spec.set("solver_iterations", "200");
-  spec.set("timing_reps", "1");
   spec.set("real_corpus", "false");
   return spec;
 }

@@ -15,6 +15,7 @@
 // the envelope directly. `--retries`/`--read-timeout-ms` bound transport
 // flakiness (each retry reconnects fresh, with exponential backoff), and
 // `--ping` is the body-less health check (protocol minor 1).
+#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <fstream>
@@ -77,8 +78,10 @@ std::string usage() {
 
 std::size_t parse_size(const std::string& value, const std::string& flag) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  PG_CHECK(!value.empty() && end != nullptr && *end == '\0',
+  PG_CHECK(!value.empty() && value.find('-') == std::string::npos &&
+               errno == 0 && end != nullptr && *end == '\0',
            flag + " expects a non-negative integer, got '" + value + "'");
   return static_cast<std::size_t>(n);
 }
