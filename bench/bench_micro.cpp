@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks for the library's hot paths: SVM
-// training, attack generation, sanitization filters, the simplex solver,
-// Algorithm 1, and the core kernels they sit on.
+// training, attack generation, sanitization filters, the game solvers
+// (simplex, fictitious play, Hedge), Algorithm 1, and the core kernels
+// they sit on.
 //
 // google-benchmark owns main and the timing loop here. These benches
 // time one kernel at a time; paper-scale end-to-end and per-layer timing
@@ -164,6 +165,19 @@ void BM_FictitiousPlay(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FictitiousPlay)->Unit(benchmark::kMillisecond);
+
+void BM_MultiplicativeWeights(benchmark::State& state) {
+  // The solve_parallel workload's game size (solver_grid = 128); divide
+  // by 2,000 for one Hedge iteration's two payoff sweeps and softmaxes.
+  const auto curves = core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4);
+  const core::PoisoningGame game(curves, 100);
+  const auto mg = game.discretize(128, 128);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        game::solve_multiplicative_weights(mg, {.iterations = 2000}));
+  }
+}
+BENCHMARK(BM_MultiplicativeWeights)->Unit(benchmark::kMillisecond);
 
 void BM_Algorithm1(benchmark::State& state) {
   const auto curves = core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4);

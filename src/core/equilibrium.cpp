@@ -4,6 +4,8 @@
 #include <cmath>
 #include <span>
 
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/error.h"
 
 namespace pg::core {
@@ -169,6 +171,9 @@ DefenseSolution compute_optimal_defense(const PoisoningGame& game,
                                         const Algorithm1Config& config,
                                         runtime::Executor* executor) {
   (void)executor;  // the descent is serial; see equilibrium.h
+  static obs::Timer& timer = obs::timer("obs.stage.solve");
+  const obs::ScopedTimer timed(timer);
+  obs::Span span("algorithm1", "solver");
   PG_CHECK(config.support_size >= 1, "support_size must be >= 1");
   PG_CHECK(config.epsilon > 0.0, "epsilon must be > 0");
   PG_CHECK(config.learning_rate > 0.0, "learning_rate must be > 0");

@@ -8,8 +8,8 @@
 // Convention: entry (i, j) is the payoff to the ROW player (maximizer)
 // when row i and column j are played; the column player minimizes.
 //
-// row_payoffs / col_payoffs (Hedge's per-iteration O(m * n) step) are
-// la::Matrix::matvec / matvec_transposed.
+// row_payoffs / col_payoffs are la::Matrix::matvec / matvec_transposed.
+// Hedge computes the same sums as column sweeps (see game/solvers.h).
 #pragma once
 
 #include <cstddef>

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "game/lp.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/error.h"
 
@@ -26,6 +27,8 @@ void ConvergenceTrace::push(std::size_t iteration, double gap) {
 }
 
 Equilibrium solve_lp_equilibrium(const MatrixGame& game, const LpConfig& lp) {
+  static obs::Timer& timer = obs::timer("obs.stage.solve");
+  const obs::ScopedTimer timed(timer);
   obs::Span span("lp_equilibrium", "solver");
   const std::size_t m = game.num_rows();
   const std::size_t n = game.num_cols();
@@ -76,6 +79,8 @@ Equilibrium solve_fictitious_play(const MatrixGame& game,
                                   const IterativeConfig& config,
                                   runtime::Executor* executor) {
   (void)executor;  // the solve is serial; see solvers.h
+  static obs::Timer& timer = obs::timer("obs.stage.solve");
+  const obs::ScopedTimer timed(timer);
   obs::Span span("fictitious_play", "solver");
   PG_CHECK(config.iterations >= 1, "iterations must be >= 1");
   const std::size_t m = game.num_rows();
@@ -144,6 +149,8 @@ Equilibrium solve_multiplicative_weights(const MatrixGame& game,
                                          const IterativeConfig& config,
                                          runtime::Executor* executor) {
   (void)executor;  // the solve is serial; see solvers.h
+  static obs::Timer& timer = obs::timer("obs.stage.solve");
+  const obs::ScopedTimer timed(timer);
   obs::Span span("multiplicative_weights", "solver");
   PG_CHECK(config.iterations >= 1, "iterations must be >= 1");
   const std::size_t m = game.num_rows();
@@ -176,32 +183,38 @@ Equilibrium solve_multiplicative_weights(const MatrixGame& game,
   std::vector<double> row_avg(m, 0.0);
   std::vector<double> col_avg(n, 0.0);
 
-  auto softmax = [](const std::vector<double>& logw) {
+  // Writes softmax(logw) into p, which has logw's size.
+  const auto softmax = [](const std::vector<double>& logw,
+                          std::vector<double>& p) {
     const double mx = *std::max_element(logw.begin(), logw.end());
-    std::vector<double> p(logw.size());
     double total = 0.0;
     for (std::size_t i = 0; i < logw.size(); ++i) {
       p[i] = std::exp(logw[i] - mx);
       total += p[i];
     }
     for (double& v : p) v /= total;
-    return p;
   };
 
-  // The O(m*n) cost of every Hedge step is the pair of payoff matvecs.
-  std::vector<double> p;
-  std::vector<double> q;
-  std::vector<double> row_pay;
-  std::vector<double> col_pay;
+  // The O(m*n) cost of every Hedge step is the pair of payoff vectors.
+  // Both are row-ascending column sweeps (matvec_transposed), which
+  // vectorize across the output. Entry i of the row payoffs is column i
+  // of the transposed copy swept against q: payoff(i, j) * q[j] added
+  // j-ascending from 0, the same sum as MatrixGame::row_payoffs' dot
+  // product. The buffers are sized here, so the loop allocates nothing.
+  const la::Matrix payoff_t = payoff.transposed();
+  std::vector<double> p(m);
+  std::vector<double> q(n);
+  std::vector<double> row_pay(m);
+  std::vector<double> col_pay(n);
 
   for (std::size_t t = 0; t < config.iterations; ++t) {
-    p = softmax(row_logw);
-    q = softmax(col_logw);
+    softmax(row_logw, p);
+    softmax(col_logw, q);
     for (std::size_t i = 0; i < m; ++i) row_avg[i] += p[i];
     for (std::size_t j = 0; j < n; ++j) col_avg[j] += q[j];
 
-    row_pay = game.row_payoffs(q);  // row wants high
-    col_pay = game.col_payoffs(p);  // col wants low
+    payoff_t.matvec_transposed(q, row_pay);  // row wants high
+    payoff.matvec_transposed(p, col_pay);    // col wants low
     for (std::size_t i = 0; i < m; ++i) {
       row_logw[i] += eta_row * (row_pay[i] - lo) / range;
     }

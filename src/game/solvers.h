@@ -13,7 +13,9 @@
 // on the games the scenarios solve (solver_grid = 128), per-iteration
 // fork-join and a resident thread team both measured slower than the
 // serial loop, and so did a parallel simplex. Parallelism lives one level
-// up, in the payoff grid (core::PoisoningGame::discretize) and the sweeps.
+// up: in the payoff grid (core::PoisoningGame::discretize), the sweeps,
+// and the solver_ablation scenario, which solves its two games as two
+// executor tasks. Every solve adds one call to the obs.stage.solve timer.
 #pragma once
 
 #include <cstddef>
@@ -86,7 +88,11 @@ struct IterativeConfig {
     runtime::Executor* executor = nullptr);
 
 /// Multiplicative-weights (Hedge) self-play; returns averaged strategies.
-/// Each iteration's O(m * n) cost is the pair of payoff matvecs.
+/// Each iteration's O(m * n) cost is the pair of payoff vectors, both
+/// computed as column sweeps (one over a copy of the payoff transposed
+/// once per solve) into buffers sized once per solve; each entry sums
+/// the same products in the same order as MatrixGame::row_payoffs /
+/// col_payoffs.
 [[nodiscard]] Equilibrium solve_multiplicative_weights(
     const MatrixGame& game, const IterativeConfig& config = {},
     runtime::Executor* executor = nullptr);

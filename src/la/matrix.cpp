@@ -108,9 +108,10 @@ Vector Matrix::matvec(const Vector& x) const {
   return out;
 }
 
-Vector Matrix::matvec_transposed(const Vector& x) const {
+void Matrix::matvec_transposed(const Vector& x, Vector& out) const {
   PG_CHECK(x.size() == rows_, "matvec_transposed: size mismatch");
-  Vector out(cols_, 0.0);
+  PG_CHECK(&x != &out, "matvec_transposed: output aliases input");
+  out.assign(cols_, 0.0);
   const double* base = data_.data();
   const double* px = x.data();
   double* po = out.data();
@@ -135,7 +136,6 @@ Vector Matrix::matvec_transposed(const Vector& x) const {
     const double xr = px[r];
     for (std::size_t c = 0; c < cols_; ++c) po[c] += row_ptr[c] * xr;
   }
-  return out;
 }
 
 Matrix Matrix::transposed() const {

@@ -67,7 +67,16 @@ class Matrix {
   [[nodiscard]] Vector matvec(const Vector& x) const;
 
   /// Transposed matrix-vector product (A^T x). Requires x.size() == rows().
-  [[nodiscard]] Vector matvec_transposed(const Vector& x) const;
+  [[nodiscard]] Vector matvec_transposed(const Vector& x) const {
+    Vector out;
+    matvec_transposed(x, out);
+    return out;
+  }
+
+  /// In-place A^T x: resizes `out` to cols() and overwrites it, so a
+  /// caller that reuses `out` allocates only on the first call. `out`
+  /// must not be `x`.
+  void matvec_transposed(const Vector& x, Vector& out) const;
 
   [[nodiscard]] Matrix transposed() const;
 

@@ -1,10 +1,16 @@
 #include "runtime/payoff_disk_cache.h"
 
+#include <signal.h>
+#include <sys/types.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -66,6 +72,22 @@ std::string hex16(std::uint64_t word) {
     word >>= 4;
   }
   return s;
+}
+
+/// The writer pid in a `payoff-*.pgpc.tmp.<pid>` name (the temp file
+/// robust::atomic_write_file renames into place), or 0 when `name` is
+/// not one or its pid does not parse.
+pid_t temp_writer_pid(const std::string& name) {
+  static constexpr std::string_view kTmp = ".pgpc.tmp.";
+  if (name.rfind("payoff-", 0) != 0) return 0;
+  const std::size_t at = name.find(kTmp);
+  if (at == std::string::npos) return 0;
+  const char* first = name.data() + at + kTmp.size();
+  const char* last = name.data() + name.size();
+  pid_t pid = 0;
+  const auto [end, ec] = std::from_chars(first, last, pid);
+  if (ec != std::errc() || end != last || pid <= 0) return 0;
+  return pid;
 }
 
 }  // namespace
@@ -193,12 +215,23 @@ std::size_t DiskPayoffCache::enforce_max_bytes() const {
     std::filesystem::path path;
   };
   std::vector<Shard> shards;
+  std::vector<std::filesystem::path> orphans;
   std::uintmax_t total = 0;
   std::error_code ec;
   std::filesystem::directory_iterator it(dir_, ec);
   if (ec) return 0;  // unreadable/missing dir: nothing to evict
   for (const auto& entry : it) {
     const std::string name = entry.path().filename().string();
+    // A writer killed between write and rename leaves its temp file
+    // behind for good. Only a temp file whose pid no longer exists is
+    // an orphan: a live writer is still about to rename its own.
+    const pid_t writer = temp_writer_pid(name);
+    if (writer != 0) {
+      if (::kill(writer, 0) != 0 && errno == ESRCH) {
+        orphans.push_back(entry.path());
+      }
+      continue;
+    }
     if (name.rfind("payoff-", 0) != 0 ||
         entry.path().extension() != ".pgpc") {
       continue;  // never touch files the cache did not write
@@ -209,6 +242,14 @@ std::size_t DiskPayoffCache::enforce_max_bytes() const {
     if (ec) continue;
     total += bytes;
     shards.push_back({mtime, name, bytes, entry.path()});
+  }
+  std::size_t removed_orphans = 0;
+  for (const auto& path : orphans) {
+    if (std::filesystem::remove(path, ec)) ++removed_orphans;
+  }
+  if (removed_orphans > 0) {
+    util::log_warn() << "payoff disk cache: removed " << removed_orphans
+                     << " temp file(s) of dead writers in " << dir_;
   }
   if (total <= max_bytes_) return 0;
   std::sort(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {

@@ -76,7 +76,10 @@ class DiskPayoffCache {
   /// removed; 0 when disabled, uncapped, already within the cap, or the
   /// filesystem refuses (logged, not thrown). The engine runs this once
   /// after spilling, so a freshly-written shard is the newest and only
-  /// falls to the cap when it alone exceeds it.
+  /// falls to the cap when it alone exceeds it. A capped pass first
+  /// removes each `payoff-*.pgpc.tmp.<pid>` whose writer pid no longer
+  /// exists (a save killed before its rename) and logs one warning;
+  /// temp files of live writers, or with no parsable pid, stay.
   std::size_t enforce_max_bytes() const;
 
   /// Serialize/deserialize the v1 format (exposed for tests).

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <optional>
@@ -402,21 +403,15 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
   // solver trajectory, and the `telemetry` table name keeps the rows out
   // of golden comparison by default, so telemetry=true cannot move any
   // compared value.
-  std::optional<ResultTable> convergence;
-  if (spec.telemetry) {
-    convergence.emplace(
-        ResultTable{"telemetry", {"game", "solver", "iteration", "gap"}, {}});
-  }
-  const auto record_convergence = [&](const std::string& game_name,
-                                      const char* solver,
-                                      const game::ConvergenceTrace& trace) {
-    for (const auto& sample : trace.samples) {
-      convergence->add_row(
-          {game_name, solver, sample.iteration, sample.gap});
-    }
-  };
   const auto ablate = [&](const std::string& name,
-                          const core::PoisoningGame& game_model) {
+                          const core::PoisoningGame& game_model,
+                          ResultTable& convergence) {
+    const auto record_convergence = [&](const char* solver,
+                                        const game::ConvergenceTrace& trace) {
+      for (const auto& sample : trace.samples) {
+        convergence.add_row({name, solver, sample.iteration, sample.gap});
+      }
+    };
     ResultTable table{name,
                       {"solver", "value", "exploitability", "time_ms"},
                       {}};
@@ -444,30 +439,30 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       game::ConvergenceTrace trace;
       const auto eq = game::solve_fictitious_play(
           mg, {.iterations = spec.solver_iterations,
-               .trace = convergence ? &trace : nullptr});
+               .trace = spec.telemetry ? &trace : nullptr});
       table.add_row({"fictitious_play", eq.value,
                      game::exploitability(mg, eq.row_strategy, eq.col_strategy),
                      w.elapsed_ms()});
-      if (convergence) record_convergence(name, "fictitious_play", trace);
+      if (spec.telemetry) record_convergence("fictitious_play", trace);
     }
     {
       util::Stopwatch w;
       game::ConvergenceTrace trace;
       const auto eq = game::solve_multiplicative_weights(
           mg, {.iterations = spec.solver_iterations,
-               .trace = convergence ? &trace : nullptr});
+               .trace = spec.telemetry ? &trace : nullptr});
       table.add_row({"multiplicative_weights", eq.value,
                      game::exploitability(mg, eq.row_strategy, eq.col_strategy),
                      w.elapsed_ms()});
-      if (convergence) record_convergence(name, "multiplicative_weights", trace);
+      if (spec.telemetry) {
+        record_convergence("multiplicative_weights", trace);
+      }
     }
-    result.tables.push_back(std::move(table));
+    return table;
   };
 
-  ablate("analytic_curves",
-         core::PoisoningGame(
-             core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100));
-
+  const core::PoisoningGame analytic(
+      core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100);
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
@@ -477,10 +472,30 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       spec.replications, exec, bundle.shard(sim::context_key(ctx)),
       &sweep_stats);
   bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
-  ablate("measured_curves",
-         core::PoisoningGame(sim::fit_payoff_curves(sweep),
-                             ctx.poison_budget));
-  if (convergence) result.tables.push_back(std::move(*convergence));
+  const core::PoisoningGame measured(sim::fit_payoff_curves(sweep),
+                                     ctx.poison_budget);
+
+  // One task per game, each running that game's solvers one after
+  // another and writing only its own slots. The slots are appended in
+  // the fixed order analytic, measured, so the tables and the telemetry
+  // row order do not depend on which task finishes first.
+  const std::array<const core::PoisoningGame*, 2> games{&analytic, &measured};
+  const std::array<std::string, 2> names{"analytic_curves", "measured_curves"};
+  const ResultTable no_samples{
+      "telemetry", {"game", "solver", "iteration", "gap"}, {}};
+  std::array<ResultTable, 2> tables;
+  std::array<ResultTable, 2> convergence{no_samples, no_samples};
+  runtime::parallel_for(exec, 0, 2, 1, [&](std::size_t g) {
+    tables[g] = ablate(names[g], *games[g], convergence[g]);
+  });
+  for (ResultTable& table : tables) result.tables.push_back(std::move(table));
+  if (spec.telemetry) {
+    auto& rows = convergence[0].rows;
+    auto& measured_rows = convergence[1].rows;
+    rows.insert(rows.end(), std::make_move_iterator(measured_rows.begin()),
+                std::make_move_iterator(measured_rows.end()));
+    result.tables.push_back(std::move(convergence[0]));
+  }
 }
 
 // -------------------------------------------------------- defense_ablation

@@ -2,9 +2,13 @@
 // solver, iterative equilibrium solvers, best responses and saddle points.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "game/best_response.h"
 #include "game/lp.h"
@@ -301,6 +305,147 @@ TEST(SolversTest, IterativeSolversAgreeWithLpValue) {
   const auto mw = solve_multiplicative_weights(g, {.iterations = 100000});
   EXPECT_NEAR(fp.value, exact, 0.02);
   EXPECT_NEAR(mw.value, exact, 0.02);
+}
+
+/// Reference Hedge loop for HedgeMatchesReferenceLoop: an allocating
+/// softmax, `matvec` for the row payoffs and `matvec_transposed` for the
+/// column payoffs, with fresh vectors every iteration.
+Equilibrium reference_hedge(const MatrixGame& game,
+                            const IterativeConfig& config) {
+  const std::size_t m = game.num_rows();
+  const std::size_t n = game.num_cols();
+  const la::Matrix& payoff = game.payoff();
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      lo = std::min(lo, payoff(i, j));
+      hi = std::max(hi, payoff(i, j));
+    }
+  }
+  const double range = (hi > lo) ? (hi - lo) : 1.0;
+  const auto t_total = static_cast<double>(config.iterations);
+  const double eta_row =
+      config.learning_rate > 0.0
+          ? config.learning_rate
+          : std::sqrt(8.0 * std::log(static_cast<double>(std::max<std::size_t>(m, 2))) / t_total);
+  const double eta_col =
+      config.learning_rate > 0.0
+          ? config.learning_rate
+          : std::sqrt(8.0 * std::log(static_cast<double>(std::max<std::size_t>(n, 2))) / t_total);
+
+  std::vector<double> row_logw(m, 0.0);
+  std::vector<double> col_logw(n, 0.0);
+  std::vector<double> row_avg(m, 0.0);
+  std::vector<double> col_avg(n, 0.0);
+  const auto softmax = [](const std::vector<double>& logw) {
+    const double mx = *std::max_element(logw.begin(), logw.end());
+    std::vector<double> p(logw.size());
+    double total = 0.0;
+    for (std::size_t i = 0; i < logw.size(); ++i) {
+      p[i] = std::exp(logw[i] - mx);
+      total += p[i];
+    }
+    for (double& v : p) v /= total;
+    return p;
+  };
+  for (std::size_t t = 0; t < config.iterations; ++t) {
+    const std::vector<double> p = softmax(row_logw);
+    const std::vector<double> q = softmax(col_logw);
+    for (std::size_t i = 0; i < m; ++i) row_avg[i] += p[i];
+    for (std::size_t j = 0; j < n; ++j) col_avg[j] += q[j];
+    const std::vector<double> row_pay = payoff.matvec(q);
+    const std::vector<double> col_pay = payoff.matvec_transposed(p);
+    for (std::size_t i = 0; i < m; ++i) {
+      row_logw[i] += eta_row * (row_pay[i] - lo) / range;
+    }
+    for (std::size_t j = 0; j < n; ++j) {
+      col_logw[j] -= eta_col * (col_pay[j] - lo) / range;
+    }
+    if (config.trace != nullptr && config.trace->wants(t)) {
+      double row_best = row_pay[0];
+      for (std::size_t i = 1; i < m; ++i) {
+        row_best = std::max(row_best, row_pay[i]);
+      }
+      double col_best = col_pay[0];
+      for (std::size_t j = 1; j < n; ++j) {
+        col_best = std::min(col_best, col_pay[j]);
+      }
+      config.trace->push(t, row_best - col_best);
+    }
+  }
+  Equilibrium eq;
+  eq.row_strategy = normalize(std::move(row_avg));
+  eq.col_strategy = normalize(std::move(col_avg));
+  eq.value = game.expected_payoff(eq.row_strategy, eq.col_strategy);
+  eq.iterations = config.iterations;
+  return eq;
+}
+
+TEST(SolversTest, HedgeMatchesReferenceLoop) {
+  // Every strategy entry, the value and every trace sample must equal
+  // the reference loop bit for bit. Shapes that are not multiples of
+  // four exercise the sweep kernel's row tails; 257 iterations make the
+  // 256-sample trace decimate. Entries of either sign span 1e-3 to 1e3
+  // in magnitude, so a reordered sum would round differently.
+  util::Rng rng(24);
+  const auto entry = [&rng] {
+    const double magnitude = std::pow(10.0, rng.uniform(-3.0, 3.0));
+    return rng.uniform() < 0.5 ? -magnitude : magnitude;
+  };
+  for (const auto [rows, cols] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {1, 6}, {6, 1}, {3, 7},
+        {9, 5}, {33, 17}, {128, 128}}) {
+    la::Matrix a(rows, cols);
+    for (std::size_t i = 0; i < rows; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) a(i, j) = entry();
+    }
+    const MatrixGame g(std::move(a));
+    for (const std::size_t iterations : {1, 2, 257}) {
+      for (const double rate : {0.0, 0.05}) {
+        for (const bool traced : {false, true}) {
+          const std::string where = std::to_string(rows) + "x" +
+                                    std::to_string(cols) + ", " +
+                                    std::to_string(iterations) +
+                                    " iterations, rate " +
+                                    std::to_string(rate) +
+                                    (traced ? ", traced" : "");
+          ConvergenceTrace want_trace;
+          ConvergenceTrace got_trace;
+          IterativeConfig config{.iterations = iterations,
+                                 .learning_rate = rate,
+                                 .trace = traced ? &want_trace : nullptr};
+          const Equilibrium want = reference_hedge(g, config);
+          config.trace = traced ? &got_trace : nullptr;
+          const Equilibrium got = solve_multiplicative_weights(g, config);
+
+          ASSERT_EQ(got.row_strategy.size(), rows) << where;
+          ASSERT_EQ(got.col_strategy.size(), cols) << where;
+          for (std::size_t i = 0; i < rows; ++i) {
+            EXPECT_EQ(got.row_strategy[i], want.row_strategy[i])
+                << where << ", row " << i;
+          }
+          for (std::size_t j = 0; j < cols; ++j) {
+            EXPECT_EQ(got.col_strategy[j], want.col_strategy[j])
+                << where << ", column " << j;
+          }
+          EXPECT_EQ(got.value, want.value) << where;
+          EXPECT_EQ(got.iterations, want.iterations) << where;
+          EXPECT_EQ(got_trace.stride, want_trace.stride) << where;
+          ASSERT_EQ(got_trace.samples.size(), want_trace.samples.size())
+              << where;
+          EXPECT_EQ(got_trace.samples.empty(), !traced) << where;
+          for (std::size_t k = 0; k < got_trace.samples.size(); ++k) {
+            EXPECT_EQ(got_trace.samples[k].iteration,
+                      want_trace.samples[k].iteration)
+                << where << ", sample " << k;
+            EXPECT_EQ(got_trace.samples[k].gap, want_trace.samples[k].gap)
+                << where << ", sample " << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(SolversTest, IterativeConfigValidation) {

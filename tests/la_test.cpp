@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "la/eigen.h"
 #include "la/matrix.h"
@@ -124,11 +125,15 @@ TEST(MatrixTest, MatvecAndTransposedMatvec) {
   const Matrix m = Matrix::from_rows({{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}});
   EXPECT_EQ(m.matvec({1.0, 1.0}), (Vector{3.0, 7.0, 11.0}));
   EXPECT_EQ(m.matvec_transposed({1.0, 1.0, 1.0}), (Vector{9.0, 12.0}));
+  // The in-place form would zero its input before reading it.
+  Vector both{1.0, 1.0, 1.0};
+  EXPECT_THROW(m.matvec_transposed(both, both), std::invalid_argument);
 }
 
 TEST(MatrixTest, FourRowKernelsMatchReferenceLoops) {
   // Both kernels process four rows per pass, yet every output element must
-  // be the naive loop's sum bit for bit. Entries of either sign span 1e-8
+  // be the naive loop's sum bit for bit, in matvec_transposed's
+  // allocating and in-place forms. Entries of either sign span 1e-8
   // to 1e8 in magnitude, so a reordered sum would round differently.
   util::Rng rng(57);
   const auto entry = [&rng] {
@@ -160,12 +165,23 @@ TEST(MatrixTest, FourRowKernelsMatchReferenceLoops) {
 
     const Vector got = m.matvec(x);
     const Vector got_transposed = m.matvec_transposed(y);
+    // The in-place form must resize and overwrite whatever it is handed.
+    Vector longer(cols + 3, std::nan(""));
+    Vector shorter(cols / 2, -1.0);
+    m.matvec_transposed(y, longer);
+    m.matvec_transposed(y, shorter);
+    ASSERT_EQ(longer.size(), cols);
+    ASSERT_EQ(shorter.size(), cols);
     for (std::size_t r = 0; r < rows; ++r) {
       EXPECT_EQ(got[r], want[r]) << rows << "x" << cols << " row " << r;
     }
     for (std::size_t c = 0; c < cols; ++c) {
       EXPECT_EQ(got_transposed[c], want_transposed[c])
           << rows << "x" << cols << " column " << c;
+      EXPECT_EQ(longer[c], want_transposed[c])
+          << rows << "x" << cols << " in place, column " << c;
+      EXPECT_EQ(shorter[c], want_transposed[c])
+          << rows << "x" << cols << " in place, column " << c;
     }
   };
   for (std::size_t rows = 1; rows <= 9; ++rows) {

@@ -4,6 +4,8 @@
 // contract -- multi-threaded sweeps and payoff grids must be bit-identical
 // to their serial counterparts.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <array>
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -674,6 +677,47 @@ TEST(DiskPayoffCacheTest, EnforceMaxBytesEvictsOldestShards) {
     runtime::DiskPayoffCache zero(dir, 1);
     EXPECT_EQ(zero.enforce_max_bytes(), 1u);
     EXPECT_TRUE(std::filesystem::exists(dir + "/notes.txt"));
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(DiskPayoffCacheTest, EnforceMaxBytesRemovesDeadWritersTempFiles) {
+  // A save killed between write and rename leaves
+  // payoff-<shard>.pgpc.tmp.<pid>. A capped pass removes it once its pid
+  // is gone (a reaped child's), even with nothing to evict, and keeps a
+  // live writer's (this process's) and one whose pid does not parse.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "pg_disk_cache_orphans")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    runtime::PayoffCache cache;
+    cache.store(1, 0.5);
+    runtime::DiskPayoffCache writer(dir);
+    ASSERT_EQ(writer.save(7, cache), 1u);
+
+    const pid_t child = ::fork();
+    ASSERT_GE(child, 0);
+    if (child == 0) ::_exit(0);
+    int status = 0;
+    ASSERT_EQ(::waitpid(child, &status, 0), child);
+
+    const std::string shard = writer.shard_path(7);
+    const std::string dead = shard + ".tmp." + std::to_string(child);
+    const std::string live = shard + ".tmp." + std::to_string(::getpid());
+    const std::string unparsable = shard + ".tmp.12x";
+    for (const std::string& path : {dead, live, unparsable}) {
+      std::ofstream(path) << "partial";
+    }
+
+    runtime::DiskPayoffCache capped(dir, 1 << 20);
+    EXPECT_EQ(capped.enforce_max_bytes(), 0u);
+    EXPECT_FALSE(std::filesystem::exists(dead));
+    EXPECT_TRUE(std::filesystem::exists(live));
+    EXPECT_TRUE(std::filesystem::exists(unparsable));
+    EXPECT_TRUE(std::filesystem::exists(shard));
+    runtime::PayoffCache loaded;
+    EXPECT_EQ(capped.load(7, loaded), 1u);
   }
   std::filesystem::remove_all(dir);
 }

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "runtime/executor.h"
 #include "scenario/cache_bundle.h"
 #include "scenario/cli.h"
@@ -31,6 +32,12 @@
 
 namespace pg::scenario {
 namespace {
+
+#ifdef PG_OBS_DISABLED
+constexpr bool kObs = false;
+#else
+constexpr bool kObs = true;
+#endif
 
 // ------------------------------------------------------------------ spec
 
@@ -770,6 +777,38 @@ TEST(EngineTest, PointParallelGridBitIdenticalAcrossThreadCounts) {
     spec.threads = threads;
     EXPECT_EQ(comparable_cells(run_scenario(spec)), serial)
         << threads << " threads";
+  }
+}
+
+TEST(EngineTest, SolverAblationGamesBitIdenticalAcrossThreadCounts) {
+  // The two games solve as two executor tasks, each filling its own
+  // table and telemetry slot: tables and telemetry rows must come out in
+  // the fixed order analytic, measured at any thread count. Each run
+  // solves each game with Algorithm 1, the LP, FP and Hedge, so it adds
+  // eight obs.stage.solve calls.
+  ScenarioSpec spec = ScenarioSpec::parse(
+      read_file(std::string(PG_GOLDEN_DIR) + "/solver_ablation.spec"));
+  spec.telemetry = true;
+  obs::Timer& solves = obs::timer("obs.stage.solve");
+  spec.threads = 1;
+  std::uint64_t before = solves.stats().count;
+  const ScenarioResult serial = run_scenario(spec);
+  if (kObs) EXPECT_EQ(solves.stats().count - before, 8u);
+  std::vector<std::string> names;
+  for (const ResultTable& table : serial.tables) names.push_back(table.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"analytic_curves",
+                                             "measured_curves", "telemetry"}));
+  const auto& telemetry = serial.tables.back().rows;
+  ASSERT_FALSE(telemetry.empty());
+  EXPECT_EQ(telemetry.front()[0].text(), "analytic_curves");
+  EXPECT_EQ(telemetry.back()[0].text(), "measured_curves");
+  const auto cells = comparable_cells(serial);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    spec.threads = threads;
+    before = solves.stats().count;
+    EXPECT_EQ(comparable_cells(run_scenario(spec)), cells)
+        << threads << " threads";
+    if (kObs) EXPECT_EQ(solves.stats().count - before, 8u);
   }
 }
 
