@@ -195,8 +195,7 @@ BENCHMARK(BM_Algorithm1)->Arg(2)->Arg(3)->Arg(5)
 
 void BM_ParallelForOverhead(benchmark::State& state) {
   // Dispatch cost of the runtime: 16k empty tasks, grain 64.
-  runtime::ThreadPoolExecutor exec(
-      static_cast<std::size_t>(state.range(0)));
+  runtime::Executor exec(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     std::atomic<std::size_t> sink{0};
     exec.parallel_for(0, 16384, 64,
@@ -212,8 +211,7 @@ void BM_DiscretizeGrid(benchmark::State& state) {
   // closed-form cells: measures the grid plumbing, not retraining).
   const core::PoisoningGame game(
       core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100);
-  runtime::ThreadPoolExecutor exec(
-      static_cast<std::size_t>(state.range(0)));
+  runtime::Executor exec(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(game.discretize(256, 256, &exec));
   }
@@ -248,8 +246,8 @@ void BM_EmpiricalPayoffGrid(benchmark::State& state) {
   const std::size_t grid = 12;
   const defense::Pipeline pipeline({ctx.config.svm});
   const runtime::RngStreamFactory streams(ctx.config.seed);
-  const auto exec = sim::make_executor(static_cast<std::size_t>(state.range(0)));
-  const runtime::PayoffEvaluator evaluator(*exec);  // uncached: measure compute
+  runtime::Executor exec(static_cast<std::size_t>(state.range(0)));
+  const runtime::PayoffEvaluator evaluator(exec);  // uncached: measure compute
 
   const auto cell = [&](std::size_t flat) {
     const std::size_t i = flat / grid;  // attacker placement index
@@ -285,7 +283,7 @@ void BM_EmpiricalPayoffGrid(benchmark::State& state) {
     state.counters["speedup_vs_serial"] =
         empirical_grid_serial_secs() / per_iter;
   }
-  state.counters["threads"] = static_cast<double>(exec->concurrency());
+  state.counters["threads"] = static_cast<double>(exec.concurrency());
   state.SetItemsProcessed(state.iterations() * grid * grid);
 }
 // Arg order matters: the 1-thread run records the serial baseline the

@@ -26,7 +26,7 @@
 // concurrent increments fold to the exact total after the join.
 //
 // Naming convention: dotted lowercase paths, `obs.<subsystem>.<what>`
-// (obs.pool.tasks_stolen, obs.cache.hits, obs.engine.point_wall).
+// (obs.pool.tasks_executed, obs.cache.hits, obs.engine.point_wall).
 // scenario/diff.cpp excludes `obs.*` metric keys from golden comparison
 // by that prefix, so instrumentation can never destabilize a baseline.
 #pragma once

@@ -1,11 +1,14 @@
 #include "robust/atomic_file.h"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <stdexcept>
 
 #include "robust/faultpoint.h"
@@ -22,11 +25,43 @@ namespace {
                            reason);
 }
 
+constexpr std::string_view kTempInfix = ".tmp.";
+
+/// Removes `path`'s temp files whose writers died before their rename.
+void remove_dead_writers_temps(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string name = target.filename().string();
+  std::error_code ec;
+  std::filesystem::directory_iterator it(
+      target.has_parent_path() ? target.parent_path() : ".", ec);
+  for (; !ec && it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    const std::string entry = it->path().filename().string();
+    if (dead_writer_target(entry) == name) {
+      std::error_code ignored;
+      std::filesystem::remove(it->path(), ignored);
+    }
+  }
+}
+
 }  // namespace
+
+std::string_view dead_writer_target(std::string_view name) {
+  const std::size_t at = name.rfind(kTempInfix);
+  if (at == std::string_view::npos || at == 0) return {};
+  const char* first = name.data() + at + kTempInfix.size();
+  const char* last = name.data() + name.size();
+  pid_t pid = 0;
+  const auto [end, ec] = std::from_chars(first, last, pid);
+  if (ec != std::errc() || end != last || pid <= 0) return {};
+  if (::kill(pid, 0) == 0 || errno != ESRCH) return {};
+  return name.substr(0, at);
+}
 
 void atomic_write_file(const std::string& path, std::string_view content,
                        std::string_view site, std::uint64_t arg) {
-  const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+  remove_dead_writers_temps(path);
+  const std::string tmp =
+      path + std::string(kTempInfix) + std::to_string(::getpid());
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) fail(-1, tmp, "cannot create");

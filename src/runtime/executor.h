@@ -9,78 +9,82 @@
 // on sixteen.
 //
 // parallel_for blocks until every index has run. If one or more loop
-// bodies throw, the first exception (in chunk submission order, best
-// effort) is rethrown on the calling thread after all chunks finish or
-// abandon; the executor remains usable afterwards.
+// bodies throw, the first exception (best effort) is rethrown on the
+// calling thread after all chunks finish or abandon; the executor
+// remains usable afterwards.
 //
-// NESTED SCHEDULING: every loop in the library is coarse (a grid point,
-// a retrain-priced payoff cell, a whole row of analytic cells, a
-// defense-ablation pipeline run), so parallel_for dispatches onto the
-// SAME work-stealing pool even when it is called from inside one of the
-// pool's own tasks: the chunks are depth-tagged one level below the
-// caller, the caller runs the first chunk itself and help-drains tasks
-// at least that deep while joining, so the join can neither deadlock
-// (its own chunks are always eligible to run on the joining thread) nor
-// be diverted into an unbounded outer-level task. Grid points under the
-// scenario engine and the payoff cells under each point share one pool
-// this way.
+// SCHEDULING: an Executor owns its worker threads and ONE queue of loop
+// chunks under one mutex. Every loop in the library is coarse (a grid
+// point, a retrain-priced payoff cell, a whole row of analytic cells, a
+// defense-ablation pipeline run), so parallel_for queues onto the SAME
+// executor even when called from inside one of its own chunks. The
+// caller runs chunk 0 itself and tags the rest one nesting level below
+// its own; while joining it only runs queued chunks at least that deep,
+// so the join can neither deadlock (its own chunks always qualify) nor
+// be diverted into an unbounded outer-level chunk. Workers and joiners
+// alike take the NEWEST eligible chunk: the work most recently forked,
+// usually the joiner's own loop's or one nested below it. Grid points
+// under the scenario engine and the payoff cells under each point share
+// one executor this way.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
 #include <functional>
-
-#include "runtime/thread_pool.h"
+#include <mutex>
+#include <optional>
+#include <thread>
+#include <vector>
 
 namespace pg::runtime {
 
 class Executor {
  public:
-  virtual ~Executor() = default;
+  /// 0 threads takes the hardware concurrency (at least 1). 1 starts no
+  /// thread: every loop runs inline on the calling thread, in order.
+  /// n > 1 starts n workers, and the thread issuing a loop joins in.
+  explicit Executor(std::size_t threads);
+  ~Executor();
 
-  /// Worker count available to parallel_for (1 for the serial executor).
-  [[nodiscard]] virtual std::size_t concurrency() const noexcept = 0;
+  Executor(const Executor&) = delete;
+  Executor& operator=(const Executor&) = delete;
+
+  /// Threads a loop can spread over: the worker count, 1 when inline.
+  [[nodiscard]] std::size_t concurrency() const noexcept { return width_; }
 
   /// Blocking loop: calls fn(i) exactly once for every i in [begin, end),
-  /// dispatching contiguous chunks of `grain` indices as tasks, also when
-  /// called from inside one of this executor's own tasks (see the file
-  /// comment). grain == 0 is treated as 1. Exceptions from fn propagate
-  /// to the caller.
-  virtual void parallel_for(std::size_t begin, std::size_t end,
-                            std::size_t grain,
-                            const std::function<void(std::size_t)>& fn) = 0;
-};
-
-/// Runs every index inline on the calling thread, in order.
-class SerialExecutor final : public Executor {
- public:
-  [[nodiscard]] std::size_t concurrency() const noexcept override { return 1; }
+  /// in contiguous chunks of `grain` indices (0 is treated as 1). A loop
+  /// with one chunk, or on an executor without workers, runs inline.
+  /// Exceptions from fn propagate to the caller.
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t)>& fn) override;
-};
-
-/// Dispatches chunks onto a fixed-size work-stealing ThreadPool owned by
-/// the executor. The calling thread participates: it runs the first chunk
-/// itself and helps drain queued chunks while waiting, so even a
-/// two-chunk loop overlaps. Reentrancy-safe: a parallel_for issued from
-/// inside one of this executor's own loop bodies dispatches too, with a
-/// depth-tagged, help-first join that cannot deadlock on the saturated
-/// pool (see the file comment).
-class ThreadPoolExecutor final : public Executor {
- public:
-  /// 0 threads means default_thread_count().
-  explicit ThreadPoolExecutor(std::size_t threads = 0) : pool_(threads) {}
-
-  [[nodiscard]] std::size_t concurrency() const noexcept override {
-    return pool_.size();
-  }
-  void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
-                    const std::function<void(std::size_t)>& fn) override;
+                    const std::function<void(std::size_t)>& fn);
 
  private:
-  ThreadPool pool_;
+  struct Loop;
+  struct Chunk {
+    Loop* loop;
+    std::size_t lo;
+    std::size_t hi;
+    std::size_t depth;  // 1 for a loop issued outside any chunk
+  };
+
+  void worker_loop();
+  /// Removes and returns the newest queued chunk at least `min_depth`
+  /// deep. Caller holds mutex_.
+  std::optional<Chunk> pop(std::size_t min_depth);
+  /// Runs `chunk` with `lock` (on mutex_) released, then retires it.
+  void run(const Chunk& chunk, std::unique_lock<std::mutex>& lock);
+  void stop_workers() noexcept;
+
+  std::size_t width_;
+  std::mutex mutex_;
+  std::condition_variable work_;  // a chunk was queued, or stop_ was set
+  std::vector<Chunk> queue_;      // guarded by mutex_; newest at the back
+  bool stop_ = false;             // guarded by mutex_
+  std::vector<std::thread> workers_;
 };
 
-/// Process-wide shared SerialExecutor (the null-executor fallback).
+/// Process-wide shared Executor(1) (the null-executor fallback).
 [[nodiscard]] Executor& serial_executor() noexcept;
 
 /// Resolve the optional-executor convention used across sim/ and core/.

@@ -1,11 +1,6 @@
 #include "runtime/payoff_disk_cache.h"
 
-#include <signal.h>
-#include <sys/types.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <charconv>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -74,20 +69,13 @@ std::string hex16(std::uint64_t word) {
   return s;
 }
 
-/// The writer pid in a `payoff-*.pgpc.tmp.<pid>` name (the temp file
-/// robust::atomic_write_file renames into place), or 0 when `name` is
-/// not one or its pid does not parse.
-pid_t temp_writer_pid(const std::string& name) {
-  static constexpr std::string_view kTmp = ".pgpc.tmp.";
-  if (name.rfind("payoff-", 0) != 0) return 0;
-  const std::size_t at = name.find(kTmp);
-  if (at == std::string::npos) return 0;
-  const char* first = name.data() + at + kTmp.size();
-  const char* last = name.data() + name.size();
-  pid_t pid = 0;
-  const auto [end, ec] = std::from_chars(first, last, pid);
-  if (ec != std::errc() || end != last || pid <= 0) return 0;
-  return pid;
+/// Whether `name` is a file name the cache writes: `payoff-*.pgpc`.
+bool is_shard_name(std::string_view name) {
+  static constexpr std::string_view kPrefix = "payoff-";
+  static constexpr std::string_view kSuffix = ".pgpc";
+  return name.size() > kPrefix.size() + kSuffix.size() &&
+         name.substr(0, kPrefix.size()) == kPrefix &&
+         name.substr(name.size() - kSuffix.size()) == kSuffix;
 }
 
 }  // namespace
@@ -207,7 +195,7 @@ std::size_t DiskPayoffCache::save(std::uint64_t shard,
 }
 
 std::size_t DiskPayoffCache::enforce_max_bytes() const {
-  if (!enabled() || max_bytes_ == 0) return 0;
+  if (!enabled()) return 0;
   struct Shard {
     std::filesystem::file_time_type mtime;
     std::string name;  // same-mtime tiebreak, so eviction is deterministic
@@ -223,19 +211,14 @@ std::size_t DiskPayoffCache::enforce_max_bytes() const {
   for (const auto& entry : it) {
     const std::string name = entry.path().filename().string();
     // A writer killed between write and rename leaves its temp file
-    // behind for good. Only a temp file whose pid no longer exists is
-    // an orphan: a live writer is still about to rename its own.
-    const pid_t writer = temp_writer_pid(name);
-    if (writer != 0) {
-      if (::kill(writer, 0) != 0 && errno == ESRCH) {
-        orphans.push_back(entry.path());
-      }
+    // behind for good, and a later save only sweeps its own shard's.
+    if (is_shard_name(robust::dead_writer_target(name))) {
+      orphans.push_back(entry.path());
       continue;
     }
-    if (name.rfind("payoff-", 0) != 0 ||
-        entry.path().extension() != ".pgpc") {
-      continue;  // never touch files the cache did not write
-    }
+    // Never touch files the cache did not write; size shards only when
+    // there is a cap to enforce.
+    if (max_bytes_ == 0 || !is_shard_name(name)) continue;
     const std::uintmax_t bytes = entry.file_size(ec);
     if (ec) continue;
     const auto mtime = entry.last_write_time(ec);
@@ -251,7 +234,7 @@ std::size_t DiskPayoffCache::enforce_max_bytes() const {
     util::log_warn() << "payoff disk cache: removed " << removed_orphans
                      << " temp file(s) of dead writers in " << dir_;
   }
-  if (total <= max_bytes_) return 0;
+  if (max_bytes_ == 0 || total <= max_bytes_) return 0;
   std::sort(shards.begin(), shards.end(), [](const Shard& a, const Shard& b) {
     return std::tie(a.mtime, a.name) < std::tie(b.mtime, b.name);
   });

@@ -70,16 +70,16 @@ class DiskPayoffCache {
 
   [[nodiscard]] std::uint64_t max_bytes() const noexcept { return max_bytes_; }
 
-  /// Evict oldest shards (by modification time, then filename for
-  /// same-stamp determinism) until the directory's total `payoff-*.pgpc`
-  /// size fits under max_bytes(). Returns the number of shard files
-  /// removed; 0 when disabled, uncapped, already within the cap, or the
-  /// filesystem refuses (logged, not thrown). The engine runs this once
-  /// after spilling, so a freshly-written shard is the newest and only
-  /// falls to the cap when it alone exceeds it. A capped pass first
-  /// removes each `payoff-*.pgpc.tmp.<pid>` whose writer pid no longer
-  /// exists (a save killed before its rename) and logs one warning;
-  /// temp files of live writers, or with no parsable pid, stay.
+  /// Remove each `payoff-*.pgpc.tmp.<pid>` whose writer pid no longer
+  /// exists (a save killed before its rename), logging one warning;
+  /// temp files of live writers, or with no parsable pid, stay. Then,
+  /// when capped, evict oldest shards (by modification time, then
+  /// filename for same-stamp determinism) until the directory's total
+  /// `payoff-*.pgpc` size fits under max_bytes(). Returns the number of
+  /// shard files evicted; 0 when disabled, uncapped, already within the
+  /// cap, or the filesystem refuses (logged, not thrown). The engine
+  /// runs this once after spilling, so a freshly-written shard is the
+  /// newest and only falls to the cap when it alone exceeds it.
   std::size_t enforce_max_bytes() const;
 
   /// Serialize/deserialize the v1 format (exposed for tests).

@@ -230,7 +230,7 @@ bool telemetry_table_name(const std::string& name) {
   return name.rfind("telemetry", 0) == 0;
 }
 
-/// Registry metric keys are namespaced `obs.`; their values (steal
+/// Registry metric keys are namespaced `obs.`; their values (chunk
 /// counts, cache traffic, span timings) vary run to run by design.
 bool telemetry_metric_name(const std::string& name) {
   return name.rfind("obs.", 0) == 0;

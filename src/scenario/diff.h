@@ -64,7 +64,7 @@ struct DiffOptions {
   /// (the metrics-registry dumps and solver convergence samples), metric
   /// keys starting with "obs.", and merged sweep_metrics rows naming
   /// such a metric. Telemetry values are scheduling-dependent (cache
-  /// hits, steal counts, span timings), so they are excluded from
+  /// hits, chunk counts, span timings), so they are excluded from
   /// regression gating by default; `--with-telemetry` compares them too.
   bool ignore_telemetry = true;
 };

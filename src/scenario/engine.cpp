@@ -934,14 +934,14 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   if (spec.metrics) obs::reset_metrics();
   if (!spec.trace.empty()) obs::Tracer::instance().start();
 
-  const auto exec = sim::make_executor(spec.threads);
+  runtime::Executor exec(spec.threads);
   const std::string cache_dir = !spec.cache_dir.empty()
                                     ? spec.cache_dir
                                     : runtime::DiskPayoffCache::env_dir();
   ShardStore store(spec.use_cache, cache_dir, spec.cache_max_bytes);
 
   ScenarioResult result =
-      run_scenario_impl(spec, exec.get(), store, /*spill=*/true);
+      run_scenario_impl(spec, &exec, store, /*spill=*/true);
 
   // Flush the trace AFTER the run so the file includes every span. A
   // failing trace write throws past the result -- the CLI pre-checks

@@ -24,7 +24,6 @@
 #include "scenario/result.h"
 #include "scenario/spec.h"
 #include "serve/protocol.h"
-#include "sim/experiment.h"
 #include "util/error.h"
 #include "util/logging.h"
 
@@ -123,7 +122,7 @@ void ScenarioServer::start() {
   obs::reset_metrics();
   if (!options_.trace.empty()) obs::Tracer::instance().start();
 
-  executor_ = sim::make_executor(options_.threads);
+  executor_ = std::make_unique<runtime::Executor>(options_.threads);
   const std::string cache_dir = !options_.cache_dir.empty()
                                     ? options_.cache_dir
                                     : runtime::DiskPayoffCache::env_dir();

@@ -250,9 +250,4 @@ std::uint64_t context_fingerprint(const ExperimentContext& ctx) {
   return key.digest();
 }
 
-std::unique_ptr<runtime::Executor> make_executor(std::size_t threads) {
-  if (threads == 1) return std::make_unique<runtime::SerialExecutor>();
-  return std::make_unique<runtime::ThreadPoolExecutor>(threads);
-}
-
 }  // namespace pg::sim

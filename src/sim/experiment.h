@@ -127,11 +127,4 @@ class ExperimentContext {
 /// replication) it forms the runtime::PayoffCache key of a pipeline cell.
 [[nodiscard]] std::uint64_t context_fingerprint(const ExperimentContext& ctx);
 
-/// Executor factory for harnesses (benches, examples) driven by a thread
-/// count: 1 -> nullptr semantics are inconvenient, so this returns a real
-/// SerialExecutor for 1, a hardware-sized pool for 0, and an n-thread pool
-/// otherwise. Sweep entry points accept the raw pointer via .get().
-[[nodiscard]] std::unique_ptr<runtime::Executor> make_executor(
-    std::size_t threads);
-
 }  // namespace pg::sim

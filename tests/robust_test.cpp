@@ -208,6 +208,34 @@ TEST(AtomicFileTest, CrashLeavesTheFinalPathAbsentNeverTorn) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(AtomicFileTest, WriteRemovesItsDeadWritersTempFiles) {
+  // A writer killed between write and rename leaves <path>.tmp.<pid>.
+  // The next write of <path> removes it once that pid is gone (a reaped
+  // child's). A live writer's temp for <path> stays: this process's own
+  // would be the write's own temp, so the live writer is our parent. A
+  // dead writer's temp for another path stays too.
+  const std::string dir = fresh_dir("pg_robust_orphans");
+  const std::string path = dir + "/artifact.json";
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) std::_Exit(0);
+  int status = 0;
+  ASSERT_EQ(::waitpid(child, &status, 0), child);
+
+  const std::string dead = path + ".tmp." + std::to_string(child);
+  const std::string live = path + ".tmp." + std::to_string(::getppid());
+  const std::string other = dir + "/other.json.tmp." + std::to_string(child);
+  for (const std::string& temp : {dead, live, other}) {
+    write_file(temp, "partial");
+  }
+  robust::atomic_write_file(path, "fresh");
+  EXPECT_EQ(read_file(path), "fresh");
+  EXPECT_FALSE(std::filesystem::exists(dead));
+  EXPECT_TRUE(std::filesystem::exists(live));
+  EXPECT_TRUE(std::filesystem::exists(other));
+  std::filesystem::remove_all(dir);
+}
+
 // ---------------------------------------------------- cache quarantine
 
 TEST(DiskCacheQuarantineTest, CorruptShardIsQuarantinedOnLoad) {

@@ -1,4 +1,4 @@
-// Tests for the parallel execution runtime: thread pool and parallel_for
+// Tests for the parallel execution runtime: executor and parallel_for
 // semantics (coverage, exception propagation, reusability), RNG stream
 // decorrelation, payoff-evaluator memoization, and the determinism
 // contract -- multi-threaded sweeps and payoff grids must be bit-identical
@@ -7,6 +7,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
@@ -27,7 +28,6 @@
 #include "runtime/payoff_disk_cache.h"
 #include "runtime/payoff_evaluator.h"
 #include "runtime/rng_stream.h"
-#include "runtime/thread_pool.h"
 #include "sim/experiment.h"
 #include "sim/mixed_eval.h"
 #include "sim/pure_sweep.h"
@@ -35,97 +35,39 @@
 namespace pg {
 namespace {
 
-// ---------------------------------------------------------- thread_pool.h
-
-TEST(ThreadPoolTest, RunsEverySubmittedTask) {
-  std::atomic<int> count{0};
-  {
-    runtime::ThreadPool pool(4);
-    EXPECT_EQ(pool.size(), 4u);
-    for (int i = 0; i < 100; ++i) {
-      pool.submit([&count] { count.fetch_add(1); });
-    }
-    // Destructor blocks until started tasks finish; busy-wait for the
-    // queue to drain so none are discarded at shutdown.
-    while (count.load() < 100) std::this_thread::yield();
-  }
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroMeansHardwareConcurrency) {
-  runtime::ThreadPool pool(0);
-  EXPECT_EQ(pool.size(), runtime::default_thread_count());
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPoolTest, WorkStealingDrainsHeterogeneousTasks) {
-  // Round-robin submission lands cheap and expensive tasks on every
-  // deque; stealing must drain all of them even though one worker's own
-  // queue holds most of the slow ones.
-  std::atomic<int> count{0};
-  {
-    runtime::ThreadPool pool(4);
-    for (int i = 0; i < 64; ++i) {
-      pool.submit([&count, i] {
-        if (i % 8 == 0) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        }
-        count.fetch_add(1);
-      });
-    }
-    while (count.load() < 64) std::this_thread::yield();
-  }
-  EXPECT_EQ(count.load(), 64);
-}
-
-TEST(ThreadPoolTest, TasksMaySubmitMoreTasks) {
-  // A running task enqueueing follow-up work must not deadlock or lose
-  // tasks (solver call sites do this through nested evaluator calls).
-  std::atomic<int> count{0};
-  {
-    runtime::ThreadPool pool(2);
-    for (int i = 0; i < 8; ++i) {
-      pool.submit([&pool, &count] {
-        pool.submit([&count] { count.fetch_add(1); });
-        count.fetch_add(1);
-      });
-    }
-    while (count.load() < 16) std::this_thread::yield();
-  }
-  EXPECT_EQ(count.load(), 16);
-}
-
-TEST(ThreadPoolTest, TryRunOneHelpsWhileWorkerIsBusy) {
-  runtime::ThreadPool pool(1);
-  std::atomic<bool> first_started{false};
-  std::atomic<bool> release_first{false};
-  pool.submit([&] {
-    first_started.store(true);
-    while (!release_first.load()) std::this_thread::yield();
-  });
-  while (!first_started.load()) std::this_thread::yield();
-
-  // The only worker is pinned inside the first task, so the second task
-  // can only run if the calling thread steals it.
-  std::atomic<bool> second_ran{false};
-  pool.submit([&] { second_ran.store(true); });
-  EXPECT_TRUE(pool.try_run_one());
-  EXPECT_TRUE(second_ran.load());
-  EXPECT_FALSE(pool.try_run_one()) << "no queued tasks should remain";
-  release_first.store(true);
-}
-
 // ------------------------------------------------------------- executor.h
 
-TEST(ExecutorTest, SerialCoversEveryIndexInOrder) {
-  runtime::SerialExecutor exec;
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ExecutorTest, OneThreadStartsNoWorker) {
+  const std::size_t before = live_threads();
+  runtime::Executor exec(1);
+  EXPECT_EQ(live_threads(), before);
+  EXPECT_EQ(exec.concurrency(), 1u);
+  const std::thread::id caller = std::this_thread::get_id();
   std::vector<std::size_t> seen;
-  exec.parallel_for(3, 10, 2, [&](std::size_t i) { seen.push_back(i); });
+  exec.parallel_for(3, 10, 2, [&](std::size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    seen.push_back(i);
+  });
   EXPECT_EQ(seen, (std::vector<std::size_t>{3, 4, 5, 6, 7, 8, 9}));
 }
 
+TEST(ExecutorTest, ZeroMeansHardwareConcurrency) {
+  const runtime::Executor exec(0);
+  EXPECT_EQ(exec.concurrency(),
+            std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+}
+
 TEST(ExecutorTest, PoolCoversEveryIndexExactlyOnce) {
-  runtime::ThreadPoolExecutor exec(4);
+  runtime::Executor exec(4);
   for (std::size_t grain : {std::size_t{1}, std::size_t{3}, std::size_t{64}}) {
     std::vector<std::atomic<int>> hits(37);
     exec.parallel_for(0, 37, grain,
@@ -136,8 +78,55 @@ TEST(ExecutorTest, PoolCoversEveryIndexExactlyOnce) {
   }
 }
 
+TEST(ExecutorTest, DrainsHeterogeneousChunks) {
+  // Slow chunks (every 8th index) next to instant ones: every index must
+  // still run exactly once, whichever thread picks each chunk up.
+  runtime::Executor exec(4);
+  std::vector<std::atomic<int>> hits(64);
+  exec.parallel_for(0, 64, 1, [&](std::size_t i) {
+    if (i % 8 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    hits[i].fetch_add(1);
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ExecutorTest, JoinRunsItsOwnChunksWhileEveryWorkerIsPinned) {
+  // A second thread's 3-chunk loop holds both workers, and its own chunk
+  // 0, until `release`. The main thread's loop must still complete, on
+  // the main thread alone. The deadline only turns a hang into a failure.
+  runtime::Executor exec(2);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
+  std::thread pinning([&] {
+    exec.parallel_for(0, 3, 1, [&](std::size_t) {
+      started.fetch_add(1);
+      while (!release.load() && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+    });
+  });
+  while (started.load() < 3) std::this_thread::yield();
+
+  std::vector<std::thread::id> ran_on(4);
+  exec.parallel_for(0, 4, 1, [&](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
+  });
+  const bool done_while_pinned =
+      !release.load() && std::chrono::steady_clock::now() < deadline;
+  release.store(true);
+  pinning.join();
+  EXPECT_TRUE(done_while_pinned);
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
 TEST(ExecutorTest, EmptyRangeIsANoop) {
-  runtime::ThreadPoolExecutor exec(2);
+  runtime::Executor exec(2);
   bool ran = false;
   exec.parallel_for(5, 5, 1, [&](std::size_t) { ran = true; });
   exec.parallel_for(7, 3, 1, [&](std::size_t) { ran = true; });
@@ -145,7 +134,7 @@ TEST(ExecutorTest, EmptyRangeIsANoop) {
 }
 
 TEST(ExecutorTest, ExceptionPropagatesToCaller) {
-  runtime::ThreadPoolExecutor exec(4);
+  runtime::Executor exec(4);
   EXPECT_THROW(
       exec.parallel_for(0, 64, 1,
                         [](std::size_t i) {
@@ -160,7 +149,7 @@ TEST(ExecutorTest, ExceptionPropagatesToCaller) {
 }
 
 TEST(ExecutorTest, SerialExceptionPropagatesToo) {
-  runtime::SerialExecutor exec;
+  runtime::Executor exec(1);
   EXPECT_THROW(exec.parallel_for(0, 4, 1,
                                  [](std::size_t i) {
                                    if (i == 2) throw std::invalid_argument("x");
@@ -172,7 +161,7 @@ TEST(ExecutorTest, CallerChunkExceptionPropagates) {
   // The calling thread runs chunk 0 itself (caller participation); a
   // throw there must propagate exactly like a worker-chunk throw, after
   // the remaining chunks finish.
-  runtime::ThreadPoolExecutor exec(4);
+  runtime::Executor exec(4);
   std::atomic<int> ran{0};
   EXPECT_THROW(
       exec.parallel_for(0, 64, 16,
@@ -191,7 +180,7 @@ TEST(ExecutorTest, CallerChunkExceptionPropagates) {
 TEST(ExecutorTest, NullExecutorResolvesToSerial) {
   EXPECT_EQ(&runtime::executor_or_serial(nullptr),
             &runtime::serial_executor());
-  runtime::SerialExecutor mine;
+  runtime::Executor mine(1);
   EXPECT_EQ(&runtime::executor_or_serial(&mine), &mine);
 }
 
@@ -269,7 +258,7 @@ TEST(ContentKeyTest, OrderAndValueSensitive) {
 }
 
 TEST(PayoffEvaluatorTest, MatrixMatchesCellFunction) {
-  runtime::ThreadPoolExecutor exec(4);
+  runtime::Executor exec(4);
   const runtime::PayoffEvaluator evaluator(exec);
   const la::Matrix m = evaluator.evaluate_matrix(
       7, 5, [](std::size_t flat) { return static_cast<double>(flat) * 1.5; });
@@ -283,7 +272,7 @@ TEST(PayoffEvaluatorTest, MatrixMatchesCellFunction) {
 }
 
 TEST(PayoffEvaluatorTest, CacheSkipsRecomputation) {
-  runtime::SerialExecutor exec;
+  runtime::Executor exec(1);
   runtime::PayoffCache cache;
   const runtime::PayoffEvaluator evaluator(exec, &cache);
 
@@ -308,7 +297,7 @@ TEST(PayoffEvaluatorTest, CacheSkipsRecomputation) {
 }
 
 TEST(PayoffEvaluatorTest, AbandonOnThrowLeavesCacheReusable) {
-  runtime::SerialExecutor exec;
+  runtime::Executor exec(1);
   runtime::PayoffCache cache;
   const runtime::PayoffEvaluator evaluator(exec, &cache);
   const auto key = [](std::size_t i) { return 0xA000 + i; };
@@ -333,7 +322,7 @@ TEST(PayoffEvaluatorTest, DiscretizeMatchesSerialReference) {
       core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100);
   const game::MatrixGame serial = game.discretize(33, 17);
 
-  runtime::ThreadPoolExecutor exec(8);
+  runtime::Executor exec(8);
   const game::MatrixGame parallel = game.discretize(33, 17, &exec);
 
   ASSERT_EQ(parallel.num_rows(), serial.num_rows());
@@ -457,9 +446,9 @@ TEST(RuntimeDeterminismTest, PureSweepBitIdenticalAcrossThreadCounts) {
   const std::vector<double> grid = {0.0, 0.1, 0.25, 0.4};
 
   const auto serial = sim::run_pure_sweep(ctx, grid, 2, nullptr);
-  runtime::ThreadPoolExecutor one(1);
+  runtime::Executor one(1);
   const auto threaded1 = sim::run_pure_sweep(ctx, grid, 2, &one);
-  runtime::ThreadPoolExecutor eight(8);
+  runtime::Executor eight(8);
   const auto threaded8 = sim::run_pure_sweep(ctx, grid, 2, &eight);
 
   ASSERT_EQ(serial.points.size(), grid.size());
@@ -486,7 +475,7 @@ TEST(RuntimeDeterminismTest, MixedEvalBitIdenticalAcrossThreadCountsAndCache) {
 
   const auto serial = sim::evaluate_mixed_defense(ctx, strategy, ecfg);
 
-  runtime::ThreadPoolExecutor eight(8);
+  runtime::Executor eight(8);
   const auto threaded =
       sim::evaluate_mixed_defense(ctx, strategy, ecfg, &eight);
 
@@ -683,9 +672,10 @@ TEST(DiskPayoffCacheTest, EnforceMaxBytesEvictsOldestShards) {
 
 TEST(DiskPayoffCacheTest, EnforceMaxBytesRemovesDeadWritersTempFiles) {
   // A save killed between write and rename leaves
-  // payoff-<shard>.pgpc.tmp.<pid>. A capped pass removes it once its pid
-  // is gone (a reaped child's), even with nothing to evict, and keeps a
-  // live writer's (this process's) and one whose pid does not parse.
+  // payoff-<shard>.pgpc.tmp.<pid>. Every pass, capped or not, removes it
+  // once its pid is gone (a reaped child's), even with nothing to evict,
+  // and keeps a live writer's (this process's) and one whose pid does
+  // not parse.
   const std::string dir =
       (std::filesystem::temp_directory_path() / "pg_disk_cache_orphans")
           .string();
@@ -706,18 +696,19 @@ TEST(DiskPayoffCacheTest, EnforceMaxBytesRemovesDeadWritersTempFiles) {
     const std::string dead = shard + ".tmp." + std::to_string(child);
     const std::string live = shard + ".tmp." + std::to_string(::getpid());
     const std::string unparsable = shard + ".tmp.12x";
-    for (const std::string& path : {dead, live, unparsable}) {
-      std::ofstream(path) << "partial";
+    for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{1} << 20}) {
+      for (const std::string& path : {dead, live, unparsable}) {
+        std::ofstream(path) << "partial";
+      }
+      runtime::DiskPayoffCache disk(dir, cap);
+      EXPECT_EQ(disk.enforce_max_bytes(), 0u);
+      EXPECT_FALSE(std::filesystem::exists(dead)) << "cap " << cap;
+      EXPECT_TRUE(std::filesystem::exists(live));
+      EXPECT_TRUE(std::filesystem::exists(unparsable));
+      EXPECT_TRUE(std::filesystem::exists(shard));
+      runtime::PayoffCache loaded;
+      EXPECT_EQ(disk.load(7, loaded), 1u);
     }
-
-    runtime::DiskPayoffCache capped(dir, 1 << 20);
-    EXPECT_EQ(capped.enforce_max_bytes(), 0u);
-    EXPECT_FALSE(std::filesystem::exists(dead));
-    EXPECT_TRUE(std::filesystem::exists(live));
-    EXPECT_TRUE(std::filesystem::exists(unparsable));
-    EXPECT_TRUE(std::filesystem::exists(shard));
-    runtime::PayoffCache loaded;
-    EXPECT_EQ(capped.load(7, loaded), 1u);
   }
   std::filesystem::remove_all(dir);
 }
@@ -776,16 +767,16 @@ TEST(DiskPayoffCacheTest, ConcurrentEvictionCountsOnlyOwnRemovals) {
 }
 
 // -------------------------------------------------- nested parallel_for
-// The depth-tagged nested scheduler: outer tasks submit inner chunks to
-// the SAME pool; joins help-drain instead of sleeping, so saturation can
-// slow things down but never deadlock, and determinism survives any
-// interleaving.
+// The depth-tagged nested scheduler: outer chunks queue inner chunks on
+// the SAME executor; joins run queued chunks instead of sleeping, so
+// saturation can slow things down but never deadlock, and determinism
+// survives any interleaving.
 
 TEST(NestedParallelTest, NestedLoopsCoverEveryIndexUnderExhaustion) {
   // 2 workers, 8 outer tasks each fanning out 8 inner chunks: far more
   // live fork-joins than threads. Every (outer, inner) pair must run
   // exactly once.
-  runtime::ThreadPoolExecutor exec(2);
+  runtime::Executor exec(2);
   constexpr std::size_t kOuter = 8;
   constexpr std::size_t kInner = 8;
   std::vector<std::atomic<int>> hits(kOuter * kInner);
@@ -800,7 +791,7 @@ TEST(NestedParallelTest, NestedLoopsCoverEveryIndexUnderExhaustion) {
 }
 
 TEST(NestedParallelTest, ThreeLevelNestingTerminates) {
-  runtime::ThreadPoolExecutor exec(4);
+  runtime::Executor exec(4);
   std::atomic<int> leaves{0};
   exec.parallel_for(0, 4, 1, [&](std::size_t) {
     exec.parallel_for(0, 4, 1, [&](std::size_t) {
@@ -811,7 +802,7 @@ TEST(NestedParallelTest, ThreeLevelNestingTerminates) {
 }
 
 TEST(NestedParallelTest, InnerExceptionPropagatesThroughOuterJoin) {
-  runtime::ThreadPoolExecutor exec(4);
+  runtime::Executor exec(4);
   const auto outer = [&](std::size_t o) {
     exec.parallel_for(0, 4, 1, [&](std::size_t i) {
       if (o == 2 && i == 3) throw std::runtime_error("inner");
@@ -843,12 +834,11 @@ TEST(NestedParallelTest, NestedGridBitIdenticalAcrossThreadCounts) {
     });
     return cells;
   };
-  runtime::SerialExecutor serial;
+  runtime::Executor serial(1);
   const auto expected = compute(serial);
   for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4},
-        runtime::default_thread_count()}) {
-    runtime::ThreadPoolExecutor exec(threads);
+       {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    runtime::Executor exec(threads);
     EXPECT_EQ(compute(exec), expected) << threads << " threads";
   }
 }

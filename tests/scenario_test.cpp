@@ -370,7 +370,7 @@ TEST(EngineTest, CachingDoesNotChangeResults) {
 
 TEST(EngineTest, SecondRunOnOneShardStoreServesTheBaseline) {
   const ScenarioSpec spec = tiny_spec("mixed_table");
-  runtime::SerialExecutor exec;
+  runtime::Executor exec(1);
   ShardStore store(/*memo=*/true, /*dir=*/"", /*max_bytes=*/0);
   EngineContext context{&exec, &store};
 
