@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <span>
 
 #include "attack/boundary_attack.h"
 #include "core/equilibrium.h"
@@ -207,7 +208,7 @@ void BM_ParallelForOverhead(benchmark::State& state) {
 BENCHMARK(BM_ParallelForOverhead)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_DiscretizeGrid(benchmark::State& state) {
-  // Analytic 256x256 payoff grid through the PayoffEvaluator (cheap
+  // Analytic 256x256 payoff grid, one row per executor chunk (cheap
   // closed-form cells: measures the grid plumbing, not retraining).
   const core::PoisoningGame game(
       core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), 100);
@@ -249,7 +250,10 @@ void BM_EmpiricalPayoffGrid(benchmark::State& state) {
   runtime::Executor exec(static_cast<std::size_t>(state.range(0)));
   const runtime::PayoffEvaluator evaluator(exec);  // uncached: measure compute
 
-  const auto cell = [&](std::size_t flat) {
+  const auto key = [](std::size_t flat, std::span<std::uint64_t> keys) {
+    keys[0] = flat;
+  };
+  const auto cell = [&](std::size_t flat, std::span<double> value) {
     const std::size_t i = flat / grid;  // attacker placement index
     const std::size_t j = flat % grid;  // defender filter index
     const double placement = 0.40 * static_cast<double>(i) / (grid - 1);
@@ -263,17 +267,18 @@ void BM_EmpiricalPayoffGrid(benchmark::State& state) {
     acfg.depth_offsets.clear();
     const attack::BoundaryAttack attack(acfg);
     util::Rng rng = streams.stream(flat);
-    return pipeline
-        .run(ctx.train(), ctx.test(), &attack, ctx.poison_budget,
-             fraction > 0.0 ? &filter : nullptr, rng)
-        .test_accuracy;
+    value[0] = pipeline
+                   .run(ctx.train(), ctx.test(), &attack, ctx.poison_budget,
+                        fraction > 0.0 ? &filter : nullptr, rng)
+                   .test_accuracy;
   };
 
   double total_secs = 0.0;
   std::size_t iters = 0;
   for (auto _ : state) {
     util::Stopwatch watch;
-    benchmark::DoNotOptimize(evaluator.evaluate_matrix(grid, grid, cell));
+    benchmark::DoNotOptimize(
+        evaluator.evaluate_cells(grid * grid, 1, key, cell));
     total_secs += watch.elapsed_seconds();
     ++iters;
   }

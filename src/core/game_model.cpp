@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
-#include "runtime/payoff_evaluator.h"
+#include "la/matrix.h"
+#include "runtime/executor.h"
 #include "util/error.h"
 
 namespace pg::core {
@@ -82,16 +83,15 @@ game::MatrixGame PoisoningGame::discretize(std::size_t attacker_grid,
                                            runtime::Executor* executor) const {
   const auto psis = placement_grid(attacker_grid);
   const auto thetas = placement_grid(defender_grid);
-  // Single construction path for payoff matrices: the runtime evaluator.
-  // Closed-form cells, so no cache (a lookup costs as much as the cell)
-  // and whole-row grain so chunk dispatch amortizes.
-  const runtime::PayoffEvaluator evaluator(
-      runtime::executor_or_serial(executor), nullptr, defender_grid);
-  la::Matrix payoff = evaluator.evaluate_matrix(
-      attacker_grid, defender_grid, [&](std::size_t flat) {
-        const Allocation sa{{psis[flat / defender_grid], n_}};
-        return attacker_payoff(sa, thetas[flat % defender_grid]);
-      });
+  // Closed-form cells: no cache (a lookup costs as much as the cell), and
+  // one row per chunk so dispatch amortizes.
+  la::Matrix payoff(attacker_grid, defender_grid);
+  runtime::parallel_for(executor, 0, attacker_grid, 1, [&](std::size_t r) {
+    const Allocation sa{{psis[r], n_}};
+    for (std::size_t c = 0; c < defender_grid; ++c) {
+      payoff(r, c) = attacker_payoff(sa, thetas[c]);
+    }
+  });
   return game::MatrixGame(std::move(payoff));
 }
 

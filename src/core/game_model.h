@@ -71,8 +71,8 @@ class PoisoningGame {
 
   /// Discretize onto uniform grids: rows = attacker all-in placements,
   /// cols = defender filter strengths. Row payoff = attacker payoff.
-  /// The grid is filled through runtime::PayoffEvaluator; `executor`
-  /// (null -> serial) parallelizes the fill with bit-identical results.
+  /// `executor` (null -> serial) fills the rows in parallel, one row per
+  /// chunk, with bit-identical results.
   [[nodiscard]] game::MatrixGame discretize(
       std::size_t attacker_grid, std::size_t defender_grid,
       runtime::Executor* executor = nullptr) const;

@@ -29,8 +29,8 @@ struct PureNeReport {
   std::size_t saddle_points = 0;
 };
 
-/// Discretize (through runtime::PayoffEvaluator; `executor` null -> serial)
-/// and scan for saddle points.
+/// Discretize (PoisoningGame::discretize; `executor` null -> serial) and
+/// scan for saddle points.
 [[nodiscard]] PureNeReport analyze_pure_equilibria(
     const PoisoningGame& game, std::size_t grid = 64,
     runtime::Executor* executor = nullptr);

@@ -1,8 +1,10 @@
 // Execution strategy for data-parallel loops.
 //
-// Every grid/sweep entry point in the library takes an optional
-// runtime::Executor*; null means "run serially, inline". The contract that
-// makes the swap safe is DETERMINISM BY CONSTRUCTION: a loop body handed
+// The sim/ entry points reach an Executor through their
+// runtime::PayoffEvaluator; the core/ grid entry points (discretize,
+// analyze_pure_equilibria) take an optional runtime::Executor*, null
+// meaning "run serially, inline". The contract that makes the swap safe
+// is DETERMINISM BY CONSTRUCTION: a loop body handed
 // to parallel_for must depend only on its index (deriving any randomness
 // from an RngStreamFactory, never from shared mutable state), so the
 // result is bit-identical whether the loop runs inline, on one worker, or
@@ -15,8 +17,8 @@
 //
 // SCHEDULING: an Executor owns its worker threads and ONE queue of loop
 // chunks under one mutex. Every loop in the library is coarse (a grid
-// point, a retrain-priced payoff cell, a whole row of analytic cells, a
-// defense-ablation pipeline run), so parallel_for queues onto the SAME
+// point, a retrain-priced payoff cell, a whole row of analytic cells, one
+// of solver_ablation's two games), so parallel_for queues onto the SAME
 // executor even when called from inside one of its own chunks. The
 // caller runs chunk 0 itself and tags the rest one nesting level below
 // its own; while joining it only runs queued chunks at least that deep,

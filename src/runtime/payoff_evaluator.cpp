@@ -162,40 +162,27 @@ bool memoize(PayoffCache* cache, std::span<const std::uint64_t> keys,
 }
 
 std::vector<double> PayoffEvaluator::evaluate_cells(std::size_t count,
-                                                    const CellFn& cell,
-                                                    const KeyFn& key) const {
-  PG_CHECK(cell != nullptr, "PayoffEvaluator: null cell function");
+                                                    std::size_t width,
+                                                    const KeyFn& key,
+                                                    const CellFn& cell) const {
+  PG_CHECK(width > 0 && key != nullptr && cell != nullptr,
+           "PayoffEvaluator: needs a cell width, a key and a cell function");
   obs::Span span("evaluate_cells", "payoff");
-  std::vector<double> values(count, 0.0);
+  std::vector<std::uint64_t> keys(count * width, 0);
+  std::vector<double> values(count * width, 0.0);
   // Nesting-aware dispatch: payoff cells are coarse (a retrain each), so
   // even when this evaluator runs inside an outer pool task -- a sweep
   // point under the scenario engine's point-parallel grid -- its cells
   // still fan out to idle workers instead of serializing on one.
-  executor_.parallel_for(0, count, grain_, [&](std::size_t i) {
-    if (!key) {
-      values[i] = cell(i);
-      computed_.fetch_add(1, std::memory_order_relaxed);
-      return;
-    }
-    const std::uint64_t k = key(i);
-    const bool computed = memoize(cache_, {&k, 1}, {&values[i], 1},
-                                  [&] { values[i] = cell(i); });
+  executor_.parallel_for(0, count, 1, [&](std::size_t i) {
+    const std::span<std::uint64_t> cell_keys(&keys[i * width], width);
+    const std::span<double> cell_values(&values[i * width], width);
+    key(i, cell_keys);
+    const bool computed = memoize(cache_, cell_keys, cell_values,
+                                  [&] { cell(i, cell_values); });
     (computed ? computed_ : hits_).fetch_add(1, std::memory_order_relaxed);
   });
   return values;
-}
-
-la::Matrix PayoffEvaluator::evaluate_matrix(std::size_t rows,
-                                            std::size_t cols,
-                                            const CellFn& cell,
-                                            const KeyFn& key) const {
-  PG_CHECK(rows > 0 && cols > 0, "PayoffEvaluator: empty matrix");
-  const std::vector<double> values = evaluate_cells(rows * cols, cell, key);
-  la::Matrix m(rows, cols);
-  for (std::size_t r = 0; r < rows; ++r) {
-    for (std::size_t c = 0; c < cols; ++c) m(r, c) = values[r * cols + c];
-  }
-  return m;
 }
 
 std::size_t PayoffEvaluator::cache_hits() const noexcept {
@@ -204,6 +191,11 @@ std::size_t PayoffEvaluator::cache_hits() const noexcept {
 
 std::size_t PayoffEvaluator::cells_computed() const noexcept {
   return computed_.load(std::memory_order_relaxed);
+}
+
+const PayoffEvaluator& serial_evaluator() noexcept {
+  static const PayoffEvaluator evaluator(serial_executor());
+  return evaluator;
 }
 
 }  // namespace pg::runtime

@@ -1,20 +1,20 @@
-// Cell-parallel payoff-grid evaluation with content-keyed memoization.
+// Cell-parallel, content-keyed memoization of retrain-priced payoff cells.
 //
-// The hottest object in the library is a payoff matrix whose cell (i, j)
-// costs either a closed-form curve lookup (the analytic PoisoningGame
-// discretization) or a full sanitize-and-retrain pipeline run (the
-// empirical Fig.-1 / Table-1 grids). Both are embarrassingly parallel --
-// every cell is a pure function of its configuration -- so the evaluator
-// fans cells out over an Executor and, when the caller supplies a content
-// key (a 64-bit hash of EVERYTHING the cell's value depends on: corpus
-// fingerprint, model config, placement, filter strength, replication
-// index, seed), memoizes trained-model payoffs in a PayoffCache so
-// repeated grids (support sweeps, transfer evaluation, solver ablations)
+// The costliest object in the library is a payoff cell: a full
+// sanitize-and-retrain pipeline run (the empirical Fig.-1 / Table-1
+// grids, the clean baseline, the defense ablation). Every cell is a pure
+// function of its configuration, so the evaluator fans cells out over an
+// Executor and memoizes their values in a PayoffCache under content keys
+// (64-bit hashes of EVERYTHING a value depends on: corpus fingerprint,
+// model config, placement, filter strength, replication index, seed), so
+// repeated grids (support sweeps, transfer evaluation, warm re-runs)
 // never retrain the same cell twice.
 //
-// Every memoized cell in the library -- sweep cells, clean baselines,
-// defense-ablation cells and the evaluator's keyed cells -- goes through
-// memoize() below, the only user of the cache's single-flight claims.
+// PayoffEvaluator::evaluate_cells is the one cell loop: the clean
+// baseline (2 values), pure-sweep cells (3), mixed-eval cells (1) and
+// defense-ablation cells (3) all run through it, and it is memoize()'s
+// only caller -- memoize() below is the only user of the cache's
+// single-flight claims.
 //
 // Memoization cannot change results, only skip work: a cached value is by
 // definition the value the cell function would deterministically
@@ -34,7 +34,6 @@
 #include <utility>
 #include <vector>
 
-#include "la/matrix.h"
 #include "runtime/executor.h"
 
 namespace pg::runtime {
@@ -62,10 +61,10 @@ struct PayoffCacheStats {
 
 /// Thread-safe key -> payoff store shared across evaluator calls. Callers
 /// that want memoization ACROSS entry points (e.g. a support sweep
-/// re-evaluating overlapping mixtures) create one cache and pass it to
-/// every evaluator they build. The scenario engine additionally spills a
-/// cache to disk between processes (runtime/payoff_disk_cache.h) through
-/// the snapshot/preload pair below.
+/// re-evaluating overlapping mixtures) create one cache and evaluate
+/// through one evaluator over it. The scenario engine keeps one per
+/// experiment context and spills it to disk between processes
+/// (runtime/payoff_disk_cache.h) through the snapshot/preload pair below.
 class PayoffCache {
  public:
   [[nodiscard]] bool lookup(std::uint64_t key, double& value) const;
@@ -103,7 +102,8 @@ class PayoffCache {
   mutable PayoffCacheStats stats_;
 };
 
-/// The one memoized-cell path. Fills `values` (one per key) from `cache`
+/// One memoized cell; PayoffEvaluator::evaluate_cells is its only caller
+/// outside the tests. Fills `values` (one per key) from `cache`
 /// or by running `compute`, which must fill all of them; returns whether
 /// it ran. keys[0] is claimed single-flight: one caller per cold cell
 /// computes and the rest wait for its value. The owner stores keys[1..]
@@ -118,44 +118,42 @@ bool memoize(PayoffCache* cache, std::span<const std::uint64_t> keys,
 
 class PayoffEvaluator {
  public:
-  /// fn(index) -> payoff for the flattened-cell overloads.
-  using CellFn = std::function<double(std::size_t)>;
-  /// key(index) -> content key; empty function disables memoization.
-  using KeyFn = std::function<std::uint64_t(std::size_t)>;
+  /// key(i, keys) fills cell i's `width` content keys.
+  using KeyFn = std::function<void(std::size_t, std::span<std::uint64_t>)>;
+  /// cell(i, values) fills cell i's `width` values.
+  using CellFn = std::function<void(std::size_t, std::span<double>)>;
 
   /// The evaluator borrows both the executor and the (optional) cache;
-  /// they must outlive it. `grain` is the parallel_for chunk size --
-  /// 1 for retrain-priced cells, larger for closed-form cells.
-  explicit PayoffEvaluator(Executor& executor, PayoffCache* cache = nullptr,
-                           std::size_t grain = 1)
-      : executor_(executor), cache_(cache), grain_(grain == 0 ? 1 : grain) {}
+  /// they must outlive it. A null cache computes every cell.
+  explicit PayoffEvaluator(Executor& executor, PayoffCache* cache = nullptr)
+      : executor_(executor), cache_(cache) {}
 
-  /// Evaluate `count` independent cells; returns values in index order.
-  /// Keyed cells go through memoize(); unkeyed cells (closed-form
-  /// curves) are computed directly and never counted as retrains.
+  /// Evaluate `count` cells of `width` values each: one memoize() call
+  /// per cell (keys[0] claimed single-flight, the rest its siblings), one
+  /// cell per executor chunk. Returns the values cell-major: cell i's at
+  /// [i * width, (i + 1) * width). Each cell counts once, as computed or
+  /// as a hit.
   [[nodiscard]] std::vector<double> evaluate_cells(std::size_t count,
-                                                   const CellFn& cell,
-                                                   const KeyFn& key = {}) const;
-
-  /// Row-major matrix of rows x cols cells (cell index = r * cols + c).
-  /// core::PoisoningGame::discretize is built on this, so every payoff
-  /// matrix in the library -- analytic or trained -- is filled here.
-  [[nodiscard]] la::Matrix evaluate_matrix(std::size_t rows, std::size_t cols,
-                                           const CellFn& cell,
-                                           const KeyFn& key = {}) const;
+                                                   std::size_t width,
+                                                   const KeyFn& key,
+                                                   const CellFn& cell) const;
 
   /// Cells served from the cache / computed, cumulative over this
   /// evaluator's lifetime (approximate under concurrency: relaxed
-  /// atomics, but totals are exact once evaluate_* has returned).
+  /// atomics, but totals are exact once evaluate_cells has returned).
   [[nodiscard]] std::size_t cache_hits() const noexcept;
   [[nodiscard]] std::size_t cells_computed() const noexcept;
 
  private:
   Executor& executor_;
   PayoffCache* cache_;
-  std::size_t grain_;
   mutable std::atomic<std::size_t> hits_{0};
   mutable std::atomic<std::size_t> computed_{0};
 };
+
+/// Process-wide uncached evaluator on serial_executor(): the default of
+/// the sim/ entry points. A caller that wants cells reused across calls
+/// passes an evaluator over its own PayoffCache instead.
+[[nodiscard]] const PayoffEvaluator& serial_evaluator() noexcept;
 
 }  // namespace pg::runtime

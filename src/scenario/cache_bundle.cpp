@@ -17,11 +17,6 @@ runtime::PayoffCache* ShardStore::shard(std::uint64_t context_key) {
   return &shards_.back().second;
 }
 
-std::size_t ShardStore::shard_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return shards_.size();
-}
-
 std::size_t ShardStore::entries_loaded() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return loaded_;
@@ -37,20 +32,34 @@ ShardStore::SpillStats ShardStore::spill() {
   return stats;
 }
 
-void CacheBundle::add_cells(std::size_t retrained, std::size_t hits) {
+const runtime::PayoffEvaluator& CacheBundle::evaluator(
+    std::uint64_t context_key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  retrained_ += retrained;
-  hits_ += hits;
+  auto it = evaluators_.find(context_key);
+  if (it == evaluators_.end()) {
+    it = evaluators_
+             .try_emplace(context_key, executor_, store_.shard(context_key))
+             .first;
+  }
+  return it->second;
 }
 
 void CacheBundle::finish(CacheReport& report, bool spill) {
   report.enabled = store_.memo();
   report.disk_enabled = store_.disk_enabled();
   report.disk_dir = store_.dir();
-  report.shards = store_.shard_count();
-  report.cells_total = retrained_ + hits_;
-  report.cells_retrained = retrained_;
-  report.cache_hits = hits_;
+  // The contexts this run touched, not every shard of a shared store; a
+  // context has no shard with memoization off.
+  report.shards = store_.memo() ? evaluators_.size() : 0;
+  std::size_t retrained = 0;
+  std::size_t hits = 0;
+  for (const auto& [key, evaluator] : evaluators_) {
+    retrained += evaluator.cells_computed();
+    hits += evaluator.cache_hits();
+  }
+  report.cells_total = retrained + hits;
+  report.cells_retrained = retrained;
+  report.cache_hits = hits;
   // Per-run delta: shards preloaded by EARLIER runs on the same store are
   // that run's traffic, not this one's.
   report.disk_entries_loaded = store_.entries_loaded() - loaded_at_start_;

@@ -8,29 +8,33 @@
 // same warm shards -- or for exactly one run under the standalone
 // engine, which is the pre-refactor behavior.
 //
-// CacheBundle is the PER-RUN view the runners are handed: it delegates
-// shard lookup to the store and keeps this run's traffic counters (every
-// runtime::memoize cell, retrained or served), so ScenarioResult::cache
-// reports what THIS request did even when the shards are shared -- a warm
-// second request for the same spec shows cells_retrained == 0.
+// CacheBundle is the PER-RUN view the runners are handed: one
+// runtime::PayoffEvaluator per experiment context, on the run's executor
+// and over that context's shard. Every memoized cell of the run goes
+// through one of them, so their counts are this run's traffic and
+// ScenarioResult::cache reports what THIS request did even when the
+// shards are shared -- a warm second request for the same spec shows
+// cells_retrained == 0.
 //
 // THREAD-SAFE: one store is shared by every point of a point-parallel
-// grid and by every concurrent server request; shard lookup serializes on
-// a mutex (the PayoffCache instances handed out are themselves
-// thread-safe, and deque growth never invalidates shard pointers). The
-// traffic COUNTERS may legitimately differ run-to-run under concurrency,
-// which is exactly why the cache block is excluded from
-// `pg_run --compare`; the cached VALUES cannot differ (each is a pure
-// function of its content key).
+// grid and by every concurrent server request; shard and evaluator
+// lookups serialize on mutexes (the PayoffCache and PayoffEvaluator
+// instances handed out are themselves thread-safe, and neither container
+// moves what it handed out when it grows). The traffic COUNTERS may
+// legitimately differ run-to-run under concurrency, which is exactly why
+// the cache block is excluded from `pg_run --compare`; the cached VALUES
+// cannot differ (each is a pure function of its content key).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <map>
 #include <mutex>
 #include <string>
 #include <utility>
 
+#include "runtime/executor.h"
 #include "runtime/payoff_disk_cache.h"
 #include "runtime/payoff_evaluator.h"
 #include "scenario/result.h"
@@ -48,15 +52,13 @@ class ShardStore {
 
   /// The shard for one experiment context, by its context key (created
   /// and disk-preloaded on first use). Returns nullptr when memoization
-  /// is off -- callers pass the pointer straight through to the sim/
-  /// entry points.
+  /// is off: an evaluator over it computes every cell.
   [[nodiscard]] runtime::PayoffCache* shard(std::uint64_t context_key);
 
   [[nodiscard]] bool memo() const noexcept { return memo_; }
   [[nodiscard]] bool disk_enabled() const { return disk_.enabled(); }
   [[nodiscard]] const std::string& dir() const { return disk_.dir(); }
   [[nodiscard]] std::uint64_t max_bytes() const { return disk_.max_bytes(); }
-  [[nodiscard]] std::size_t shard_count() const;
   /// Cumulative disk entries preloaded into shards since construction.
   [[nodiscard]] std::size_t entries_loaded() const;
 
@@ -79,36 +81,40 @@ class ShardStore {
   std::size_t loaded_ = 0;
 };
 
-/// One run's window onto a ShardStore: shard access plus this run's
-/// traffic counters. Runners keep local counters and deposit them here
-/// once, so concurrent grid points never share a live counter struct.
+/// One run's window onto a ShardStore: the evaluator of each experiment
+/// context the run touches, and the cache report their counts add up to.
 class CacheBundle {
  public:
-  explicit CacheBundle(ShardStore& store)
-      : store_(store), loaded_at_start_(store.entries_loaded()) {}
+  CacheBundle(ShardStore& store, runtime::Executor& executor)
+      : store_(store),
+        executor_(executor),
+        loaded_at_start_(store.entries_loaded()) {}
 
-  [[nodiscard]] runtime::PayoffCache* shard(std::uint64_t context_key) {
-    return store_.shard(context_key);
+  /// The evaluator of one experiment context's cells, by its context key:
+  /// on the run's executor, over the context's shard. Created on first
+  /// use; every later call, from any grid point, returns the same one.
+  [[nodiscard]] const runtime::PayoffEvaluator& evaluator(
+      std::uint64_t context_key);
+
+  /// The run's executor, for loops that are not payoff cells.
+  [[nodiscard]] runtime::Executor& executor() const noexcept {
+    return executor_;
   }
-  [[nodiscard]] bool memo() const noexcept { return store_.memo(); }
 
-  /// Fold memoized cells into the totals: `retrained` were computed,
-  /// `hits` served from a cache.
-  void add_cells(std::size_t retrained, std::size_t hits);
-
-  /// Fill this run's cache report. Single-threaded: called once after
-  /// every point has joined. When `spill`, the backing store writes every
-  /// shard to disk and the eviction pass runs (the standalone engine
-  /// path); a shared-context run passes false and the owner spills at
-  /// drain instead.
+  /// Fill this run's cache report from its evaluators' counts.
+  /// Single-threaded: called once after every point has joined. When
+  /// `spill`, the backing store writes every shard to disk and the
+  /// eviction pass runs (the standalone engine path); a shared-context
+  /// run passes false and the owner spills at drain instead.
   void finish(CacheReport& report, bool spill);
 
  private:
   ShardStore& store_;
+  runtime::Executor& executor_;
   std::size_t loaded_at_start_;
   std::mutex mutex_;
-  std::size_t retrained_ = 0;
-  std::size_t hits_ = 0;
+  // Node-based: growth never moves the evaluators handed out.
+  std::map<std::uint64_t, runtime::PayoffEvaluator> evaluators_;
 };
 
 }  // namespace pg::scenario

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <ctime>
@@ -10,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -38,7 +38,6 @@
 #include "runtime/executor.h"
 #include "runtime/payoff_disk_cache.h"
 #include "runtime/payoff_evaluator.h"
-#include "runtime/rng_stream.h"
 #include "scenario/cache_bundle.h"
 #include "scenario/sweep.h"
 #include "sim/curve_fit.h"
@@ -78,16 +77,16 @@ void add_context_metrics(const sim::ExperimentContext& ctx,
   result.add_metric("clean_accuracy", ctx.clean_accuracy);
 }
 
-/// prepare_experiment with the clean baseline memoized in the context's
-/// shard and counted in this run's cache report like any other cell.
+/// prepare_experiment with the clean baseline on the context's evaluator,
+/// memoized in its shard and counted like any other cell.
 sim::ExperimentContext prepare_context(const sim::ExperimentConfig& cfg,
                                        CacheBundle& bundle) {
-  sim::BaselineMemo memo{
-      [&bundle](std::uint64_t key) { return bundle.shard(key); }};
-  sim::ExperimentContext ctx = sim::prepare_experiment(cfg, &memo);
-  bundle.add_cells(memo.retrained, memo.hits);
-  return ctx;
+  return sim::prepare_experiment(
+      cfg, [&bundle](std::uint64_t key) -> const runtime::PayoffEvaluator& {
+        return bundle.evaluator(key);
+      });
 }
+
 
 ResultTable sweep_table(const sim::PureSweepResult& sweep) {
   ResultTable table{"pure_sweep",
@@ -103,18 +102,15 @@ ResultTable sweep_table(const sim::PureSweepResult& sweep) {
 
 // ------------------------------------------------------------- pure_sweep
 // fig1: the Fig.-1 sweep plus fitted payoff curves.
-void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
-                             CacheBundle& bundle, ScenarioResult& result) {
+void run_pure_sweep_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
+                             ScenarioResult& result) {
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
 
-  sim::PureSweepStats sweep_stats;
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
   const auto sweep = sim::run_pure_sweep(
-      ctx, grid, spec.replications, exec,
-      bundle.shard(sim::context_key(ctx)), &sweep_stats);
-  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
+      ctx, grid, spec.replications, bundle.evaluator(sim::context_key(ctx)));
   result.tables.push_back(sweep_table(sweep));
 
   const auto best = sim::best_pure_defense(sweep);
@@ -138,23 +134,19 @@ void run_pure_sweep_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 // ------------------------------------------------------------ mixed_table
 // table1: Algorithm 1 at n in [support_min, support_max],
 // empirical mixed evaluation, and the mixed-vs-pure comparison claim.
-void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
-                              CacheBundle& bundle, ScenarioResult& result) {
+void run_mixed_table_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
+                              ScenarioResult& result) {
   PG_CHECK(spec.support_min >= 1 && spec.support_min <= spec.support_max,
            "mixed_table requires 1 <= support_min <= support_max");
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
+  const runtime::PayoffEvaluator& evaluator =
+      bundle.evaluator(sim::context_key(ctx));
 
-  runtime::PayoffCache* cache = bundle.shard(sim::context_key(ctx));
-  const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
-                                           cache);
-
-  sim::PureSweepStats sweep_stats;
   const auto grid = sim::sweep_grid(spec.sweep_max, spec.sweep_steps);
-  const auto sweep = sim::run_pure_sweep(ctx, grid, spec.replications, exec,
-                                         cache, &sweep_stats);
-  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
+  const auto sweep =
+      sim::run_pure_sweep(ctx, grid, spec.replications, evaluator);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
   const auto pure = sim::best_pure_defense(sweep);
@@ -171,7 +163,7 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   for (std::size_t n = spec.support_min; n <= spec.support_max; ++n) {
     core::Algorithm1Config acfg;
     acfg.support_size = n;
-    const auto sol = core::compute_optimal_defense(game, acfg, exec);
+    const auto sol = core::compute_optimal_defense(game, acfg);
     const auto indiff = core::check_indifference(game, sol.strategy, 1e-3);
 
     sim::MixedEvalConfig ecfg;
@@ -216,15 +208,13 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
       "mixed_beats_pure",
       static_cast<std::size_t>(
           last_solution->defender_loss < best_pure_predicted ? 1 : 0));
-
-  bundle.add_cells(evaluator.cells_computed(), evaluator.cache_hits());
 }
 
 // --------------------------------------------------------------- pure_ne
 // prop1: duality gap / saddle scan / best-response cycling
 // on measured and analytic curve families, plus a control game.
-void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
-                          CacheBundle& bundle, ScenarioResult& result) {
+void run_pure_ne_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
+                          ScenarioResult& result) {
   ResultTable games{"games",
                     {"game", "maximin", "minimax", "gap", "saddle_points",
                      "br_moves", "br_steps"},
@@ -247,12 +237,9 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
-  sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, exec, bundle.shard(sim::context_key(ctx)),
-      &sweep_stats);
-  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
+      spec.replications, bundle.evaluator(sim::context_key(ctx)));
   report("measured (Spambase-like sweep)",
          core::PoisoningGame(sim::fit_payoff_curves(sweep),
                              ctx.poison_budget));
@@ -280,29 +267,24 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 
 // ---------------------------------------------------------- support_sweep
 // nsweep: the section-5 plateau claim.
-void run_support_sweep_scenario(const ScenarioSpec& spec,
-                                runtime::Executor* exec, CacheBundle& bundle,
+void run_support_sweep_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
                                 ScenarioResult& result) {
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
+  const runtime::PayoffEvaluator& evaluator =
+      bundle.evaluator(sim::context_key(ctx));
 
-  runtime::PayoffCache* cache = bundle.shard(sim::context_key(ctx));
-  const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
-                                           cache);
-
-  sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, exec, cache, &sweep_stats);
-  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
+      spec.replications, evaluator);
   const auto curves = sim::fit_payoff_curves(sweep);
   const core::PoisoningGame game(curves, ctx.poison_budget);
 
   sim::MixedEvalConfig ecfg;
   ecfg.draws = spec.draws;
-  const auto rows = sim::run_support_sweep(ctx, game, spec.support_max, {},
-                                           ecfg, exec, &evaluator);
+  const auto rows =
+      sim::run_support_sweep(ctx, game, spec.support_max, {}, ecfg, evaluator);
 
   ResultTable table{"support_sweep",
                     {"n", "strategy", "predicted_loss",
@@ -324,15 +306,14 @@ void run_support_sweep_scenario(const ScenarioSpec& spec,
         "plateau_after_3",
         static_cast<std::size_t>(drop_3_to_5 <= drop_2_to_3 + 1e-9 ? 1 : 0));
   }
-  bundle.add_cells(evaluator.cells_computed(), evaluator.cache_hits());
 }
 
 // ---------------------------------------------------------------- transfer
 // transfer: source-solved strategy transplanted onto three
 // perturbed target corpora vs the natively-solved strategy. The source is
 // solved once, before the targets.
-void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
-                           CacheBundle& bundle, ScenarioResult& result) {
+void run_transfer_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
+                           ScenarioResult& result) {
   const sim::ExperimentConfig base = experiment_config(spec);
   const auto source = prepare_context(base, bundle);
   add_context_metrics(source, result);
@@ -365,29 +346,20 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
   tcfg.sweep_replications = spec.replications;
   tcfg.support_size = spec.support_max;
 
-  sim::PureSweepStats sweep_stats;
   const auto source_strategy = sim::solve_transfer_strategy(
-      source, tcfg, exec, bundle.shard(sim::context_key(source)),
-      &sweep_stats);
+      source, tcfg, bundle.evaluator(sim::context_key(source)));
   ResultTable table{"targets",
                     {"target", "transferred_accuracy", "native_accuracy",
                      "transfer_gap"},
                     {}};
   for (const auto& target : targets) {
     const auto ctx = prepare_context(target.cfg, bundle);
-    runtime::PayoffCache* target_cache =
-        bundle.shard(sim::context_key(ctx));
-    const runtime::PayoffEvaluator evaluator(runtime::executor_or_serial(exec),
-                                             target_cache);
     const auto res = sim::run_transfer_experiment(
-        source_strategy, ctx, tcfg, exec, &evaluator, target_cache,
-        &sweep_stats);
+        source_strategy, ctx, tcfg, bundle.evaluator(sim::context_key(ctx)));
     table.add_row(
         {target.name, res.transferred_accuracy, res.native_accuracy,
          res.transfer_gap});
-    bundle.add_cells(evaluator.cells_computed(), evaluator.cache_hits());
   }
-  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
   result.tables.push_back(std::move(table));
 }
 
@@ -395,8 +367,9 @@ void run_transfer_scenario(const ScenarioSpec& spec, runtime::Executor* exec,
 // solver_ablation: four routes to the mixed NE on analytic
 // and measured curves.
 void run_solver_ablation_scenario(const ScenarioSpec& spec,
-                                  runtime::Executor* exec, CacheBundle& bundle,
+                                  CacheBundle& bundle,
                                   ScenarioResult& result) {
+  runtime::Executor& exec = bundle.executor();
   const game::LpConfig lp{game::parse_lp_pricing(spec.lp_pricing)};
   // Opt-in convergence telemetry: one row per decimated gap sample of
   // each iterative solve. Attaching a recorder is read-only on the
@@ -419,14 +392,14 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       util::Stopwatch w;
       core::Algorithm1Config cfg;
       cfg.support_size = 5;
-      const auto sol = core::compute_optimal_defense(game_model, cfg, exec);
+      const auto sol = core::compute_optimal_defense(game_model, cfg, &exec);
       const auto ex =
           core::attacker_exploitability(game_model, sol.strategy, 4096);
       table.add_row({"algorithm1_n5", sol.defender_loss, ex.gain,
                      w.elapsed_ms()});
     }
     const auto mg =
-        game_model.discretize(spec.solver_grid, spec.solver_grid, exec);
+        game_model.discretize(spec.solver_grid, spec.solver_grid, &exec);
     {
       util::Stopwatch w;
       const auto eq = game::solve_lp_equilibrium(mg, lp);
@@ -466,12 +439,9 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
-  sim::PureSweepStats sweep_stats;
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, exec, bundle.shard(sim::context_key(ctx)),
-      &sweep_stats);
-  bundle.add_cells(sweep_stats.cells_retrained, sweep_stats.cache_hits);
+      spec.replications, bundle.evaluator(sim::context_key(ctx)));
   const core::PoisoningGame measured(sim::fit_payoff_curves(sweep),
                                      ctx.poison_budget);
 
@@ -485,7 +455,7 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
       "telemetry", {"game", "solver", "iteration", "gap"}, {}};
   std::array<ResultTable, 2> tables;
   std::array<ResultTable, 2> convergence{no_samples, no_samples};
-  runtime::parallel_for(exec, 0, 2, 1, [&](std::size_t g) {
+  exec.parallel_for(0, 2, 1, [&](std::size_t g) {
     tables[g] = ablate(names[g], *games[g], convergence[g]);
   });
   for (ResultTable& table : tables) result.tables.push_back(std::move(table));
@@ -502,7 +472,6 @@ void run_solver_ablation_scenario(const ScenarioSpec& spec,
 // defense_ablation: centroid drift under attack plus the
 // sanitizer-family comparison across attack families.
 void run_defense_ablation_scenario(const ScenarioSpec& spec,
-                                   runtime::Executor* exec,
                                    CacheBundle& bundle,
                                    ScenarioResult& result) {
   const sim::ExperimentConfig cfg = experiment_config(spec);
@@ -570,53 +539,14 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
     }
   }
 
-  // Each (attack, defense) pipeline run memoizes its three measurements
-  // under a content key covering the context plus both family names and
+  // The (attack x defense) pipeline runs are three-value cells on the
+  // context's evaluator, keyed by the context plus both family names and
   // the RNG salt; like every payoff cell, a hit replays exactly what the
-  // run would recompute.
-  const std::uint64_t fingerprint = sim::context_fingerprint(ctx);
-  runtime::PayoffCache* cache = bundle.shard(sim::context_key(ctx));
-  std::atomic<std::size_t> retrained{0};
-  std::atomic<std::size_t> hits{0};
-  const defense::Pipeline pipeline({cfg.svm});
-  const util::Rng rng(cfg.seed + 1);
-  constexpr std::uint64_t kAblationTag = 0x4445464142'4C0001ULL;
-
-  const auto run_cell = [&](const attack::PoisoningAttack* atk,
-                            const defense::Filter* filter,
-                            const std::string& defense_name,
-                            std::uint64_t salt) {
-    runtime::ContentKey base;
-    base.mix(kAblationTag).mix(fingerprint).mix(salt);
-    for (const char c : atk->name()) {
-      base.mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-    for (const char c : defense_name) {
-      base.mix(static_cast<std::uint64_t>(static_cast<unsigned char>(c)));
-    }
-    std::array<std::uint64_t, 3> keys{};
-    for (std::uint64_t arm = 0; arm < keys.size(); ++arm) {
-      keys[arm] = runtime::ContentKey(base).mix(arm).digest();
-    }
-    std::array<double, 3> out{};
-    const bool computed = runtime::memoize(cache, keys, out, [&] {
-      util::Rng r = rng.fork(salt);
-      const auto res = pipeline.run(ctx.train(), ctx.test(), atk,
-                                    ctx.poison_budget, filter, r);
-      out = {res.test_accuracy, res.detection.precision,
-             res.detection.recall};
-    });
-    (computed ? retrained : hits).fetch_add(1, std::memory_order_relaxed);
-    return out;
-  };
-
-  // The (attack x defense) pipeline cells run cell-parallel on the
-  // executor this runner is handed (previously a sequential loop, the
-  // `(void)exec` gap ROADMAP.md tracked). Every cell is a pure function
-  // of its (attack, defense, salt) triple -- Rng::fork is stateless in
-  // the parent, the pipeline and filters are shared const -- so the
-  // dispatch order cannot affect any value; rows are assembled serially
-  // in the legacy order afterwards.
+  // run would recompute. Every cell is a pure function of its (attack,
+  // defense, salt) triple -- Rng::fork is stateless in the parent, the
+  // pipeline and filters are shared const -- so the dispatch order cannot
+  // affect any value; rows are assembled serially in the legacy order
+  // afterwards.
   struct Cell {
     const attack::PoisoningAttack* atk;
     const defense::Filter* filter;
@@ -631,11 +561,37 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
       cell_specs.push_back({atk.get(), f.get(), f->name(), salt++});
     }
   }
-  std::vector<std::array<double, 3>> cells(cell_specs.size());
-  runtime::parallel_for(exec, 0, cell_specs.size(), 1, [&](std::size_t i) {
-    const Cell& c = cell_specs[i];
-    cells[i] = run_cell(c.atk, c.filter, c.defense_name, c.salt);
-  });
+  const std::uint64_t fingerprint = sim::context_fingerprint(ctx);
+  const defense::Pipeline pipeline({cfg.svm});
+  const util::Rng rng(cfg.seed + 1);
+  constexpr std::uint64_t kAblationTag = 0x4445464142'4C0001ULL;
+  const runtime::PayoffEvaluator& evaluator =
+      bundle.evaluator(sim::context_key(ctx));
+  const std::vector<double> cells = evaluator.evaluate_cells(
+      cell_specs.size(), 3,
+      [&](std::size_t i, std::span<std::uint64_t> keys) {
+        const Cell& c = cell_specs[i];
+        runtime::ContentKey base;
+        base.mix(kAblationTag).mix(fingerprint).mix(c.salt);
+        for (const char ch : c.atk->name()) {
+          base.mix(static_cast<std::uint64_t>(static_cast<unsigned char>(ch)));
+        }
+        for (const char ch : c.defense_name) {
+          base.mix(static_cast<std::uint64_t>(static_cast<unsigned char>(ch)));
+        }
+        for (std::uint64_t arm = 0; arm < keys.size(); ++arm) {
+          keys[arm] = runtime::ContentKey(base).mix(arm).digest();
+        }
+      },
+      [&](std::size_t i, std::span<double> out) {
+        const Cell& c = cell_specs[i];
+        util::Rng r = rng.fork(c.salt);
+        const auto res = pipeline.run(ctx.train(), ctx.test(), c.atk,
+                                      ctx.poison_budget, c.filter, r);
+        out[0] = res.test_accuracy;
+        out[1] = res.detection.precision;
+        out[2] = res.detection.recall;
+      });
 
   ResultTable comparison{"defense_comparison",
                          {"attack", "defense", "accuracy",
@@ -643,15 +599,15 @@ void run_defense_ablation_scenario(const ScenarioSpec& spec,
                          {}};
   for (std::size_t i = 0; i < cell_specs.size(); ++i) {
     const Cell& c = cell_specs[i];
+    const double* cell = &cells[3 * i];
     if (c.filter == nullptr) {
-      comparison.add_row({c.atk->name(), "(none)", cells[i][0], "-", "-"});
+      comparison.add_row({c.atk->name(), "(none)", cell[0], "-", "-"});
     } else {
-      comparison.add_row({c.atk->name(), c.defense_name, cells[i][0],
-                          cells[i][1], cells[i][2]});
+      comparison.add_row(
+          {c.atk->name(), c.defense_name, cell[0], cell[1], cell[2]});
     }
   }
   result.tables.push_back(std::move(comparison));
-  bundle.add_cells(retrained.load(), hits.load());
 }
 
 // ------------------------------------------------------------ sweep grids
@@ -825,8 +781,7 @@ std::uint64_t thread_cpu_ns() {
          static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
-using RunnerFn = void (*)(const ScenarioSpec&, runtime::Executor*,
-                          CacheBundle&, ScenarioResult&);
+using RunnerFn = void (*)(const ScenarioSpec&, CacheBundle&, ScenarioResult&);
 
 RunnerFn runner_for(const std::string& kind) {
   if (kind == "pure_sweep") return &run_pure_sweep_scenario;
@@ -870,7 +825,7 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
   // ONE cache bundle for the whole grid: points sharing an experiment
   // context (e.g. a solver-knob axis) reuse each other's retrains. The
   // bundle is this run's counter window onto the (possibly shared) store.
-  CacheBundle bundle(store);
+  CacheBundle bundle(store, *exec);
 
   ScenarioResult result;
   result.spec = spec;
@@ -881,7 +836,7 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
     if (plan.empty()) {
       PG_CHECK(spec.aggregate.empty(),
                "aggregate requires sweep axes to aggregate over");
-      runner_for(spec.kind)(spec, exec, bundle, result);
+      runner_for(spec.kind)(spec, bundle, result);
     } else {
       result.sweep_axes = plan.axis_keys();
       result.add_metric("sweep_points", plan.size());
@@ -903,7 +858,7 @@ ScenarioResult run_scenario_impl(const ScenarioSpec& spec,
         const std::uint64_t cpu_start = thread_cpu_ns();
         const ScenarioSpec child = plan.child(i);
         points[i].spec = child;
-        runner_for(child.kind)(child, exec, bundle, points[i]);
+        runner_for(child.kind)(child, bundle, points[i]);
         cpu.record_ns(thread_cpu_ns() - cpu_start);
       });
       for (std::size_t i = 0; i < plan.size(); ++i) {

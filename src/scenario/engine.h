@@ -11,15 +11,18 @@
 // seed the numbers are bit-identical at 1 vs N threads, inherited from
 // the runtime's determinism contract.
 //
-// Caching: when `spec.use_cache` is on, every experiment context gets a
-// PayoffCache shard keyed by its context key (sim::context_key, known
-// before anything trains); retrain-priced cells (the clean baseline,
-// sweep cells, mixed-eval cells, ablation pipeline runs) memoize into
-// the shard, and when a cache directory is configured (spec field or
-// $PG_CACHE_DIR) each shard is preloaded from and spilled back to disk,
-// so a re-run -- or a tweaked sweep overlapping the old grid -- reuses
-// prior retrains across processes. The resulting traffic is reported in
-// ScenarioResult::cache; a warm re-run shows cells_retrained == 0.
+// Caching: every experiment context of a run gets one
+// runtime::PayoffEvaluator (CacheBundle::evaluator) on the run's
+// executor, and every retrain-priced cell of that context -- the clean
+// baseline, sweep cells, mixed-eval cells, ablation pipeline runs -- runs
+// through it. When `spec.use_cache` is on, the evaluator memoizes into a
+// PayoffCache shard keyed by the context key (sim::context_key, known
+// before anything trains), and when a cache directory is configured
+// (spec field or $PG_CACHE_DIR) each shard is preloaded from and spilled
+// back to disk, so a re-run -- or a tweaked sweep overlapping the old
+// grid -- reuses prior retrains across processes. The evaluators' counts
+// are reported in ScenarioResult::cache; a warm re-run shows
+// cells_retrained == 0.
 #pragma once
 
 #include <string>

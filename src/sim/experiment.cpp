@@ -1,9 +1,9 @@
 #include "sim/experiment.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <mutex>
+#include <span>
 #include <utility>
 
 #include "attack/attack.h"
@@ -155,7 +155,7 @@ void ExperimentContext::set_split(data::Dataset train, data::Dataset test) {
 }
 
 ExperimentContext prepare_experiment(const ExperimentConfig& config,
-                                     BaselineMemo* memo) {
+                                     const EvaluatorFor& evaluator_for) {
   ExperimentContext ctx;
   ctx.config = config;
   const std::vector<std::string> paths = data::default_spambase_paths();
@@ -187,30 +187,31 @@ ExperimentContext prepare_experiment(const ExperimentConfig& config,
     throw;
   }
 
-  // The clean baseline is an ordinary memoized payoff cell in the
-  // context's shard, so a warm context trains nothing here and builds no
-  // split: {clean_accuracy, test_positive_fraction} under the baseline key
-  // and its sibling.
-  runtime::PayoffCache* cache = nullptr;
-  std::array<std::uint64_t, 2> keys{};
-  if (memo != nullptr && memo->shard) {
-    const std::uint64_t key = context_key(ctx);
-    cache = memo->shard(key);
-    keys = {runtime::ContentKey().mix(kBaselineKeyTag).mix(key).digest(),
-            runtime::ContentKey().mix(kPositiveFractionTag).mix(key).digest()};
-  }
-  std::array<double, 2> values{};
-  const bool trained = runtime::memoize(cache, keys, values, [&] {
-    values[1] = ctx.test().positive_fraction();
-    util::Rng train_rng = util::Rng(config.seed).fork(2);
-    const defense::Pipeline pipeline({config.svm});
-    values[0] =
-        pipeline.run(ctx.train(), ctx.test(), nullptr, 0, nullptr, train_rng)
-            .test_accuracy;
-  });
+  // The clean baseline is an ordinary payoff cell of the context, so a
+  // warm context trains nothing here and builds no split:
+  // {clean_accuracy, test_positive_fraction} under the baseline key and
+  // its sibling.
+  const std::uint64_t key = context_key(ctx);
+  const runtime::PayoffEvaluator& evaluator =
+      evaluator_for ? evaluator_for(key) : runtime::serial_evaluator();
+  const std::vector<double> values = evaluator.evaluate_cells(
+      1, 2,
+      [key](std::size_t, std::span<std::uint64_t> keys) {
+        keys[0] = runtime::ContentKey().mix(kBaselineKeyTag).mix(key).digest();
+        keys[1] =
+            runtime::ContentKey().mix(kPositiveFractionTag).mix(key).digest();
+      },
+      [&ctx, &config](std::size_t, std::span<double> cell) {
+        cell[1] = ctx.test().positive_fraction();
+        util::Rng train_rng = util::Rng(config.seed).fork(2);
+        const defense::Pipeline pipeline({config.svm});
+        cell[0] = pipeline
+                      .run(ctx.train(), ctx.test(), nullptr, 0, nullptr,
+                           train_rng)
+                      .test_accuracy;
+      });
   ctx.clean_accuracy = values[0];
   ctx.test_positive_fraction = values[1];
-  if (memo != nullptr) ++(trained ? memo->retrained : memo->hits);
   return ctx;
 }
 

@@ -22,7 +22,7 @@
 #include "util/rng.h"
 
 namespace pg::runtime {
-class PayoffCache;
+class PayoffEvaluator;
 }  // namespace pg::runtime
 
 namespace pg::sim {
@@ -38,15 +38,11 @@ struct ExperimentConfig {
   bool try_real_corpus = true;
 };
 
-/// Where prepare_experiment memoizes the clean baseline. `shard` maps a
-/// context_key() to that context's PayoffCache (an empty function or a
-/// null shard trains the baseline without memoizing); `retrained` and
-/// `hits` count what the call did, for the caller's cache report.
-struct BaselineMemo {
-  std::function<runtime::PayoffCache*(std::uint64_t)> shard;
-  std::size_t retrained = 0;
-  std::size_t hits = 0;
-};
+/// Maps a context_key() to the evaluator of that context's cells (the
+/// scenario engine hands out one per context, over the context's cache
+/// shard, and reads its counts for the cache report).
+using EvaluatorFor =
+    std::function<const runtime::PayoffEvaluator&(std::uint64_t)>;
 
 /// One experiment context: the config, its RAW (unstandardized) train/test
 /// split and the numbers measured on it. The attack and the filter operate
@@ -89,7 +85,7 @@ class ExperimentContext {
  private:
   struct Split;
   friend ExperimentContext prepare_experiment(const ExperimentConfig&,
-                                              BaselineMemo*);
+                                              const EvaluatorFor&);
   [[nodiscard]] const Split& split() const;
 
   std::size_t train_size_ = 0;
@@ -100,14 +96,14 @@ class ExperimentContext {
 /// Plan the split, fix the poison budget, and measure the clean baseline
 /// accuracy. A corpus file (try_real_corpus, a candidate path exists) is
 /// loaded and split here, so context_key() can hash its content; a
-/// synthetic split is only planned. With a `memo`, the baseline is a
-/// two-value runtime::memoize cell in the shard of context_key():
-/// {clean_accuracy, test_positive_fraction}. A hit skips the training run
-/// and the corpus with it; a miss builds the split and trains. Without a
-/// memo the split is built and the baseline trained at once. The context
-/// is bit-identical either way.
+/// synthetic split is only planned. The baseline is one two-value cell,
+/// {clean_accuracy, test_positive_fraction}, on the evaluator that
+/// `evaluator_for` returns for context_key(), or on
+/// runtime::serial_evaluator() without one. A cache hit skips the
+/// training run and the corpus with it; a miss builds the split and
+/// trains. The context is bit-identical either way.
 [[nodiscard]] ExperimentContext prepare_experiment(
-    const ExperimentConfig& config, BaselineMemo* memo = nullptr);
+    const ExperimentConfig& config, const EvaluatorFor& evaluator_for = {});
 
 /// A small/fast configuration used by integration tests: a reduced corpus
 /// and a cheap SVM, preserving all structural properties of the full run.

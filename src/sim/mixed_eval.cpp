@@ -1,6 +1,7 @@
 #include "sim/mixed_eval.h"
 
 #include <algorithm>
+#include <span>
 
 #include "attack/boundary_attack.h"
 #include "defense/distance_filter.h"
@@ -120,16 +121,15 @@ MixedEvalResult evaluate_mixed_defense(
 
   const std::uint64_t fingerprint = context_fingerprint(ctx);
   const runtime::RngStreamFactory streams(ctx.config.seed);
-  const auto key_fn = [&](std::size_t c) {
-    return cell_key(fingerprint, cells[c]);
-  };
   const std::vector<double> accuracies = evaluator.evaluate_cells(
-      cells.size(),
-      [&](std::size_t c) {
-        return run_cell(ctx, pipeline, streams,
-                        cell_key(fingerprint, cells[c]), cells[c]);
+      cells.size(), 1,
+      [&](std::size_t c, std::span<std::uint64_t> keys) {
+        keys[0] = cell_key(fingerprint, cells[c]);
       },
-      key_fn);
+      [&](std::size_t c, std::span<double> value) {
+        value[0] = run_cell(ctx, pipeline, streams,
+                            cell_key(fingerprint, cells[c]), cells[c]);
+      });
 
   // Deterministic reduction: walk the cells in the order they were laid
   // out, independent of how (or whether) they were computed.
@@ -167,15 +167,6 @@ MixedEvalResult evaluate_mixed_defense(
   result.no_attack_accuracy = no_attack;
   PG_ASSERT(cursor == accuracies.size(), "mixed eval cell walk out of sync");
   return result;
-}
-
-MixedEvalResult evaluate_mixed_defense(
-    const ExperimentContext& ctx,
-    const defense::MixedDefenseStrategy& strategy,
-    const MixedEvalConfig& config, runtime::Executor* executor) {
-  const runtime::PayoffEvaluator evaluator(
-      runtime::executor_or_serial(executor));
-  return evaluate_mixed_defense(ctx, strategy, config, evaluator);
 }
 
 PureBenchmark best_pure_defense(const PureSweepResult& sweep) {

@@ -40,25 +40,18 @@ struct MixedEvalConfig {
   std::vector<double> extra_placements;
 };
 
-/// Evaluate through an explicit PayoffEvaluator: cells run in parallel on
-/// the evaluator's executor and, when the evaluator carries a PayoffCache,
-/// identical (context, placement, filter, replication) cells are served
-/// from the cache instead of retraining -- the support sweep and the
-/// transfer experiment share one cache across many strategies this way.
-/// Each cell derives its Rng from its own content key, so results are
-/// bit-identical at any thread count and unaffected by cache hits.
+/// Evaluate on `evaluator`: every (placement, filter, replication) cell
+/// is one one-value cell, run in parallel on the evaluator's executor
+/// and, when the evaluator carries a PayoffCache, served from the cache
+/// instead of retraining -- the support sweep and the transfer experiment
+/// reuse cells across strategies this way. Each cell derives its Rng from
+/// its own content key, so results are bit-identical at any thread count
+/// and unaffected by cache hits.
 [[nodiscard]] MixedEvalResult evaluate_mixed_defense(
     const ExperimentContext& ctx,
     const defense::MixedDefenseStrategy& strategy,
-    const MixedEvalConfig& config,
-    const runtime::PayoffEvaluator& evaluator);
-
-/// Convenience form: a throwaway uncached evaluator on `executor` (null ->
-/// serial).
-[[nodiscard]] MixedEvalResult evaluate_mixed_defense(
-    const ExperimentContext& ctx,
-    const defense::MixedDefenseStrategy& strategy,
-    const MixedEvalConfig& config = {}, runtime::Executor* executor = nullptr);
+    const MixedEvalConfig& config = {},
+    const runtime::PayoffEvaluator& evaluator = runtime::serial_evaluator());
 
 /// Accuracy of the best PURE defense under the pure-optimal attack, i.e.
 /// max over grid of the attacked curve -- the paper's benchmark that the

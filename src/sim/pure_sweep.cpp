@@ -1,8 +1,7 @@
 #include "sim/pure_sweep.h"
 
-#include <array>
-#include <atomic>
 #include <cstdint>
+#include <span>
 
 #include "attack/boundary_attack.h"
 #include "defense/distance_filter.h"
@@ -28,9 +27,9 @@ std::vector<double> sweep_grid(double max_fraction, std::size_t steps) {
 
 namespace {
 
-/// One (grid point, replication) cell's measurements, in sub-key order:
-/// no-attack accuracy, attacked accuracy, share of poison survived.
-using SweepCell = std::array<double, 3>;
+/// A cell's three measurements, in sub-key order: no-attack accuracy,
+/// attacked accuracy, share of poison survived.
+constexpr std::size_t kCellWidth = 3;
 
 /// Distinguishes pure-sweep cache keys from every other key family that
 /// shares a PayoffCache (mixed-eval cells mix a different word sequence).
@@ -41,26 +40,24 @@ constexpr std::uint64_t kSweepKeyTag = 0x50555245'53575045ULL;  // "PURESWPE"
 /// RNG stream is keyed by index, so the same fraction at a different grid
 /// position is a different cell) and the replication -- extended by the
 /// measurement's sub-key 0/1/2.
-std::array<std::uint64_t, 3> sweep_cell_keys(std::uint64_t fingerprint,
-                                             double fraction, std::size_t gi,
-                                             std::size_t rep) {
+void sweep_cell_keys(std::uint64_t fingerprint, double fraction,
+                     std::size_t gi, std::size_t rep,
+                     std::span<std::uint64_t> keys) {
   runtime::ContentKey base;
   base.mix(kSweepKeyTag)
       .mix(fingerprint)
       .mix(fraction)
       .mix(static_cast<std::uint64_t>(gi))
       .mix(static_cast<std::uint64_t>(rep));
-  std::array<std::uint64_t, 3> keys{};
   for (std::uint64_t arm = 0; arm < keys.size(); ++arm) {
     keys[arm] = runtime::ContentKey(base).mix(arm).digest();
   }
-  return keys;
 }
 
 /// Run both arms of one cell at filter strength p on the cell's stream.
-SweepCell measure_cell(const ExperimentContext& ctx,
-                       const defense::Pipeline& pipeline, double p,
-                       const util::Rng& rng) {
+void measure_cell(const ExperimentContext& ctx,
+                  const defense::Pipeline& pipeline, double p,
+                  const util::Rng& rng, std::span<double> cell) {
   // A context with no poison budget never attacks, so it never needs the
   // clean geometry.
   const attack::ClassRadiusMap* geometry =
@@ -73,7 +70,7 @@ SweepCell measure_cell(const ExperimentContext& ctx,
 
   // No-attack arm: Gamma measurement.
   util::Rng rng_clean = rng.fork(1);
-  const double no_attack =
+  cell[0] =
       pipeline.run(ctx.train(), ctx.test(), nullptr, 0, filter_ptr, rng_clean)
           .test_accuracy;
 
@@ -84,20 +81,21 @@ SweepCell measure_cell(const ExperimentContext& ctx,
   util::Rng rng_attack = rng.fork(2);
   const auto res = pipeline.run(ctx.train(), ctx.test(), &attack,
                                 ctx.poison_budget, filter_ptr, rng_attack);
-  return {no_attack, res.test_accuracy, 1.0 - res.detection.recall};
+  cell[1] = res.test_accuracy;
+  cell[2] = 1.0 - res.detection.recall;
 }
 
 /// Serial reduction in a fixed order, so the floating-point sums are
 /// identical no matter how the cells were scheduled.
 void reduce_points(const std::vector<double>& grid, std::size_t replications,
-                   const std::vector<SweepCell>& out,
+                   const std::vector<double>& cells,
                    PureSweepResult& result) {
   const auto reps = static_cast<double>(replications);
   for (std::size_t gi = 0; gi < grid.size(); ++gi) {
     PureSweepPoint point;
     point.removal_fraction = grid[gi];
     for (std::size_t rep = 0; rep < replications; ++rep) {
-      const SweepCell& cell = out[gi * replications + rep];
+      const double* cell = &cells[(gi * replications + rep) * kCellWidth];
       point.accuracy_no_attack += cell[0];
       point.accuracy_attacked += cell[1];
       point.poison_survived_fraction += cell[2];
@@ -117,9 +115,7 @@ void reduce_points(const std::vector<double>& grid, std::size_t replications,
 PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
                                const std::vector<double>& grid,
                                std::size_t replications,
-                               runtime::Executor* executor,
-                               runtime::PayoffCache* cache,
-                               PureSweepStats* stats) {
+                               const runtime::PayoffEvaluator& evaluator) {
   PG_CHECK(!grid.empty(), "run_pure_sweep: empty grid");
   PG_CHECK(replications >= 1, "replications must be >= 1");
 
@@ -128,39 +124,26 @@ PureSweepResult run_pure_sweep(const ExperimentContext& ctx,
   result.clean_accuracy = ctx.clean_accuracy;
   result.poison_budget = ctx.poison_budget;
 
-  const std::uint64_t fingerprint = context_fingerprint(ctx);
-  std::atomic<std::size_t> retrained{0};
-  std::atomic<std::size_t> hits{0};
-
-  // One retrain task per (grid point, replication) cell. Every cell draws
-  // its randomness from a stream keyed by its own id, so results do not
+  // One cell per (grid point, replication). Every cell draws its
+  // randomness from a stream keyed by its own id, so results do not
   // depend on which thread runs which cell, or in what order -- and a
   // cached cell is by definition the value the cell would recompute.
-  // Nested dispatch: cells are retrain-priced, so they fan out to the
-  // shared pool even when this sweep is itself one point of a
-  // point-parallel grid.
+  const std::uint64_t fingerprint = context_fingerprint(ctx);
   const runtime::RngStreamFactory streams(ctx.config.seed);
-  const std::size_t cells = grid.size() * replications;
-  std::vector<SweepCell> out(cells);
-  runtime::parallel_for(executor, 0, cells, 1, [&](std::size_t c) {
-    obs::Span span("sweep_cell", "payoff");
-    const std::size_t gi = c / replications;
-    const std::size_t rep = c % replications;
-    const double p = grid[gi];
-    SweepCell& cell = out[c];
-    const bool computed = runtime::memoize(
-        cache, sweep_cell_keys(fingerprint, p, gi, rep), cell, [&] {
-          cell = measure_cell(ctx, pipeline, p, streams.stream(gi, rep));
-        });
-    (computed ? retrained : hits).fetch_add(1, std::memory_order_relaxed);
-  });
+  const std::vector<double> cells = evaluator.evaluate_cells(
+      grid.size() * replications, kCellWidth,
+      [&](std::size_t c, std::span<std::uint64_t> keys) {
+        const std::size_t gi = c / replications;
+        sweep_cell_keys(fingerprint, grid[gi], gi, c % replications, keys);
+      },
+      [&](std::size_t c, std::span<double> cell) {
+        obs::Span span("sweep_cell", "payoff");
+        const std::size_t gi = c / replications;
+        measure_cell(ctx, pipeline, grid[gi],
+                     streams.stream(gi, c % replications), cell);
+      });
 
-  if (stats != nullptr) {
-    stats->cells_retrained += retrained.load();
-    stats->cache_hits += hits.load();
-  }
-
-  reduce_points(grid, replications, out, result);
+  reduce_points(grid, replications, cells, result);
   return result;
 }
 

@@ -13,14 +13,15 @@
 #include <cstddef>
 #include <vector>
 
-#include "runtime/executor.h"
 #include "runtime/payoff_evaluator.h"
 #include "sim/experiment.h"
 
 namespace pg::sim {
 
-// Stub named only by perfbench/layer_trace.cpp; ROADMAP item 7 deletes it.
+// Stubs named only by perfbench/layer_trace.cpp; ROADMAP item 7 deletes
+// them.
 struct RetrainKernel;
+struct PureSweepStats;
 
 struct PureSweepPoint {
   double removal_fraction = 0.0;
@@ -39,30 +40,19 @@ struct PureSweepResult {
 [[nodiscard]] std::vector<double> sweep_grid(double max_fraction,
                                              std::size_t steps);
 
-/// Retrain traffic of one or more cached sweeps (the scenario engine sums
-/// these into its cache-stats output; a warm disk-cached re-run must
-/// report cells_retrained == 0). Every cell is one or the other.
-struct PureSweepStats {
-  std::size_t cells_retrained = 0;
-  std::size_t cache_hits = 0;
-};
-
 /// Run the sweep. `replications` > 1 averages accuracies over independent
 /// seeds (reduces SGD noise in the fitted curves).
 ///
-/// Each (grid point, replication) cell retrains the SVM independently on
-/// an RngStreamFactory stream keyed by the cell id, so passing an executor
-/// parallelizes the sweep with BIT-IDENTICAL results to the serial run
-/// (null executor) at any thread count.
-///
-/// `cache` (optional) memoizes each cell's three measurements under keys
-/// covering the context fingerprint plus every per-cell knob -- a hit can
-/// only ever return what the cell would recompute, so caching (including a
-/// disk-preloaded cache from an earlier process) cannot change results,
-/// only skip retrains. `stats` (optional) accumulates the cell/hit counts.
+/// Each (grid point, replication) cell is one three-value cell on
+/// `evaluator`: it retrains the SVM on an RngStreamFactory stream keyed
+/// by the cell id, so the sweep is BIT-IDENTICAL at any thread count of
+/// the evaluator's executor. Its keys cover the context fingerprint plus
+/// every per-cell knob -- a hit can only ever return what the cell would
+/// recompute, so the evaluator's cache (including a disk-preloaded one
+/// from an earlier process) cannot change results, only skip retrains.
 [[nodiscard]] PureSweepResult run_pure_sweep(
     const ExperimentContext& ctx, const std::vector<double>& grid,
-    std::size_t replications = 1, runtime::Executor* executor = nullptr,
-    runtime::PayoffCache* cache = nullptr, PureSweepStats* stats = nullptr);
+    std::size_t replications = 1,
+    const runtime::PayoffEvaluator& evaluator = runtime::serial_evaluator());
 
 }  // namespace pg::sim

@@ -9,15 +9,8 @@ namespace pg::sim {
 std::vector<SupportSweepRow> run_support_sweep(
     const ExperimentContext& ctx, const core::PoisoningGame& game,
     std::size_t max_n, const core::Algorithm1Config& base_config,
-    const MixedEvalConfig& eval, runtime::Executor* executor,
-    const runtime::PayoffEvaluator* evaluator) {
+    const MixedEvalConfig& eval, const runtime::PayoffEvaluator& evaluator) {
   PG_CHECK(max_n >= 1, "max_n must be >= 1");
-
-  runtime::PayoffCache local_cache;
-  const runtime::PayoffEvaluator local_evaluator(
-      runtime::executor_or_serial(executor), &local_cache);
-  const runtime::PayoffEvaluator& eval_through =
-      evaluator != nullptr ? *evaluator : local_evaluator;
 
   std::vector<SupportSweepRow> rows;
   for (std::size_t n = 1; n <= max_n; ++n) {
@@ -26,11 +19,11 @@ std::vector<SupportSweepRow> run_support_sweep(
 
     util::Stopwatch watch;
     const core::DefenseSolution sol =
-        core::compute_optimal_defense(game, cfg, executor);
+        core::compute_optimal_defense(game, cfg);
     const double seconds = watch.elapsed_seconds();
 
     const MixedEvalResult ev =
-        evaluate_mixed_defense(ctx, sol.strategy, eval, eval_through);
+        evaluate_mixed_defense(ctx, sol.strategy, eval, evaluator);
     rows.push_back({n, sol.strategy, sol.defender_loss,
                     ev.adversarial_accuracy, seconds, sol.iterations});
   }

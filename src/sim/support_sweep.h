@@ -22,18 +22,15 @@ struct SupportSweepRow {
   std::size_t solve_iterations = 0;
 };
 
-/// Run Algorithm 1 for each n in [1, max_n] and evaluate empirically.
-/// The n evaluations share one PayoffEvaluator on `executor` (null ->
-/// serial) with a common memo cache: strategies for different n often
-/// overlap in (placement, filter) cells, and overlapping cells retrain
-/// once instead of once per n. Passing `evaluator` (the scenario engine
-/// does, to share a disk-backed cache and read the retrain counters)
-/// replaces the internally-built one; `executor` then only drives the
-/// Algorithm-1 solves.
+/// Run Algorithm 1 for each n in [1, max_n] and evaluate empirically,
+/// every n on `evaluator`. Strategies for different n often overlap in
+/// (placement, filter) cells: an evaluator over a PayoffCache (the
+/// scenario engine's is the context's shard) retrains each overlapping
+/// cell once instead of once per n.
 [[nodiscard]] std::vector<SupportSweepRow> run_support_sweep(
     const ExperimentContext& ctx, const core::PoisoningGame& game,
     std::size_t max_n, const core::Algorithm1Config& base_config = {},
-    const MixedEvalConfig& eval = {}, runtime::Executor* executor = nullptr,
-    const runtime::PayoffEvaluator* evaluator = nullptr);
+    const MixedEvalConfig& eval = {},
+    const runtime::PayoffEvaluator& evaluator = runtime::serial_evaluator());
 
 }  // namespace pg::sim

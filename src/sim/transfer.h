@@ -37,36 +37,21 @@ struct TransferConfig {
 };
 
 /// Solve a strategy on one prepared context: the pure sweep over
-/// config.sweep_fractions, the curve fit and Algorithm 1 at
-/// config.support_size. `executor` (null -> serial) parallelizes the
-/// sweep; `sweep_cache` memoizes it (keyed by the context's fingerprint)
-/// and `sweep_stats` accumulates its retrain traffic. Both default to
-/// the uncached behavior, with values bit-identical either way.
+/// config.sweep_fractions on `evaluator`, the curve fit and Algorithm 1
+/// at config.support_size.
 [[nodiscard]] defense::MixedDefenseStrategy solve_transfer_strategy(
     const ExperimentContext& ctx, const TransferConfig& config,
-    runtime::Executor* executor = nullptr,
-    runtime::PayoffCache* sweep_cache = nullptr,
-    PureSweepStats* sweep_stats = nullptr);
+    const runtime::PayoffEvaluator& evaluator = runtime::serial_evaluator());
 
 /// Run the transfer protocol for a source strategy solved once with
 /// solve_transfer_strategy, so callers with several targets solve the
-/// source once. The target context must be prepared. `executor` (null ->
-/// serial) parallelizes the native solve sweep and both target
-/// evaluations; the evaluations share one payoff cache, so support points
-/// common to the transferred and native strategies retrain once.
-///
-/// The trailing parameters exist for the scenario engine's disk-backed
-/// caching: `target_evaluator` replaces the internally-built evaluator for
-/// the two target evaluations (bring your own cache and counters),
-/// `target_sweep_cache` memoizes the native solve sweep, and `sweep_stats`
-/// accumulates its retrain traffic. All default to the uncached legacy
-/// behavior, with values bit-identical either way.
+/// source once. The target context must be prepared. The native solve's
+/// sweep and both target evaluations run on `evaluator`: over a
+/// PayoffCache, support points common to the transferred and native
+/// strategies retrain once.
 [[nodiscard]] TransferResult run_transfer_experiment(
     const defense::MixedDefenseStrategy& source_strategy,
     const ExperimentContext& target, const TransferConfig& config = {},
-    runtime::Executor* executor = nullptr,
-    const runtime::PayoffEvaluator* target_evaluator = nullptr,
-    runtime::PayoffCache* target_sweep_cache = nullptr,
-    PureSweepStats* sweep_stats = nullptr);
+    const runtime::PayoffEvaluator& evaluator = runtime::serial_evaluator());
 
 }  // namespace pg::sim

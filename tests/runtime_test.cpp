@@ -16,6 +16,7 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -257,62 +258,79 @@ TEST(ContentKeyTest, OrderAndValueSensitive) {
             runtime::ContentKey().mix(0.05 + 1e-12).digest());
 }
 
-TEST(PayoffEvaluatorTest, MatrixMatchesCellFunction) {
-  runtime::Executor exec(4);
-  const runtime::PayoffEvaluator evaluator(exec);
-  const la::Matrix m = evaluator.evaluate_matrix(
-      7, 5, [](std::size_t flat) { return static_cast<double>(flat) * 1.5; });
-  ASSERT_EQ(m.rows(), 7u);
-  ASSERT_EQ(m.cols(), 5u);
-  for (std::size_t r = 0; r < 7; ++r) {
-    for (std::size_t c = 0; c < 5; ++c) {
-      EXPECT_DOUBLE_EQ(m(r, c), static_cast<double>(r * 5 + c) * 1.5);
-    }
-  }
-}
-
 TEST(PayoffEvaluatorTest, CacheSkipsRecomputation) {
   runtime::Executor exec(1);
   runtime::PayoffCache cache;
   const runtime::PayoffEvaluator evaluator(exec, &cache);
 
   std::atomic<int> computed{0};
-  const auto cell = [&](std::size_t i) {
+  const auto cell = [&](std::size_t i, std::span<double> value) {
     computed.fetch_add(1);
-    return static_cast<double>(i) * 2.0;
+    value[0] = static_cast<double>(i) * 2.0;
   };
-  const auto key = [](std::size_t i) {
-    return runtime::ContentKey().mix(static_cast<std::uint64_t>(i)).digest();
+  const auto key = [](std::size_t i, std::span<std::uint64_t> keys) {
+    keys[0] = runtime::ContentKey().mix(static_cast<std::uint64_t>(i)).digest();
   };
 
-  const auto first = evaluator.evaluate_cells(10, cell, key);
+  const auto first = evaluator.evaluate_cells(10, 1, key, cell);
   EXPECT_EQ(computed.load(), 10);
   EXPECT_EQ(cache.size(), 10u);
 
-  const auto second = evaluator.evaluate_cells(10, cell, key);
+  const auto second = evaluator.evaluate_cells(10, 1, key, cell);
   EXPECT_EQ(computed.load(), 10) << "all cells must come from the cache";
   EXPECT_EQ(second, first);
   EXPECT_EQ(evaluator.cache_hits(), 10u);
   EXPECT_EQ(evaluator.cells_computed(), 10u);
 }
 
+TEST(PayoffEvaluatorTest, WideCellsComeBackCellMajorAndCountOnce) {
+  runtime::Executor exec(4);
+  runtime::PayoffCache cache;
+  const runtime::PayoffEvaluator evaluator(exec, &cache);
+  const auto key = [](std::size_t i, std::span<std::uint64_t> keys) {
+    for (std::size_t k = 0; k < keys.size(); ++k) keys[k] = 10 * i + k;
+  };
+  const auto cell = [](std::size_t i, std::span<double> values) {
+    for (std::size_t k = 0; k < values.size(); ++k) {
+      values[k] = static_cast<double>(10 * i + k);
+    }
+  };
+  const std::vector<double> expected{0, 1, 2, 10, 11, 12, 20, 21, 22,
+                                     30, 31, 32, 40, 41, 42};
+  EXPECT_EQ(evaluator.evaluate_cells(5, 3, key, cell), expected);
+  EXPECT_EQ(evaluator.cells_computed(), 5u);
+  EXPECT_EQ(cache.size(), 15u);
+
+  // Warm: each three-value cell is one hit, not three.
+  EXPECT_EQ(evaluator.evaluate_cells(5, 3, key, cell), expected);
+  EXPECT_EQ(evaluator.cache_hits(), 5u);
+  EXPECT_EQ(evaluator.cells_computed(), 5u);
+
+  // Without a cache every cell computes, and counts as computed.
+  const runtime::PayoffEvaluator uncached(exec);
+  EXPECT_EQ(uncached.evaluate_cells(5, 3, key, cell), expected);
+  EXPECT_EQ(uncached.cells_computed(), 5u);
+  EXPECT_EQ(uncached.cache_hits(), 0u);
+}
+
 TEST(PayoffEvaluatorTest, AbandonOnThrowLeavesCacheReusable) {
   runtime::Executor exec(1);
   runtime::PayoffCache cache;
   const runtime::PayoffEvaluator evaluator(exec, &cache);
-  const auto key = [](std::size_t i) { return 0xA000 + i; };
+  const auto key = [](std::size_t i, std::span<std::uint64_t> keys) {
+    keys[0] = 0xA000 + i;
+  };
   EXPECT_THROW((void)evaluator.evaluate_cells(
-                   3,
-                   [](std::size_t i) -> double {
+                   3, 1, key,
+                   [](std::size_t i, std::span<double> value) {
                      if (i == 1) throw std::runtime_error("boom");
-                     return 2.0;
-                   },
-                   key),
+                     value[0] = 2.0;
+                   }),
                std::runtime_error);
   // Cell 0 was published; cell 1's claim was abandoned, so a second
   // attempt owns it again instead of waiting on a value that never comes.
-  const auto ok =
-      evaluator.evaluate_cells(3, [](std::size_t) { return 1.0; }, key);
+  const auto ok = evaluator.evaluate_cells(
+      3, 1, key, [](std::size_t, std::span<double> value) { value[0] = 1.0; });
   EXPECT_EQ(ok, (std::vector<double>{2.0, 1.0, 1.0}));
   EXPECT_EQ(cache.size(), 3u);
 }
@@ -445,11 +463,13 @@ TEST(RuntimeDeterminismTest, PureSweepBitIdenticalAcrossThreadCounts) {
   const auto& ctx = small_ctx();
   const std::vector<double> grid = {0.0, 0.1, 0.25, 0.4};
 
-  const auto serial = sim::run_pure_sweep(ctx, grid, 2, nullptr);
+  const auto serial = sim::run_pure_sweep(ctx, grid, 2);
   runtime::Executor one(1);
-  const auto threaded1 = sim::run_pure_sweep(ctx, grid, 2, &one);
+  const auto threaded1 =
+      sim::run_pure_sweep(ctx, grid, 2, runtime::PayoffEvaluator(one));
   runtime::Executor eight(8);
-  const auto threaded8 = sim::run_pure_sweep(ctx, grid, 2, &eight);
+  const auto threaded8 =
+      sim::run_pure_sweep(ctx, grid, 2, runtime::PayoffEvaluator(eight));
 
   ASSERT_EQ(serial.points.size(), grid.size());
   for (const auto* run : {&threaded1, &threaded8}) {
@@ -476,8 +496,8 @@ TEST(RuntimeDeterminismTest, MixedEvalBitIdenticalAcrossThreadCountsAndCache) {
   const auto serial = sim::evaluate_mixed_defense(ctx, strategy, ecfg);
 
   runtime::Executor eight(8);
-  const auto threaded =
-      sim::evaluate_mixed_defense(ctx, strategy, ecfg, &eight);
+  const auto threaded = sim::evaluate_mixed_defense(
+      ctx, strategy, ecfg, runtime::PayoffEvaluator(eight));
 
   // Cached evaluator, evaluated twice: the second pass runs entirely from
   // the cache and must reproduce the first bit-for-bit.

@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <stdexcept>
@@ -19,6 +21,7 @@
 
 #include "obs/metrics.h"
 #include "runtime/executor.h"
+#include "runtime/payoff_evaluator.h"
 #include "scenario/cache_bundle.h"
 #include "scenario/cli.h"
 #include "scenario/diff.h"
@@ -29,6 +32,7 @@
 #include "scenario/sweep.h"
 #include "sim/experiment.h"
 #include "sim/pure_sweep.h"
+#include "util/table.h"
 
 namespace pg::scenario {
 namespace {
@@ -337,7 +341,7 @@ TEST(EngineTest, PureSweepMatchesDirectLibraryPath) {
   const sim::ExperimentContext ctx = sim::prepare_experiment(cfg);
   const auto sweep = sim::run_pure_sweep(
       ctx, sim::sweep_grid(spec.sweep_max, spec.sweep_steps),
-      spec.replications, nullptr);
+      spec.replications);
 
   ASSERT_EQ(result.tables[0].name, "pure_sweep");
   ASSERT_EQ(result.tables[0].rows.size(), sweep.points.size());
@@ -389,13 +393,16 @@ TEST(EngineTest, SecondRunOnOneShardStoreServesTheBaseline) {
   cfg.corpus.n_instances = spec.instances;
   cfg.svm.epochs = spec.epochs;
   cfg.try_real_corpus = false;
-  sim::BaselineMemo memo{[&store](std::uint64_t key) {
-    return store.shard(key);
-  }};
-  (void)sim::prepare_experiment(cfg, &memo);
-  EXPECT_EQ(memo.hits, 1u);
-  EXPECT_EQ(memo.retrained, 0u);
-  EXPECT_EQ(store.shard_count(), 1u);
+  CacheBundle bundle(store, exec);
+  (void)sim::prepare_experiment(
+      cfg, [&bundle](std::uint64_t key) -> const runtime::PayoffEvaluator& {
+        return bundle.evaluator(key);
+      });
+  CacheReport report;
+  bundle.finish(report, /*spill=*/false);
+  EXPECT_EQ(report.cache_hits, 1u);
+  EXPECT_EQ(report.cells_retrained, 0u);
+  EXPECT_EQ(report.shards, 1u);
 }
 
 class DiskCacheScenarioTest : public ::testing::Test {
@@ -780,14 +787,19 @@ TEST(EngineTest, PointParallelGridBitIdenticalAcrossThreadCounts) {
   }
 }
 
+/// A committed golden spec, by name.
+ScenarioSpec golden_spec(const std::string& name) {
+  return ScenarioSpec::parse(
+      read_file(std::string(PG_GOLDEN_DIR) + "/" + name + ".spec"));
+}
+
 TEST(EngineTest, SolverAblationGamesBitIdenticalAcrossThreadCounts) {
   // The two games solve as two executor tasks, each filling its own
   // table and telemetry slot: tables and telemetry rows must come out in
   // the fixed order analytic, measured at any thread count. Each run
   // solves each game with Algorithm 1, the LP, FP and Hedge, so it adds
   // eight obs.stage.solve calls.
-  ScenarioSpec spec = ScenarioSpec::parse(
-      read_file(std::string(PG_GOLDEN_DIR) + "/solver_ablation.spec"));
+  ScenarioSpec spec = golden_spec("solver_ablation");
   spec.telemetry = true;
   obs::Timer& solves = obs::timer("obs.stage.solve");
   spec.threads = 1;
@@ -821,6 +833,190 @@ TEST(EngineTest, DefenseAblationUsesItsExecutorAndStaysBitIdentical) {
   const auto serial = comparable_cells(run_scenario(spec));
   spec.threads = 4;
   EXPECT_EQ(comparable_cells(run_scenario(spec)), serial);
+}
+
+TEST(EngineTest, SharedStoreReportsOnlyTheShardsARunTouched) {
+  // A resident server's store keeps every context it has served (five
+  // here); each run's report counts only the contexts that run touched.
+  runtime::Executor exec(2);
+  ShardStore store(/*memo=*/true, /*dir=*/"", /*max_bytes=*/0);
+  EngineContext context{&exec, &store};
+  std::vector<std::size_t> shards;
+  for (const char* name : {"fig1", "transfer", "fig1"}) {
+    shards.push_back(run_scenario(golden_spec(name), context).cache.shards);
+  }
+  EXPECT_EQ(shards, (std::vector<std::size_t>{1, 4, 1}));
+}
+
+/// Every golden's cold cache report on a fresh in-memory store: memoized
+/// cells in all, retrained, served from the cache, and contexts touched.
+struct GoldenCacheReport {
+  const char* name;
+  std::size_t total;
+  std::size_t retrained;
+  std::size_t hits;
+  std::size_t shards;
+};
+constexpr GoldenCacheReport kGoldenCacheReports[] = {
+    {"defense_ablation", 16, 16, 0, 1}, {"fig1", 5, 5, 0, 1},
+    {"nsweep", 24, 20, 4, 1},           {"prop1", 4, 4, 0, 1},
+    {"solver_ablation", 4, 4, 0, 1},    {"sweep_grid", 24, 24, 0, 6},
+    {"table1", 22, 20, 2, 1},           {"transfer", 76, 72, 4, 4}};
+
+class GoldenCacheReportTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(GoldenCacheReportTest, ColdThenWarmOnAFreshStore) {
+  // The accounting guard for every memoized cell family (baselines,
+  // sweep, mixed-eval and ablation cells): the counts do not depend on
+  // the executor width, a warm run serves every cell, and each retrain
+  // the report counts is one obs.cache.retrains.
+  runtime::Executor exec(GetParam());
+  const obs::Counter& retrains = obs::counter("obs.cache.retrains");
+  std::size_t checked = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(PG_GOLDEN_DIR)) {
+    if (entry.path().extension() != ".spec") continue;
+    const std::string name = entry.path().stem().string();
+    const auto* want = std::find_if(
+        std::begin(kGoldenCacheReports), std::end(kGoldenCacheReports),
+        [&name](const GoldenCacheReport& r) { return name == r.name; });
+    if (want == std::end(kGoldenCacheReports)) {
+      ADD_FAILURE() << "no pinned cache report for golden " << name;
+      continue;
+    }
+    ++checked;
+    ShardStore store(/*memo=*/true, /*dir=*/"", /*max_bytes=*/0);
+    EngineContext context{&exec, &store};
+    const ScenarioSpec spec = golden_spec(name);
+
+    std::uint64_t before = retrains.value();
+    const CacheReport cold = run_scenario(spec, context).cache;
+    EXPECT_EQ(cold.cells_total, want->total) << name;
+    EXPECT_EQ(cold.cells_retrained, want->retrained) << name;
+    EXPECT_EQ(cold.cache_hits, want->hits) << name;
+    EXPECT_EQ(cold.shards, want->shards) << name;
+    if (kObs) EXPECT_EQ(retrains.value() - before, cold.cells_retrained);
+
+    before = retrains.value();
+    const CacheReport warm = run_scenario(spec, context).cache;
+    EXPECT_EQ(warm.cells_total, want->total) << name;
+    EXPECT_EQ(warm.cells_retrained, 0u) << name;
+    EXPECT_EQ(warm.cache_hits, warm.cells_total) << name;
+    EXPECT_EQ(warm.shards, want->shards) << name;
+    if (kObs) EXPECT_EQ(retrains.value() - before, 0u) << name;
+  }
+  EXPECT_EQ(checked, std::size(kGoldenCacheReports));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Executor, GoldenCacheReportTest, ::testing::Values(1, 4),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return "threads" + std::to_string(info.param);
+    });
+
+/// Spec keys that say how a run executes or what it reports about
+/// itself, never what it computes.
+bool is_envelope_key(const std::string& key) {
+  return key == "name" || key == "description" || key == "kind" ||
+         key == "threads" || key.starts_with("cache_") ||
+         key == "use_cache" || key == "trace" || key == "metrics" ||
+         key == "telemetry" || key == "sweep";
+}
+
+/// Another value for a spec key, by the type its text shows: a bool
+/// flips, an integer grows by one, a real shrinks by a tenth and a list
+/// drops its last item. A word or an empty string takes the first listed
+/// alternative that differs. nullopt: no rule fits the key.
+std::optional<std::string> perturb(const std::string& key,
+                                   const std::string& text) {
+  if (text == "true") return "false";
+  if (text == "false") return "true";
+  if (!text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+        return c >= '0' && c <= '9';
+      })) {
+    return std::to_string(std::stoull(text) + 1);
+  }
+  char* end = nullptr;
+  const double real = std::strtod(text.c_str(), &end);
+  if (!text.empty() && *end == '\0') {
+    return util::format_double_roundtrip(real * 0.9);
+  }
+  if (const std::size_t comma = text.rfind(','); comma != std::string::npos) {
+    return text.substr(0, comma);
+  }
+  static const std::map<std::string, std::vector<std::string>> kWords = {
+      {"aggregate", {"seed"}}, {"lp_pricing", {"bland", "dantzig"}}};
+  if (const auto it = kWords.find(key); it != kWords.end()) {
+    for (const std::string& word : it->second) {
+      if (word != text) return word;
+    }
+  }
+  return std::nullopt;
+}
+
+/// The comparable cells of a run, or nullopt when the run rejects its
+/// spec.
+std::optional<std::vector<std::string>> cells_or_rejected(
+    const ScenarioSpec& spec, EngineContext& context) {
+  try {
+    return comparable_cells(run_scenario(spec, context));
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
+}
+
+TEST(CacheKeyTest, WarmEqualsColdForEveryResultKey) {
+  // Cache keys must hash everything a value depends on. For one golden
+  // per paper kind, every result-bearing spec key is perturbed; run warm
+  // on a store filled by the unperturbed spec, the perturbed spec must
+  // give exactly its uncached result. A key added to the spec is covered
+  // without editing this test, or fails it until perturb() has a rule.
+  runtime::Executor exec(4);
+  ShardStore uncached(/*memo=*/false, /*dir=*/"", /*max_bytes=*/0);
+  EngineContext cold_context{&exec, &uncached};
+  for (const char* name : {"fig1", "table1", "prop1", "nsweep", "transfer",
+                           "solver_ablation", "defense_ablation"}) {
+    ScenarioSpec base = golden_spec(name);
+    // Tiny sizes keep 7 kinds x 19 keys near two seconds.
+    for (const auto& [key, value] :
+         {std::pair<const char*, const char*>{"instances", "160"},
+          {"epochs", "4"}, {"sweep_steps", "3"}, {"draws", "1"},
+          {"support_min", "1"}, {"support_max", "2"},
+          {"solver_grid", "24"}, {"solver_iterations", "200"}}) {
+      base.set(key, value);
+    }
+    ShardStore store(/*memo=*/true, /*dir=*/"", /*max_bytes=*/0);
+    EngineContext warm_context{&exec, &store};
+    (void)run_scenario(base, warm_context);
+    const auto base_cold = cells_or_rejected(base, cold_context);
+    ASSERT_TRUE(base_cold.has_value()) << name;
+
+    for (const std::string& key : ScenarioSpec::keys()) {
+      if (is_envelope_key(key)) continue;
+      const std::optional<std::string> text = perturb(key, base.get(key));
+      if (!text) {
+        ADD_FAILURE() << "no perturbation for spec key " << key << " = '"
+                      << base.get(key) << "'";
+        continue;
+      }
+      ScenarioSpec spec = base;
+      spec.set(key, *text);
+      const std::string what = std::string(name) + ": " + key + " = " + *text;
+      const auto cold = cells_or_rejected(spec, cold_context);
+      // A result the perturbation did not move cannot differ warm.
+      if (cold == base_cold) continue;
+      const auto warm = cells_or_rejected(spec, warm_context);
+      EXPECT_EQ(warm.has_value(), cold.has_value())
+          << what << ": only one of the warm and cold runs rejected it";
+      if (warm && cold && *warm != *cold) {
+        const auto [w, c] = std::mismatch(warm->begin(), warm->end(),
+                                          cold->begin(), cold->end());
+        ADD_FAILURE() << what << ": warm "
+                      << (w == warm->end() ? "(end)" : *w) << " != cold "
+                      << (c == cold->end() ? "(end)" : *c);
+      }
+    }
+  }
 }
 
 TEST(EngineTest, AggregateCollapsesNamedAxes) {

@@ -60,6 +60,14 @@ ExperimentConfig tiny_config() {
   return cfg;
 }
 
+/// The function prepare_experiment takes, handing `evaluator` to every
+/// context.
+EvaluatorFor always(const runtime::PayoffEvaluator& evaluator) {
+  return [&evaluator](std::uint64_t) -> const runtime::PayoffEvaluator& {
+    return evaluator;
+  };
+}
+
 TEST(ExperimentTest, DeterministicInSeed) {
   const ExperimentConfig cfg = tiny_config();
   const auto a = prepare_experiment(cfg);
@@ -80,18 +88,20 @@ TEST(ExperimentTest, FingerprintIsPinned) {
 TEST(ExperimentTest, CleanBaselineIsMemoizedUnderTheContextKey) {
   const ExperimentConfig cfg = tiny_config();
   runtime::PayoffCache cache;
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
   std::uint64_t shard_id = 0;
-  BaselineMemo memo{[&](std::uint64_t key) {
+  const EvaluatorFor evaluator_for =
+      [&](std::uint64_t key) -> const runtime::PayoffEvaluator& {
     shard_id = key;
-    return &cache;
-  }};
-  const ExperimentContext cold = prepare_experiment(cfg, &memo);
-  EXPECT_EQ(memo.retrained, 1u);
-  EXPECT_EQ(memo.hits, 0u);
+    return evaluator;
+  };
+  const ExperimentContext cold = prepare_experiment(cfg, evaluator_for);
+  EXPECT_EQ(evaluator.cells_computed(), 1u);
+  EXPECT_EQ(evaluator.cache_hits(), 0u);
   EXPECT_EQ(shard_id, context_key(cold));
-  const ExperimentContext warm = prepare_experiment(cfg, &memo);
-  EXPECT_EQ(memo.retrained, 1u);
-  EXPECT_EQ(memo.hits, 1u);
+  const ExperimentContext warm = prepare_experiment(cfg, evaluator_for);
+  EXPECT_EQ(evaluator.cells_computed(), 1u);
+  EXPECT_EQ(evaluator.cache_hits(), 1u);
   // The warm call reads the baseline and its sibling, the test positive
   // fraction: two hits, two entries.
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -117,13 +127,15 @@ TEST(ExperimentTest, FailedBaselineAbandonsItsClaim) {
   ExperimentConfig cfg = tiny_config();
   cfg.svm.epochs = 0;  // SvmTrainer rejects it
   runtime::PayoffCache cache;
-  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
-  EXPECT_THROW((void)prepare_experiment(cfg, &memo), std::invalid_argument);
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
+  EXPECT_THROW((void)prepare_experiment(cfg, always(evaluator)),
+               std::invalid_argument);
   // A claim left behind would block this call forever.
-  EXPECT_THROW((void)prepare_experiment(cfg, &memo), std::invalid_argument);
+  EXPECT_THROW((void)prepare_experiment(cfg, always(evaluator)),
+               std::invalid_argument);
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(memo.retrained + memo.hits, 0u);
+  EXPECT_EQ(evaluator.cells_computed() + evaluator.cache_hits(), 0u);
 }
 
 TEST(ExperimentTest, ContextKeyHashesLoadedCorpusContent) {
@@ -171,15 +183,15 @@ std::uint64_t corpus_builds() { return stage_count("obs.stage.corpus"); }
 TEST(ExperimentTest, WarmHitBuildsNoCorpusUntilFirstUse) {
   const ExperimentConfig cfg = tiny_config();
   runtime::PayoffCache cache;
-  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
   const std::uint64_t before_cold = corpus_builds();
-  const ExperimentContext cold = prepare_experiment(cfg, &memo);
+  const ExperimentContext cold = prepare_experiment(cfg, always(evaluator));
   if (kObs) EXPECT_EQ(corpus_builds() - before_cold, 1u);
 
   const std::uint64_t before = corpus_builds();
-  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+  const ExperimentContext warm = prepare_experiment(cfg, always(evaluator));
   const ExperimentContext copy = warm;
-  EXPECT_EQ(memo.hits, 1u);
+  EXPECT_EQ(evaluator.cache_hits(), 1u);
   EXPECT_EQ(context_key(warm), context_key(cold));
   EXPECT_EQ(context_fingerprint(warm), context_fingerprint(cold));
   EXPECT_EQ(warm.train_size(), cold.train_size());
@@ -202,9 +214,9 @@ TEST(ExperimentTest, WarmHitBuildsNoCorpusUntilFirstUse) {
 TEST(ExperimentTest, ConcurrentFirstUseBuildsOnce) {
   const ExperimentConfig cfg = tiny_config();
   runtime::PayoffCache cache;
-  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
-  (void)prepare_experiment(cfg, &memo);
-  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
+  (void)prepare_experiment(cfg, always(evaluator));
+  const ExperimentContext warm = prepare_experiment(cfg, always(evaluator));
 
   const std::uint64_t before = corpus_builds();
   const std::uint64_t geometries = stage_count("obs.stage.geometry");
@@ -236,8 +248,10 @@ TEST(ExperimentTest, ConcurrentFirstUseBuildsOnce) {
 TEST(ExperimentTest, ShardWithoutThePositiveFractionGainsIt) {
   const ExperimentConfig cfg = tiny_config();
   runtime::PayoffCache current;
-  BaselineMemo cold_memo{[&current](std::uint64_t) { return &current; }};
-  const ExperimentContext cold = prepare_experiment(cfg, &cold_memo);
+  const runtime::PayoffEvaluator cold_evaluator(runtime::serial_executor(),
+                                                &current);
+  const ExperimentContext cold =
+      prepare_experiment(cfg, always(cold_evaluator));
   ASSERT_NE(cold.clean_accuracy, cold.test_positive_fraction);
 
   // A shard as written before the sibling entry existed: the baseline
@@ -247,19 +261,20 @@ TEST(ExperimentTest, ShardWithoutThePositiveFractionGainsIt) {
     if (value == cold.clean_accuracy) old_shard.preload({{key, value}});
   }
   ASSERT_EQ(old_shard.size(), 1u);
-  BaselineMemo memo{[&old_shard](std::uint64_t) { return &old_shard; }};
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(),
+                                           &old_shard);
   const std::uint64_t before = corpus_builds();
-  const ExperimentContext healed = prepare_experiment(cfg, &memo);
+  const ExperimentContext healed = prepare_experiment(cfg, always(evaluator));
   // Like every cell with a missing sibling: one baseline solve.
-  EXPECT_EQ(memo.hits, 0u);
-  EXPECT_EQ(memo.retrained, 1u);
+  EXPECT_EQ(evaluator.cache_hits(), 0u);
+  EXPECT_EQ(evaluator.cells_computed(), 1u);
   EXPECT_EQ(healed.clean_accuracy, cold.clean_accuracy);
   EXPECT_EQ(healed.test_positive_fraction, cold.test_positive_fraction);
   EXPECT_EQ(old_shard.snapshot(), current.snapshot());
   if (kObs) EXPECT_EQ(corpus_builds() - before, 1u);
 
   // Healed: the next warm call builds nothing.
-  const ExperimentContext warm = prepare_experiment(cfg, &memo);
+  const ExperimentContext warm = prepare_experiment(cfg, always(evaluator));
   EXPECT_EQ(warm.test_positive_fraction, cold.test_positive_fraction);
   if (kObs) EXPECT_EQ(corpus_builds() - before, 1u);
 }
@@ -267,9 +282,9 @@ TEST(ExperimentTest, ShardWithoutThePositiveFractionGainsIt) {
 TEST(ExperimentTest, BuiltSplitMustMatchItsPlan) {
   const ExperimentConfig cfg = tiny_config();
   runtime::PayoffCache cache;
-  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
-  (void)prepare_experiment(cfg, &memo);
-  ExperimentContext warm = prepare_experiment(cfg, &memo);
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
+  (void)prepare_experiment(cfg, always(evaluator));
+  ExperimentContext warm = prepare_experiment(cfg, always(evaluator));
   warm.config.corpus.n_instances += 10;
   try {
     (void)warm.train();
@@ -331,14 +346,14 @@ TEST(PureSweepTest, StageTimersCountTheArmsRun) {
     return out;
   };
   runtime::PayoffCache cache;
-  BaselineMemo memo{[&cache](std::uint64_t) { return &cache; }};
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
   const std::vector<double> grid = sweep_grid(0.3, 3);
   const std::size_t reps = 2;
 
   const auto before = counts();
-  const ExperimentContext cold = prepare_experiment(cfg, &memo);
+  const ExperimentContext cold = prepare_experiment(cfg, always(evaluator));
   ASSERT_GT(cold.poison_budget, 0u);
-  (void)run_pure_sweep(cold, grid, reps, nullptr, &cache);
+  (void)run_pure_sweep(cold, grid, reps, evaluator);
   const auto after_cold = counts();
   // Each cell runs a clean and an attacked arm. Both arms filter when the
   // cell's strength is above 0, and every arm standardizes and trains; so
@@ -356,9 +371,11 @@ TEST(PureSweepTest, StageTimersCountTheArmsRun) {
   }
 
   // Warm: every cell and the baseline come from the cache.
-  const ExperimentContext warm = prepare_experiment(cfg, &memo);
-  (void)run_pure_sweep(warm, grid, reps, nullptr, &cache);
+  const ExperimentContext warm = prepare_experiment(cfg, always(evaluator));
+  (void)run_pure_sweep(warm, grid, reps, evaluator);
   EXPECT_EQ(counts(), after_cold);
+  EXPECT_EQ(evaluator.cells_computed(), 1 + grid.size() * reps);
+  EXPECT_EQ(evaluator.cache_hits(), 1 + grid.size() * reps);
 }
 
 TEST(PureSweepTest, FilterMitigationShape) {
