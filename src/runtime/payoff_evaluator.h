@@ -11,10 +11,11 @@
 // never retrain the same cell twice.
 //
 // PayoffEvaluator::evaluate_cells is the one cell loop: the clean
-// baseline (2 values), pure-sweep cells (3), mixed-eval cells (1) and
-// defense-ablation cells (3) all run through it, and it is memoize()'s
-// only caller -- memoize() below is the only user of the cache's
-// single-flight claims.
+// baseline (2 values), pure-sweep cells (3), mixed-eval cells (1),
+// defense-ablation cells (3) and Algorithm 1 solutions (2n + 3 for a
+// support of n; sim::solve_defense) all run through it, and it is
+// memoize()'s only caller -- memoize() below is the only user of the
+// cache's single-flight claims.
 //
 // Memoization cannot change results, only skip work: a cached value is by
 // definition the value the cell function would deterministically

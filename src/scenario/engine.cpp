@@ -163,7 +163,7 @@ void run_mixed_table_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
   for (std::size_t n = spec.support_min; n <= spec.support_max; ++n) {
     core::Algorithm1Config acfg;
     acfg.support_size = n;
-    const auto sol = core::compute_optimal_defense(game, acfg);
+    const auto sol = sim::solve_defense(game, acfg, evaluator);
     const auto indiff = core::check_indifference(game, sol.strategy, 1e-3);
 
     sim::MixedEvalConfig ecfg;
@@ -269,6 +269,8 @@ void run_pure_ne_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
 // nsweep: the section-5 plateau claim.
 void run_support_sweep_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
                                 ScenarioResult& result) {
+  PG_CHECK(spec.support_min >= 1 && spec.support_min <= spec.support_max,
+           "support_sweep requires 1 <= support_min <= support_max");
   const sim::ExperimentContext ctx =
       prepare_context(experiment_config(spec), bundle);
   add_context_metrics(ctx, result);
@@ -283,8 +285,9 @@ void run_support_sweep_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
 
   sim::MixedEvalConfig ecfg;
   ecfg.draws = spec.draws;
-  const auto rows =
-      sim::run_support_sweep(ctx, game, spec.support_max, {}, ecfg, evaluator);
+  const auto rows = sim::run_support_sweep(ctx, game, spec.support_min,
+                                           spec.support_max, {}, ecfg,
+                                           evaluator);
 
   ResultTable table{"support_sweep",
                     {"n", "strategy", "predicted_loss",
@@ -297,9 +300,14 @@ void run_support_sweep_scenario(const ScenarioSpec& spec, CacheBundle& bundle,
   }
   result.tables.push_back(std::move(table));
 
-  if (rows.size() >= 5) {
-    const double drop_2_to_3 = rows[1].predicted_loss - rows[2].predicted_loss;
-    const double drop_3_to_5 = rows[2].predicted_loss - rows[4].predicted_loss;
+  // The plateau claim compares the rows n = 2, 3 and 5 (row i solved
+  // n = support_min + i), when all three were solved.
+  if (spec.support_min <= 2 && spec.support_max >= 5) {
+    const auto loss = [&](std::size_t n) {
+      return rows[n - spec.support_min].predicted_loss;
+    };
+    const double drop_2_to_3 = loss(2) - loss(3);
+    const double drop_3_to_5 = loss(3) - loss(5);
     result.add_metric("loss_drop_2_to_3", drop_2_to_3);
     result.add_metric("loss_drop_3_to_5", drop_3_to_5);
     result.add_metric(

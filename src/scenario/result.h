@@ -60,9 +60,12 @@ struct ResultTable {
 };
 
 /// Aggregated caching behavior of one engine run (summed over every
-/// context shard the scenario touched). `cells_retrained == 0` on a warm
-/// disk-cached re-run is the cross-process resume guarantee the CI
-/// asserts.
+/// context shard the scenario touched). A cell is a payoff cell, a
+/// context's clean baseline or an Algorithm 1 solution; each counts once
+/// in `cells_total`, and `cells_retrained` counts the cells this run
+/// computed (trained or solved) rather than read from the cache.
+/// `cells_retrained == 0` on a warm disk-cached re-run is the
+/// cross-process resume guarantee the CI asserts.
 struct CacheReport {
   bool enabled = false;       // in-memory memoization on?
   bool disk_enabled = false;  // disk spill configured?

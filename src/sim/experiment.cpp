@@ -26,6 +26,12 @@ constexpr std::uint64_t kBaselineKeyTag = 0x434C4541'4E424153ULL;  // "CLEANBAS"
 constexpr std::uint64_t kPositiveFractionTag =
     0x54455354'504F5346ULL;  // "TESTPOSF"
 
+/// The results epoch: context_key() mixes it, so bumping it renames
+/// every shard and old cache dirs go cold instead of serving values the
+/// code no longer computes. Bump it in any change that edits a
+/// tests/golden/*.json (CI checks that).
+constexpr std::uint64_t kResultsEpoch = 1;
+
 /// The config, size and budget words both context_key() and
 /// context_fingerprint() cover, in the fingerprint's historical order.
 void mix_context_words(runtime::ContentKey& key, const ExperimentContext& ctx) {
@@ -226,7 +232,7 @@ ExperimentConfig fast_config(std::uint64_t seed) {
 
 std::uint64_t context_key(const ExperimentContext& ctx) {
   runtime::ContentKey key;
-  key.mix(kContextKeyTag);
+  key.mix(kContextKeyTag).mix(kResultsEpoch);
   mix_context_words(key, ctx);
   mix_text(key, ctx.corpus_source);
   if (ctx.corpus_source != "synthetic") {

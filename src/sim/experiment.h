@@ -110,12 +110,13 @@ class ExperimentContext {
 [[nodiscard]] ExperimentConfig fast_config(std::uint64_t seed = 42);
 
 /// Content key of everything a context's payoffs depend on, computable
-/// before any training or synthesis: seed, corpus generator knobs, the
-/// planned split sizes, poison budget, the SVM/centroid configuration, the
-/// corpus source and -- for a corpus loaded from a file -- its features
-/// and labels. It names the context's PayoffCache shard (on disk too) and
-/// keys the memoized clean baseline; it never includes the measured clean
-/// accuracy.
+/// before any training or synthesis: the results epoch (a constant
+/// bumped whenever the code's results change), seed, corpus generator
+/// knobs, the planned split sizes, poison budget, the SVM/centroid
+/// configuration, the corpus source and -- for a corpus loaded from a
+/// file -- its features and labels. It names the context's PayoffCache
+/// shard (on disk too) and keys the memoized clean baseline; it never
+/// includes the measured clean accuracy.
 [[nodiscard]] std::uint64_t context_key(const ExperimentContext& ctx);
 
 /// The context word every cell key and cell RNG stream mixes. Combined

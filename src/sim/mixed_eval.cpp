@@ -1,6 +1,7 @@
 #include "sim/mixed_eval.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 
 #include "attack/boundary_attack.h"
@@ -70,7 +71,75 @@ double run_cell(const ExperimentContext& ctx, const defense::Pipeline& pipeline,
       .test_accuracy;
 }
 
+/// Domain tag of Algorithm 1 solution keys: no other key family mixes
+/// this word first.
+constexpr std::uint64_t kSolutionKeyTag = 0x414C4731'534F4C4EULL;  // "ALG1SOLN"
+
+/// Everything compute_optimal_defense reads: the budget, the config and
+/// both curves' knots. A ninth config field changes the struct's size,
+/// so it cannot go unkeyed without this assert failing first.
+std::uint64_t solution_digest(const core::PoisoningGame& game,
+                              const core::Algorithm1Config& config) {
+  static_assert(sizeof(core::Algorithm1Config) == 64,
+                "Algorithm1Config changed: key its new field here");
+  runtime::ContentKey key;
+  key.mix(kSolutionKeyTag)
+      .mix(static_cast<std::uint64_t>(game.poison_budget()))
+      .mix(static_cast<std::uint64_t>(config.support_size))
+      .mix(config.epsilon)
+      .mix(static_cast<std::uint64_t>(config.max_iterations))
+      .mix(config.learning_rate)
+      .mix(config.fd_step)
+      .mix(config.min_gap)
+      .mix(config.support_floor)
+      .mix(config.damage_floor);
+  for (const util::PiecewiseLinear* curve :
+       {&game.curves().damage_curve(), &game.curves().cost_curve()}) {
+    key.mix(static_cast<std::uint64_t>(curve->size()));
+    for (const double x : curve->xs()) key.mix(x);
+    for (const double y : curve->ys()) key.mix(y);
+  }
+  return key.digest();
+}
+
 }  // namespace
+
+core::DefenseSolution solve_defense(const core::PoisoningGame& game,
+                                    const core::Algorithm1Config& config,
+                                    const runtime::PayoffEvaluator& evaluator) {
+  const std::size_t n = config.support_size;
+  const std::uint64_t digest = solution_digest(game, config);
+  const std::vector<double> values = evaluator.evaluate_cells(
+      1, 2 * n + 3,
+      [digest](std::size_t, std::span<std::uint64_t> keys) {
+        for (std::uint64_t slot = 0; slot < keys.size(); ++slot) {
+          keys[slot] = runtime::ContentKey().mix(digest).mix(slot).digest();
+        }
+      },
+      [&](std::size_t, std::span<double> cell) {
+        const core::DefenseSolution sol =
+            core::compute_optimal_defense(game, config);
+        PG_CHECK(sol.strategy.support_size() == n,
+                 "Algorithm 1 returned a support of the wrong size");
+        const auto& fractions = sol.strategy.removal_fractions();
+        const auto& probabilities = sol.strategy.probabilities();
+        std::copy(fractions.begin(), fractions.end(), cell.begin());
+        std::copy(probabilities.begin(), probabilities.end(),
+                  cell.subspan(n).begin());
+        cell[2 * n] = sol.defender_loss;
+        cell[2 * n + 1] = static_cast<double>(sol.iterations);
+        cell[2 * n + 2] = sol.converged ? 1.0 : 0.0;
+      });
+  // Both paths rebuild the strategy from the cell's values. Its
+  // constructor only validates, so that is the strategy the solve built.
+  const double* fractions = values.data();
+  const double* probabilities = fractions + n;
+  return {defense::MixedDefenseStrategy(
+              std::vector<double>(fractions, probabilities),
+              std::vector<double>(probabilities, probabilities + n)),
+          values[2 * n], {}, static_cast<std::size_t>(values[2 * n + 1]),
+          values[2 * n + 2] != 0.0};
+}
 
 MixedEvalResult evaluate_mixed_defense(
     const ExperimentContext& ctx,

@@ -7,11 +7,17 @@
 // reports the *adversarial* (minimum over attacker support placements)
 // value, plus the best pure-strategy accuracy for the paper's comparison
 // claim "mixed accuracy strictly exceeds every pure defense".
+//
+// It also memoizes Algorithm 1 itself: solve_defense() keeps a measured
+// game's solution as one cell of the context's evaluator, next to the
+// payoff cells the game was fitted from.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "core/equilibrium.h"
+#include "core/game_model.h"
 #include "defense/mixed_defense.h"
 #include "runtime/payoff_evaluator.h"
 #include "sim/experiment.h"
@@ -52,6 +58,20 @@ struct MixedEvalConfig {
     const defense::MixedDefenseStrategy& strategy,
     const MixedEvalConfig& config = {},
     const runtime::PayoffEvaluator& evaluator = runtime::serial_evaluator());
+
+/// Algorithm 1 (core::compute_optimal_defense) on `game` as one cell of
+/// `evaluator`, 2n + 3 values wide for n = config.support_size: the n
+/// support fractions, the n probabilities, defender_loss, iterations and
+/// converged. The cell is keyed by everything the solve reads -- the
+/// poison budget, every Algorithm1Config field and both curves' knots --
+/// so a hit returns the bit-identical solution without a descent, from
+/// the context's shard on disk too, and two concurrent solves of one
+/// game run it once. The returned `trace` is empty on a hit and on a
+/// computed cell alike: no caller reads it (call compute_optimal_defense
+/// for the convergence trace, or to time the solve itself).
+[[nodiscard]] core::DefenseSolution solve_defense(
+    const core::PoisoningGame& game, const core::Algorithm1Config& config,
+    const runtime::PayoffEvaluator& evaluator);
 
 /// Accuracy of the best PURE defense under the pure-optimal attack, i.e.
 /// max over grid of the attacked curve -- the paper's benchmark that the

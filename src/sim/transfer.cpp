@@ -16,7 +16,7 @@ defense::MixedDefenseStrategy solve_transfer_strategy(
   const core::PoisoningGame game(curves, ctx.poison_budget);
   core::Algorithm1Config acfg;
   acfg.support_size = config.support_size;
-  return core::compute_optimal_defense(game, acfg).strategy;
+  return solve_defense(game, acfg, evaluator).strategy;
 }
 
 TransferResult run_transfer_experiment(

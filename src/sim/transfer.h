@@ -38,7 +38,7 @@ struct TransferConfig {
 
 /// Solve a strategy on one prepared context: the pure sweep over
 /// config.sweep_fractions on `evaluator`, the curve fit and Algorithm 1
-/// at config.support_size.
+/// at config.support_size, memoized on `evaluator` by solve_defense.
 [[nodiscard]] defense::MixedDefenseStrategy solve_transfer_strategy(
     const ExperimentContext& ctx, const TransferConfig& config,
     const runtime::PayoffEvaluator& evaluator = runtime::serial_evaluator());

@@ -848,6 +848,49 @@ TEST(EngineTest, SharedStoreReportsOnlyTheShardsARunTouched) {
   EXPECT_EQ(shards, (std::vector<std::size_t>{1, 4, 1}));
 }
 
+TEST(EngineTest, SupportSweepStartsAtSupportMin) {
+  // nsweep solves n = support_min..support_max: at support_min = 2 the
+  // golden spec yields the rows n = 2 and 3 of its support_min = 1 run,
+  // unchanged.
+  const ScenarioSpec from_one = golden_spec("nsweep");
+  ASSERT_EQ(from_one.support_min, 1u);
+  ASSERT_EQ(from_one.support_max, 3u);
+  ScenarioSpec from_two = from_one;
+  from_two.support_min = 2;
+  const auto sweep_rows = [](const ScenarioSpec& spec) {
+    const ScenarioResult result = run_scenario(spec);
+    const auto table = std::find_if(
+        result.tables.begin(), result.tables.end(),
+        [](const ResultTable& t) { return t.name == "support_sweep"; });
+    std::vector<std::vector<std::string>> rows;
+    if (table == result.tables.end()) {
+      ADD_FAILURE() << "no support_sweep table";
+      return rows;
+    }
+    for (const auto& row : table->rows) {
+      std::vector<std::string> cells;
+      for (std::size_t c = 0; c < row.size(); ++c) {
+        if (!timing_column(table->columns[c])) {
+          cells.push_back(row[c].render());
+        }
+      }
+      rows.push_back(std::move(cells));
+    }
+    return rows;
+  };
+  const auto all = sweep_rows(from_one);
+  const auto tail = sweep_rows(from_two);
+  ASSERT_EQ(all.size(), 3u);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[0].front(), "2");
+  EXPECT_EQ(tail[0], all[1]);
+  EXPECT_EQ(tail[1], all[2]);
+
+  ScenarioSpec inverted = from_one;
+  inverted.support_min = 4;
+  EXPECT_THROW((void)run_scenario(inverted), std::invalid_argument);
+}
+
 /// Every golden's cold cache report on a fresh in-memory store: memoized
 /// cells in all, retrained, served from the cache, and contexts touched.
 struct GoldenCacheReport {
@@ -859,17 +902,18 @@ struct GoldenCacheReport {
 };
 constexpr GoldenCacheReport kGoldenCacheReports[] = {
     {"defense_ablation", 16, 16, 0, 1}, {"fig1", 5, 5, 0, 1},
-    {"nsweep", 24, 20, 4, 1},           {"prop1", 4, 4, 0, 1},
+    {"nsweep", 27, 23, 4, 1},           {"prop1", 4, 4, 0, 1},
     {"solver_ablation", 4, 4, 0, 1},    {"sweep_grid", 24, 24, 0, 6},
-    {"table1", 22, 20, 2, 1},           {"transfer", 76, 72, 4, 4}};
+    {"table1", 24, 22, 2, 1},           {"transfer", 80, 76, 4, 4}};
 
 class GoldenCacheReportTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(GoldenCacheReportTest, ColdThenWarmOnAFreshStore) {
   // The accounting guard for every memoized cell family (baselines,
-  // sweep, mixed-eval and ablation cells): the counts do not depend on
-  // the executor width, a warm run serves every cell, and each retrain
-  // the report counts is one obs.cache.retrains.
+  // sweep, mixed-eval and ablation cells, Algorithm 1 solutions): the
+  // counts do not depend on the executor width, a warm run serves every
+  // cell, and each cell the report counts as retrained is one
+  // obs.cache.retrains.
   runtime::Executor exec(GetParam());
   const obs::Counter& retrains = obs::counter("obs.cache.retrains");
   std::size_t checked = 0;

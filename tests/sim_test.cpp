@@ -1,12 +1,15 @@
 // Unit tests for pg::sim -- experiment setup, the pure-strategy sweep,
-// curve fitting (isotonic regression) and the mixed-defense evaluation,
-// all on reduced corpora so the suite stays fast.
+// curve fitting (isotonic regression), the mixed-defense evaluation and
+// the memoized Algorithm 1 solve, all on reduced corpora so the suite
+// stays fast.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -15,6 +18,7 @@
 #include "core/equilibrium.h"
 #include "data/loader.h"
 #include "obs/metrics.h"
+#include "runtime/payoff_disk_cache.h"
 #include "runtime/payoff_evaluator.h"
 #include "sim/curve_fit.h"
 #include "sim/experiment.h"
@@ -83,6 +87,14 @@ TEST(ExperimentTest, FingerprintIsPinned) {
   // always had for this context.
   EXPECT_EQ(context_fingerprint(prepare_experiment(tiny_config())),
             0x53C7E50458E78A3BULL);
+}
+
+TEST(ExperimentTest, ContextKeyIsPinned) {
+  // The key names the context's shard and mixes the results epoch: a
+  // change that moves it (an epoch bump, a new context word) makes old
+  // cache dirs go cold, so it is an edit here too.
+  EXPECT_EQ(context_key(prepare_experiment(tiny_config())),
+            0x97385B72384B82CFULL);
 }
 
 TEST(ExperimentTest, CleanBaselineIsMemoizedUnderTheContextKey) {
@@ -514,7 +526,7 @@ TEST(SupportSweepTest, RunsAllSizesAndRecordsTiming) {
 
   MixedEvalConfig eval;
   eval.draws = 1;
-  const auto rows = run_support_sweep(ctx, game, 3, {}, eval);
+  const auto rows = run_support_sweep(ctx, game, 1, 3, {}, eval);
   ASSERT_EQ(rows.size(), 3u);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     EXPECT_EQ(rows[i].support_size, i + 1);
@@ -526,6 +538,185 @@ TEST(SupportSweepTest, RunsAllSizesAndRecordsTiming) {
   for (std::size_t i = 1; i < rows.size(); ++i) {
     EXPECT_LE(rows[i].predicted_loss, rows[i - 1].predicted_loss + 1e-6);
   }
+}
+
+// ------------------------------------------------------------ solve_defense
+
+/// One Algorithm 1 input.
+struct SolveCase {
+  core::PoisoningGame game;
+  core::Algorithm1Config config;
+};
+
+core::PoisoningGame analytic_game(std::size_t budget = 100) {
+  return core::PoisoningGame(
+      core::PayoffCurves::analytic(0.002, 5.0, 0.06, 1.4), budget);
+}
+
+/// Every field solve_defense returns equals the direct solve's, and the
+/// trace stays empty.
+void expect_same_solution(const core::DefenseSolution& got,
+                          const core::DefenseSolution& want) {
+  EXPECT_EQ(got.strategy.removal_fractions(),
+            want.strategy.removal_fractions());
+  EXPECT_EQ(got.strategy.probabilities(), want.strategy.probabilities());
+  EXPECT_EQ(got.defender_loss, want.defender_loss);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(got.converged, want.converged);
+  EXPECT_TRUE(got.trace.empty());
+}
+
+TEST(DefenseSolveTest, HitEqualsCompute) {
+  // The analytic game at n = 1..5 and a measured game at n = 3, each
+  // solved cold, warm, and from a shard saved to disk and loaded into a
+  // fresh cache: all three equal the direct solve bit for bit.
+  std::vector<SolveCase> cases;
+  for (std::size_t n = 1; n <= 5; ++n) {
+    core::Algorithm1Config config;
+    config.support_size = n;
+    cases.push_back({analytic_game(), config});
+  }
+  const auto& ctx = shared_ctx();
+  cases.push_back(
+      {core::PoisoningGame(
+           fit_payoff_curves(run_pure_sweep(ctx, sweep_grid(0.35, 5), 1)),
+           ctx.poison_budget),
+       {}});
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() / "pg_defense_solve_test";
+  std::filesystem::remove_all(dir);
+  const runtime::DiskPayoffCache disk(dir.string());
+  for (std::uint64_t shard = 0; shard < cases.size(); ++shard) {
+    const SolveCase& c = cases[shard];
+    SCOPED_TRACE("case " + std::to_string(shard));
+    const core::DefenseSolution want =
+        core::compute_optimal_defense(c.game, c.config);
+    const std::size_t width = 2 * c.config.support_size + 3;
+
+    runtime::PayoffCache cache;
+    const runtime::PayoffEvaluator evaluator(runtime::serial_executor(),
+                                             &cache);
+    expect_same_solution(solve_defense(c.game, c.config, evaluator), want);
+    EXPECT_EQ(evaluator.cells_computed(), 1u);
+    EXPECT_EQ(evaluator.cache_hits(), 0u);
+    EXPECT_EQ(cache.size(), width);
+    expect_same_solution(solve_defense(c.game, c.config, evaluator), want);
+    EXPECT_EQ(evaluator.cells_computed(), 1u);
+    EXPECT_EQ(evaluator.cache_hits(), 1u);
+
+    ASSERT_EQ(disk.save(shard, cache), width);
+    runtime::PayoffCache loaded;
+    ASSERT_EQ(disk.load(shard, loaded), width);
+    const runtime::PayoffEvaluator reloaded(runtime::serial_executor(),
+                                            &loaded);
+    expect_same_solution(solve_defense(c.game, c.config, reloaded), want);
+    EXPECT_EQ(reloaded.cells_computed(), 0u);
+    EXPECT_EQ(reloaded.cache_hits(), 1u);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// `curve` with its middle knot's x (or y) moved a little; the xs stay
+/// strictly increasing.
+util::PiecewiseLinear moved_knot(const util::PiecewiseLinear& curve,
+                                 bool move_x) {
+  std::vector<double> xs = curve.xs();
+  std::vector<double> ys = curve.ys();
+  const std::size_t mid = xs.size() / 2;
+  if (move_x) {
+    xs[mid] += 0.25 * (xs[mid + 1] - xs[mid]);
+  } else {
+    ys[mid] *= 1.01;
+  }
+  return util::PiecewiseLinear(std::move(xs), std::move(ys));
+}
+
+TEST(DefenseSolveTest, KeyCoversEveryInput) {
+  // Each input the solve reads, perturbed alone, must miss the entries of
+  // the base solve: it computes its own solution, equal to the direct
+  // solve of its own input.
+  const core::PoisoningGame base = analytic_game();
+  runtime::PayoffCache cache;
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
+  (void)solve_defense(base, {}, evaluator);
+  ASSERT_EQ(evaluator.cells_computed(), 1u);
+
+  const core::PayoffCurves& curves = base.curves();
+  std::vector<std::pair<std::string, SolveCase>> cases = {
+      {"poison budget", {analytic_game(101), {}}},
+      {"damage x knot",
+       {core::PoisoningGame(
+            core::PayoffCurves(moved_knot(curves.damage_curve(), true),
+                               curves.cost_curve()),
+            100),
+        {}}},
+      {"damage y knot",
+       {core::PoisoningGame(
+            core::PayoffCurves(moved_knot(curves.damage_curve(), false),
+                               curves.cost_curve()),
+            100),
+        {}}},
+      {"cost x knot",
+       {core::PoisoningGame(
+            core::PayoffCurves(curves.damage_curve(),
+                               moved_knot(curves.cost_curve(), true)),
+            100),
+        {}}},
+      {"cost y knot",
+       {core::PoisoningGame(
+            core::PayoffCurves(curves.damage_curve(),
+                               moved_knot(curves.cost_curve(), false)),
+            100),
+        {}}},
+  };
+  const auto with = [&](const char* name, auto field, auto value) {
+    core::Algorithm1Config config;
+    config.*field = value;
+    cases.push_back({name, {base, config}});
+  };
+  using Config = core::Algorithm1Config;
+  with("support_size", &Config::support_size, std::size_t{4});
+  with("epsilon", &Config::epsilon, 1e-7);
+  with("max_iterations", &Config::max_iterations, std::size_t{100});
+  with("learning_rate", &Config::learning_rate, 0.02);
+  with("fd_step", &Config::fd_step, 2e-4);
+  with("min_gap", &Config::min_gap, 2e-3);
+  with("support_floor", &Config::support_floor, 0.03);
+  with("damage_floor", &Config::damage_floor, 1e-5);
+
+  for (const auto& [name, c] : cases) {
+    SCOPED_TRACE(name);
+    const std::size_t computed = evaluator.cells_computed();
+    expect_same_solution(solve_defense(c.game, c.config, evaluator),
+                         core::compute_optimal_defense(c.game, c.config));
+    EXPECT_EQ(evaluator.cells_computed(), computed + 1);
+  }
+  EXPECT_EQ(evaluator.cache_hits(), 0u);
+}
+
+TEST(DefenseSolveTest, ConcurrentSolvesOfOneGameComputeOnce) {
+  // Two threads solve one game on one cache: single-flight lets one
+  // compute while the other waits for (or hits) its solution.
+  const core::PoisoningGame game = analytic_game();
+  core::Algorithm1Config config;
+  config.support_size = 5;
+  runtime::PayoffCache cache;
+  const runtime::PayoffEvaluator evaluator(runtime::serial_executor(), &cache);
+  std::array<std::optional<core::DefenseSolution>, 2> solutions;
+  std::vector<std::thread> threads;
+  for (auto& solution : solutions) {
+    threads.emplace_back([&game, &config, &evaluator, &solution] {
+      solution = solve_defense(game, config, evaluator);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(evaluator.cells_computed(), 1u);
+  EXPECT_EQ(evaluator.cache_hits(), 1u);
+  ASSERT_TRUE(solutions[0].has_value() && solutions[1].has_value());
+  expect_same_solution(*solutions[0], *solutions[1]);
+  expect_same_solution(*solutions[0],
+                       core::compute_optimal_defense(game, config));
 }
 
 }  // namespace
